@@ -7,7 +7,7 @@ and evaluates the Killing form, which for sl_2 is exactly 4 tr(xy).
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.matrices import mat_bracket, mat_trace
+from liealg.matrices import mat_bracket
 
 spec = AlgebraSpec(AlgebraFamily.SL, 2)
 r = L.build(spec)
@@ -35,6 +35,6 @@ print("sl2-triple verified:", L.verify_sl2_triple(rd, alpha))
 
 print("\nKilling form on the Cartan:")
 kappa = L.killing_form_ad(r, h, h)
-print(f"  kappa(h, h) = {kappa},  4*tr(h^2) = {4 * mat_trace(h @ h)}")
+print(f"  kappa(h, h) = {kappa},  4*tr(h^2) = {4 * (h @ h).trace()}")
 coeffs = L.killing_coefficients(rd)
 print(f"  kappa = {coeffs.trace} * tr(xy) on the Cartan")

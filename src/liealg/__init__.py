@@ -45,7 +45,7 @@ from .invariants import (
     jacobian,
     jacobian_criterion,
 )
-from .matrices import EdgeMatrix, mat_bracket, mat_mul, mat_trace
+from .matrices import EdgeMatrix, mat_bracket
 from .polynomials import MultiPoly, poly_det, poly_eval
 from .roots import (
     RootDatum,
@@ -105,8 +105,6 @@ __all__ = [
     "killing_form_ad",
     "killing_form_roots",
     "mat_bracket",
-    "mat_mul",
-    "mat_trace",
     "opposite_antimorphism",
     "parse_rational",
     "poly_det",

@@ -71,8 +71,7 @@ class AlgebraRealization:
         n = self.spec.rank
         if h.dim != self.spec.realization_dim:
             raise ValueError("dimension mismatch with realization")
-        sparse = h.sparse()
-        if any(r != c for (r, c) in sparse):
+        if any(r != c for (r, c) in h.edges):
             raise ValueError("not a Cartan element: off-diagonal entries present")
         diag = h.diagonal()
         if self.spec.family is AlgebraFamily.SL:
@@ -137,15 +136,14 @@ def structure_form(spec: AlgebraSpec) -> EdgeMatrix | None:
     n = spec.rank
     if spec.family is AlgebraFamily.SL:
         return None
-    d = spec.realization_dim
-    rows = [[0] * d for _ in range(d)]
     lower_sign = -1 if spec.family is AlgebraFamily.SP else 1
+    edges = {}
     for i in range(n):
-        rows[i][n + i] = 1
-        rows[n + i][i] = lower_sign
+        edges[(i, n + i)] = 1
+        edges[(n + i, i)] = lower_sign
     if spec.family is AlgebraFamily.SO_ODD:
-        rows[2 * n][2 * n] = 1
-    return EdgeMatrix.from_rows(rows)
+        edges[(2 * n, 2 * n)] = 1
+    return EdgeMatrix(spec.realization_dim, edges)
 
 
 def build(spec: AlgebraSpec) -> AlgebraRealization:
@@ -187,7 +185,7 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
     for label, mat in realization.basis:
         if not check_membership(mat, spec):
             raise InternalConsistencyError(f"{spec}: basis element {label} not a member")
-    rank = sparse_rank(mat.sparse() for _, mat in realization.basis)
+    rank = sparse_rank(mat.edges for _, mat in realization.basis)
     if rank != spec.dimension:
         raise InternalConsistencyError(
             f"{spec}: basis has rank {rank}, expected {spec.dimension}"

@@ -621,6 +621,17 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _order_cap(text: str) -> int:
+    """--max-order value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liealg",
@@ -652,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also enumerate the Weyl group (bounded by --max-order)",
     )
-    p_info.add_argument("--max-order", type=int, default=100_000)
+    p_info.add_argument("--max-order", type=_order_cap, default=100_000)
     p_info.set_defaults(handler=cmd_info)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -661,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         help=f"one of {', '.join(SELECTORS)}",
     )
-    p_verify.add_argument("--max-order", type=int, default=100_000)
+    p_verify.add_argument("--max-order", type=_order_cap, default=100_000)
     p_verify.set_defaults(handler=cmd_verify)
 
     p_classify = sub.add_parser(

@@ -410,7 +410,7 @@ def verify_serre(
     for h, x in zip(H, X):
         image = opposite_antimorphism(x, r.spec.family)
         bracket = mat_bracket(x, image)
-        scale = _proportionality(bracket, h)
+        scale = bracket.ratio(h)
         if scale is None or not scale:
             raise InternalConsistencyError(
                 "cannot scale the opposite root vector: [x, T(x)] is not a "
@@ -422,17 +422,6 @@ def verify_serre(
     for rel in p.relations:
         results.append((rel, _relation_holds(rel, p.cartan, H, X, Y)))
     return SerreReport(results=tuple(results))
-
-
-def _proportionality(a: EdgeMatrix, b: EdgeMatrix) -> Fraction | None:
-    """The ratio t with a = t b, or None when not proportional."""
-    sb = b.sparse()
-    sa = a.sparse()
-    if not sb:
-        return None
-    key = min(sb)
-    t = sa.get(key, Fraction(0)) / sb[key]
-    return t if a == b.scale(t) else None
 
 
 def _relation_holds(

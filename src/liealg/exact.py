@@ -7,6 +7,7 @@ denominator).  Floats are rejected everywhere; no rounding ever occurs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -14,6 +15,8 @@ Scalar = Union[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 
 def as_fraction(x: Scalar) -> Fraction:
@@ -31,6 +34,8 @@ def is_scalar(x: object) -> bool:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or plain integer strings into an exact rational."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

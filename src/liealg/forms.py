@@ -29,7 +29,7 @@ from .catalog import (
     check_membership,
     span_solver,
 )
-from .matrices import EdgeMatrix, dot, mat_trace, solve_linear
+from .matrices import EdgeMatrix, dot, solve_linear
 from .roots import Inner, RootDatum, reflect as reflect  # re-exported reflection
 
 __all__ = [
@@ -242,7 +242,7 @@ def killing_coefficients(rd: RootDatum) -> KillingCoefficients:
     for i in range(size):
         for j in range(size):
             ref_sigma = dot(coords[i], coords[j])
-            ref_trace = mat_trace(cartan[i] @ cartan[j])
+            ref_trace = (cartan[i] @ cartan[j]).trace()
             if sigma is None and ref_sigma:
                 sigma = gram[i][j] / ref_sigma
             if trace is None and ref_trace:
@@ -255,7 +255,7 @@ def killing_coefficients(rd: RootDatum) -> KillingCoefficients:
                 raise InternalConsistencyError(
                     "Killing form is not proportional to the coordinate sum form"
                 )
-            if gram[i][j] != trace * mat_trace(cartan[i] @ cartan[j]):
+            if gram[i][j] != trace * (cartan[i] @ cartan[j]).trace():
                 raise InternalConsistencyError(
                     "Killing form is not proportional to the trace form"
                 )

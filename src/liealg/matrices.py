@@ -1,167 +1,172 @@
-"""Dense square matrices over exact rationals, plus an exact linear kernel.
+"""Sparse square matrices over exact rationals, plus one exact echelon kernel.
 
-The matrix type is the workhorse for every algebra realization: its entries
-are exact rationals (int or Fraction), it is immutable, and all operations
-are pure.  The linear kernel (rank, solve, determinant, span expansion) runs
-rational Gaussian elimination with no pivot tolerance: a pivot is zero
-exactly or not at all.
+The matrix type is the workhorse for every algebra realization.  It stores
+only its nonzero entries, as a map from (row, column) edges to exact
+rationals (int or Fraction); it is immutable, and all operations are pure
+and cost time in proportion to the nonzeros they touch.
+
+Every linear computation (rank, span expansion, solve, determinant, the
+independence step of the root-axiom verifier) runs through one sparse
+echelon kernel with no pivot tolerance: a pivot is zero exactly or not at
+all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exact import Scalar, as_fraction, is_scalar
 
+Edge = tuple[int, int]
 
-@dataclass(frozen=True)
+
+def _add_multiple(acc: dict, row: Mapping, factor: Scalar) -> None:
+    """acc += factor * row in place, dropping entries that cancel to zero."""
+    for key, value in row.items():
+        new = acc.get(key, 0) + factor * value
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeMatrix:
-    """Immutable square matrix over exact rationals.
+    """Immutable square matrix over exact rationals, stored by its edges.
 
-    The name records the intended reading: the elementary matrix with a 1 in
-    row i, column j is the directed edge i -> j, and a general matrix is a
-    rational linear combination of such edges.
+    The name records the reading: the elementary matrix with a 1 in row i,
+    column j is the directed edge i -> j, and a general matrix is a rational
+    linear combination of such edges.  ``edges`` maps (row, column),
+    0-indexed, to the nonzero entries only and must not be mutated; every
+    operation keeps explicit zeros out, so equal matrices have equal maps.
     """
 
     dim: int
-    rows: tuple[tuple[Scalar, ...], ...]
+    edges: dict[Edge, Scalar]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "EdgeMatrix":
         dim = len(rows)
         if dim == 0:
             raise ValueError("matrix must have positive dimension")
-        out = []
-        for row in rows:
+        edges: dict[Edge, Scalar] = {}
+        for r, row in enumerate(rows):
             if len(row) != dim:
                 raise ValueError("matrix must be square")
-            for x in row:
+            for c, x in enumerate(row):
                 if not is_scalar(x):
                     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
-            out.append(tuple(row))
-        return EdgeMatrix(dim, tuple(out))
+                if x:
+                    edges[(r, c)] = x
+        return EdgeMatrix(dim, edges)
 
     @staticmethod
     def zero(dim: int) -> "EdgeMatrix":
         if dim <= 0:
             raise ValueError("matrix must have positive dimension")
-        row = (0,) * dim
-        return EdgeMatrix(dim, (row,) * dim)
+        return EdgeMatrix(dim, {})
 
     @staticmethod
     def identity(dim: int) -> "EdgeMatrix":
         if dim <= 0:
             raise ValueError("matrix must have positive dimension")
-        return EdgeMatrix(
-            dim, tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-        )
+        return EdgeMatrix(dim, {(i, i): 1 for i in range(dim)})
 
     @staticmethod
     def unit(dim: int, i: int, j: int) -> "EdgeMatrix":
         """Elementary matrix with a single 1 at (row i, column j), 1-indexed."""
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"unit index ({i},{j}) out of range for dim {dim}")
-        return EdgeMatrix(
-            dim,
-            tuple(
-                tuple(1 if (r == i - 1 and c == j - 1) else 0 for c in range(dim))
-                for r in range(dim)
-            ),
-        )
+        return EdgeMatrix(dim, {(i - 1, j - 1): 1})
 
-    def __getitem__(self, rc: tuple[int, int]) -> Scalar:
-        r, c = rc
-        return self.rows[r][c]
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Read-only dense view, zeros filled in."""
+        dense = [[0] * self.dim for _ in range(self.dim)]
+        for (r, c), x in self.edges.items():
+            dense[r][c] = x
+        return tuple(tuple(row) for row in dense)
+
+    def __getitem__(self, rc: Edge) -> Scalar:
+        return self.edges.get(rc, 0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeMatrix):
+            return NotImplemented
+        return self.dim == other.dim and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.dim, frozenset(self.edges.items())))
 
     def __add__(self, other: "EdgeMatrix") -> "EdgeMatrix":
         self._require_same_dim(other)
-        return EdgeMatrix(
-            self.dim,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        edges = dict(self.edges)
+        _add_multiple(edges, other.edges, 1)
+        return EdgeMatrix(self.dim, edges)
 
     def __sub__(self, other: "EdgeMatrix") -> "EdgeMatrix":
         self._require_same_dim(other)
-        return EdgeMatrix(
-            self.dim,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        edges = dict(self.edges)
+        _add_multiple(edges, other.edges, -1)
+        return EdgeMatrix(self.dim, edges)
 
     def __neg__(self) -> "EdgeMatrix":
-        return EdgeMatrix(self.dim, tuple(tuple(-a for a in row) for row in self.rows))
+        return EdgeMatrix(self.dim, {rc: -x for rc, x in self.edges.items()})
 
     def scale(self, c: Scalar) -> "EdgeMatrix":
         if not is_scalar(c):
             raise TypeError(f"exact scalar expected, got {type(c).__name__}")
-        return EdgeMatrix(self.dim, tuple(tuple(c * a for a in row) for row in self.rows))
+        if not c:
+            return EdgeMatrix(self.dim, {})
+        return EdgeMatrix(self.dim, {rc: c * x for rc, x in self.edges.items()})
 
     def __matmul__(self, other: "EdgeMatrix") -> "EdgeMatrix":
+        """Product; on edges, (i->k)(k->j) = (i->j), and 0 when the ends differ."""
         self._require_same_dim(other)
-        n = self.dim
-        brows = other.rows
-        out = []
-        for arow in self.rows:
-            acc: list[Scalar] = [0] * n
-            for k, a in enumerate(arow):
-                if a:
-                    brow = brows[k]
-                    for j in range(n):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return EdgeMatrix(n, tuple(out))
+        out_of: dict[int, list[tuple[int, Scalar]]] = {}
+        for (k, j), b in other.edges.items():
+            out_of.setdefault(k, []).append((j, b))
+        acc: dict[Edge, Scalar] = {}
+        for (i, k), a in self.edges.items():
+            for j, b in out_of.get(k, ()):
+                acc[(i, j)] = acc.get((i, j), 0) + a * b
+        return EdgeMatrix(self.dim, {rc: x for rc, x in acc.items() if x})
 
     def transpose(self) -> "EdgeMatrix":
-        return EdgeMatrix(self.dim, tuple(zip(*self.rows)))
+        return EdgeMatrix(self.dim, {(c, r): x for (r, c), x in self.edges.items()})
 
     def signed_transpose(self, signs: Sequence[int]) -> "EdgeMatrix":
         """Transpose with each entry (i,j) multiplied by signs[i]*signs[j]."""
         if len(signs) != self.dim:
             raise ValueError("sign vector length must equal matrix dimension")
-        n = self.dim
         return EdgeMatrix(
-            n,
-            tuple(
-                tuple(signs[i] * signs[j] * self.rows[j][i] for j in range(n))
-                for i in range(n)
-            ),
+            self.dim,
+            {(c, r): signs[r] * signs[c] * x for (r, c), x in self.edges.items()},
         )
 
     def trace(self) -> Fraction:
-        return as_fraction(sum(self.rows[i][i] for i in range(self.dim)))
+        """Sum of diagonal entries; an edge i->j contributes iff i = j."""
+        return as_fraction(sum(x for (r, c), x in self.edges.items() if r == c))
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(as_fraction(self.rows[i][i]) for i in range(self.dim))
+        return tuple(as_fraction(self.edges.get((i, i), 0)) for i in range(self.dim))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not self.edges
 
-    def sparse(self) -> dict[tuple[int, int], Fraction]:
-        """Nonzero entries keyed by (row, column), 0-indexed."""
-        return {
-            (r, c): as_fraction(x)
-            for r, row in enumerate(self.rows)
-            for c, x in enumerate(row)
-            if x
-        }
+    def ratio(self, other: "EdgeMatrix") -> Fraction | None:
+        """The t with self = t * other, or None when there is none (or other is 0)."""
+        if not other.edges:
+            return None
+        key = min(other.edges)
+        t = as_fraction(self.edges.get(key, 0)) / other.edges[key]
+        return t if self == other.scale(t) else None
 
     def _require_same_dim(self, other: "EdgeMatrix") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-
-def mat_mul(a: EdgeMatrix, b: EdgeMatrix) -> EdgeMatrix:
-    """Matrix product; on edges, (i->j)(k->l) = (i->l) when j = k, else 0."""
-    return a @ b
 
 
 def mat_bracket(a: EdgeMatrix, b: EdgeMatrix) -> EdgeMatrix:
@@ -169,50 +174,69 @@ def mat_bracket(a: EdgeMatrix, b: EdgeMatrix) -> EdgeMatrix:
     return a @ b - b @ a
 
 
-def mat_trace(a: EdgeMatrix) -> Fraction:
-    """Sum of diagonal entries; an edge i->j contributes 1 iff i = j."""
-    return a.trace()
-
-
 # ---------------------------------------------------------------------------
-# Exact linear kernel on sparse row vectors.
+# The exact echelon kernel on sparse rows.
 # ---------------------------------------------------------------------------
 
 
-def _reduce_row(row: dict, echelon: dict) -> dict:
-    """Eliminate a sparse row against echelon rows keyed by pivot."""
-    row = dict(row)
-    while row:
-        pivot = min(row)
-        if pivot not in echelon:
-            return row
-        factor = row[pivot] / echelon[pivot][pivot]
-        for key, value in echelon[pivot].items():
-            new = row.get(key, 0) - factor * value
-            if new:
-                row[key] = new
-            else:
-                row.pop(key, None)
-    return row
+class _Echelon:
+    """Sparse rows in echelon form, each stored under its pivot (least key).
+
+    A stored row is scaled so its pivot entry is 1.  A row may carry a
+    combination {input index: coefficient}; reducing the row adds the same
+    multiples of the stored rows' combinations to it, so a caller that
+    starts from {k: 1} for input k can read every row as a combination of
+    the inputs.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict = {}  # pivot -> (row, combination)
+
+    def reduce(self, row: Mapping, combination: dict | None = None) -> dict:
+        """Subtract stored rows until the pivot is new; returns the residual.
+
+        ``combination`` is updated in place.
+        """
+        row = dict(row)
+        while row:
+            pivot = min(row)
+            stored = self.rows.get(pivot)
+            if stored is None:
+                break
+            factor = -row[pivot]
+            _add_multiple(row, stored[0], factor)
+            if combination is not None:
+                _add_multiple(combination, stored[1], factor)
+        return row
+
+    def add(self, row: Mapping, combination: dict | None = None) -> dict:
+        """Reduce the row and store the residual when nonzero; returns it."""
+        residual = self.reduce(row, combination)
+        if residual:
+            pivot = min(residual)
+            inverse = 1 / as_fraction(residual[pivot])
+            self.rows[pivot] = (
+                {key: inverse * x for key, x in residual.items()},
+                {key: inverse * x for key, x in (combination or {}).items()},
+            )
+        return residual
 
 
-def sparse_rank(rows: Iterable[dict]) -> int:
+def _sparse_vector(values: Iterable[Scalar]) -> dict[int, Fraction]:
+    return {i: f for i, x in enumerate(values) if (f := as_fraction(x))}
+
+
+def sparse_rank(rows: Iterable[Mapping]) -> int:
     """Rank of a family of sparse vectors (any hashable, orderable keys)."""
-    echelon: dict = {}
-    rank = 0
-    for row in rows:
-        reduced = _reduce_row(row, echelon)
-        if reduced:
-            echelon[min(reduced)] = reduced
-            rank += 1
-    return rank
+    echelon = _Echelon()
+    return sum(1 for row in rows if echelon.add(row))
 
 
 class SpanSolver:
     """Expand matrices exactly in the span of a fixed matrix family.
 
-    Rows are reduced into sparse echelon form once; each expansion then costs
-    one elimination pass and returns the exact coefficient vector.
+    The family is reduced into echelon form once; each expansion then costs
+    one reduction and returns the exact coefficient vector.
     """
 
     def __init__(self, basis: Sequence[EdgeMatrix]):
@@ -220,122 +244,77 @@ class SpanSolver:
             raise ValueError("empty basis")
         self.basis = list(basis)
         self.dim = basis[0].dim
-        self._echelon: dict[tuple[int, int], tuple[dict, dict[int, Fraction]]] = {}
+        self._echelon = _Echelon()
         for index, mat in enumerate(basis):
             if mat.dim != self.dim:
                 raise ValueError("basis matrices must share one dimension")
-            row = mat.sparse()
-            coeffs = {index: Fraction(1)}
-            reduced, combo = self._reduce(row, coeffs)
-            if not reduced:
+            if not self._echelon.add(mat.edges, {index: 1}):
                 raise ValueError(f"basis element {index} is linearly dependent")
-            self._echelon[min(reduced)] = (reduced, combo)
-
-    def _reduce(
-        self, row: dict, coeffs: dict[int, Fraction]
-    ) -> tuple[dict, dict[int, Fraction]]:
-        row = dict(row)
-        coeffs = dict(coeffs)
-        while row:
-            pivot = min(row)
-            if pivot not in self._echelon:
-                return row, coeffs
-            erow, ecoeffs = self._echelon[pivot]
-            factor = row[pivot] / erow[pivot]
-            for key, value in erow.items():
-                new = row.get(key, 0) - factor * value
-                if new:
-                    row[key] = new
-                else:
-                    row.pop(key, None)
-            for key, value in ecoeffs.items():
-                new = coeffs.get(key, Fraction(0)) - factor * value
-                if new:
-                    coeffs[key] = new
-                else:
-                    coeffs.pop(key, None)
-        return row, coeffs
 
     def expand(self, mat: EdgeMatrix) -> list[Fraction]:
         """Coefficients c with mat = sum c_k basis_k; raises if not in span."""
         if mat.dim != self.dim:
             raise ValueError(f"dimension mismatch: {mat.dim} vs {self.dim}")
-        residual, combo = self._reduce(mat.sparse(), {})
-        if residual:
+        combination: dict[int, Fraction] = {}
+        if self._echelon.reduce(mat.edges, combination):
             raise ValueError("matrix does not lie in the span of the basis")
         out = [Fraction(0)] * len(self.basis)
-        for index, value in combo.items():
+        for index, value in combination.items():
             out[index] = -value
         return out
 
-    def contains(self, mat: EdgeMatrix) -> bool:
-        residual, _ = self._reduce(mat.sparse(), {})
-        return not residual
-
 
 # ---------------------------------------------------------------------------
-# Dense helpers for small systems (simple roots, weights, Gram matrices).
+# Dense entry points for small systems (simple roots, weights, Gram matrices).
 # ---------------------------------------------------------------------------
 
 
 def solve_linear(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction]:
-    """Solve a consistent linear system exactly; raises on no/ambiguous solution."""
+    """Solve a consistent linear system exactly; raises on no/ambiguous solution.
+
+    The solution is the expansion of ``rhs`` over the columns of ``matrix``.
+    """
     nrows = len(matrix)
-    if nrows == 0 or len(rhs) != nrows:
+    if nrows == 0 or len(rhs) != nrows or any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("malformed linear system")
     ncols = len(matrix[0])
-    aug = [[as_fraction(x) for x in row] + [as_fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots: list[int] = []
-    row_at = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row_at, nrows) if aug[r][col]), None)
-        if pivot_row is None:
-            continue
-        aug[row_at], aug[pivot_row] = aug[pivot_row], aug[row_at]
-        pv = aug[row_at][col]
-        aug[row_at] = [x / pv for x in aug[row_at]]
-        for r in range(nrows):
-            if r != row_at and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == nrows:
-            break
-    for r in range(row_at, nrows):
-        if aug[r][ncols]:
-            raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
+    echelon = _Echelon()
+    rank = sum(
+        1 for j in range(ncols) if echelon.add(_sparse_vector(row[j] for row in matrix), {j: 1})
+    )
+    combination: dict[int, Fraction] = {}
+    if echelon.reduce(_sparse_vector(rhs), combination):
+        raise ValueError("inconsistent linear system")
+    if rank < ncols:
         raise ValueError("underdetermined linear system")
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][ncols]
+    for j, value in combination.items():
+        solution[j] = -value
     return solution
 
 
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant by rational Gaussian elimination."""
+    """Exact determinant by echelon reduction of the rows.
+
+    It is the product of the pivots times the sign of the order in which
+    their columns occur.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    work = [[as_fraction(x) for x in row] for row in matrix]
+    echelon = _Echelon()
     det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
+    columns: list[int] = []
+    for row in matrix:
+        residual = echelon.add(_sparse_vector(row))
+        if not residual:
             return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / pv
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
+        columns.append(min(residual))
+        det *= residual[columns[-1]]
+    inversions = sum(a > b for i, a in enumerate(columns) for b in columns[i + 1 :])
+    return -det if inversions % 2 else det
 
 
 def is_positive_definite(matrix: Sequence[Sequence[Scalar]]) -> bool:

@@ -20,7 +20,14 @@ from .catalog import (
 )
 from .exact import as_fraction
 from .families import AlgebraFamily, AlgebraSpec
-from .matrices import EdgeMatrix, dot, mat_bracket, solve_linear, is_positive_definite
+from .matrices import (
+    EdgeMatrix,
+    _Echelon,
+    dot,
+    is_positive_definite,
+    mat_bracket,
+    solve_linear,
+)
 
 Inner = Callable[[Weight, Weight], Fraction]
 
@@ -32,13 +39,10 @@ def weight_of(r: AlgebraRealization, m: EdgeMatrix) -> Weight:
     """
     if m.is_zero():
         raise ValueError("zero matrix has no well-defined weight")
-    sparse = m.sparse()
-    probe = min(sparse)
     eigenvalues: list[Fraction] = []
     for h in r.cartan_basis:
-        image = mat_bracket(h, m)
-        lam = image.sparse().get(probe, Fraction(0)) / sparse[probe]
-        if image != m.scale(lam):
+        lam = mat_bracket(h, m).ratio(m)
+        if lam is None:
             raise InternalConsistencyError(
                 "matrix is not a simultaneous eigenvector of the Cartan subalgebra"
             )
@@ -262,22 +266,6 @@ class RootAxiomReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _independent_subset(vectors: Sequence[Weight]) -> list[Weight]:
-    basis: list[list[Fraction]] = []
-    chosen: list[Weight] = []
-    for vec in vectors:
-        row = [Fraction(c) for c in vec]
-        for piv in basis:
-            lead = next((k for k, x in enumerate(piv) if x), None)
-            if lead is not None and row[lead]:
-                factor = row[lead] / piv[lead]
-                row = [x - factor * y for x, y in zip(row, piv)]
-        if any(row):
-            basis.append(row)
-            chosen.append(vec)
-    return chosen
-
-
 def _parallel(a: Weight, b: Weight) -> Fraction | None:
     """The ratio k with b = k a, or None if not parallel."""
     ratio: Fraction | None = None
@@ -308,7 +296,9 @@ def verify_root_axioms(
     root_set = {tuple(Fraction(c) for c in w) for w in roots}
     checks: list[AxiomCheck] = []
 
-    independent = _independent_subset(sorted(root_set, reverse=True))
+    ordered = sorted(root_set, reverse=True)
+    echelon = _Echelon()
+    independent = [w for w in ordered if echelon.add({i: c for i, c in enumerate(w) if c})]
     span_dim = len(independent)
 
     nonzero = bool(root_set) and all(any(c for c in w) for w in root_set)
@@ -356,12 +346,12 @@ def verify_root_axioms(
 
     bad_reflection = None
     bad_integral = None
-    for a in sorted(root_set, reverse=True):
+    for a in ordered:
         norm = as_fraction(inner(a, a))
         if not norm:
             bad_reflection = f"{format_weight(a)} has zero norm"
             break
-        for b in sorted(root_set, reverse=True):
+        for b in ordered:
             image = reflect(inner, a, b)
             if image not in root_set and bad_reflection is None:
                 bad_reflection = (

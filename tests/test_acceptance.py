@@ -64,7 +64,7 @@ def test_criterion_1_dimension_formulas():
         r = realization(family, n)
         expected = DIMENSION_FORMULA[family](n)
         assert r.dimension == expected, (family, n)
-        assert sparse_rank(m.sparse() for _, m in r.basis) == expected, (family, n)
+        assert sparse_rank(m.edges for _, m in r.basis) == expected, (family, n)
     print("criterion 1 (dimension formulas, ranks 1-8, exact independence): PASS")
 
 

@@ -41,7 +41,7 @@ class TestBuild:
         r = realization(family, n)
         expected = EXPECTED_DIMENSION[family](n)
         assert r.dimension == expected
-        assert sparse_rank(m.sparse() for _, m in r.basis) == expected
+        assert sparse_rank(m.edges for _, m in r.basis) == expected
 
     def test_sl2_shape(self):
         r = realization(AlgebraFamily.SL, 2)

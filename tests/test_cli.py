@@ -65,6 +65,19 @@ class TestInfoContent:
         assert code == 0
         assert "skipped" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "sl", "3", "--enumerate-weyl", "--max-order", "0"],
+            ["info", "sl", "3", "--enumerate-weyl", "--max-order", "-5"],
+            ["verify", "sl", "3", "weyl", "--max-order", "0"],
+        ],
+    )
+    def test_max_order_below_one_is_usage_error(self, argv, capsys):
+        code, _ = run_cli(argv)
+        assert code == 2
+        assert "--max-order: must be at least 1" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self):

@@ -20,7 +20,7 @@ class TestEdges:
 
     def test_lower_entry(self):
         m = edge_to_matrix(Edge(3, 1, 3))
-        assert m.sparse() == {(2, 0): 1}
+        assert m.edges == {(2, 0): 1}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

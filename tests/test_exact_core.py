@@ -1,5 +1,6 @@
 """Scalar, matrix, and linear-kernel behavior, all exact."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -13,8 +14,6 @@ from liealg.matrices import (
     dot,
     is_positive_definite,
     mat_bracket,
-    mat_mul,
-    mat_trace,
     solve_linear,
     sparse_rank,
 )
@@ -46,12 +45,12 @@ class TestScalars:
     def test_parse_and_format(self):
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational("-7") == Fraction(-7)
+        assert parse_rational(" +6/4 ") == Fraction(3, 2)
         assert format_rational(Fraction(-1, 2)) == "-1/2"
         assert format_rational(Fraction(5)) == "5"
-        with pytest.raises(ValueError):
-            parse_rational("0.5x")
-        with pytest.raises(ValueError):
-            parse_rational("1/0")
+        for text in ("0.5x", "1/0", "1.5", "1e3", "1_000", ".5", "", "1/", "/2", "1/-2"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
 
 def E(dim, i, j):
@@ -60,19 +59,19 @@ def E(dim, i, j):
 
 class TestMatrixProduct:
     def test_edge_composition(self):
-        assert mat_mul(E(2, 1, 2), E(2, 2, 1)) == E(2, 1, 1)
+        assert E(2, 1, 2) @ E(2, 2, 1) == E(2, 1, 1)
 
     def test_edge_mismatch_gives_zero(self):
-        assert mat_mul(E(2, 1, 2), E(2, 1, 2)).is_zero()
+        assert (E(2, 1, 2) @ E(2, 1, 2)).is_zero()
 
     def test_identity(self):
         a = E(3, 2, 3) + E(3, 1, 1).scale(Fraction(5, 7))
-        assert mat_mul(EdgeMatrix.identity(3), a) == a
-        assert mat_mul(a, EdgeMatrix.identity(3)) == a
+        assert EdgeMatrix.identity(3) @ a == a
+        assert a @ EdgeMatrix.identity(3) == a
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            mat_mul(E(2, 1, 1), E(3, 1, 1))
+            E(2, 1, 1) @ E(3, 1, 1)
         with pytest.raises(ValueError):
             mat_bracket(E(2, 1, 1), E(3, 1, 1))
 
@@ -116,20 +115,20 @@ class TestBracket:
         for dim in range(2, 7):
             edges = [E(dim, i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)]
             assert all(
-                mat_trace(mat_bracket(a, b)) == 0 for a in edges for b in edges
+                mat_bracket(a, b).trace() == 0 for a in edges for b in edges
             )
 
 
 class TestTrace:
     def test_diagonal_difference(self):
-        assert mat_trace(E(2, 1, 1) - E(2, 2, 2)) == 0
+        assert (E(2, 1, 1) - E(2, 2, 2)).trace() == 0
 
     def test_identity_trace(self):
         for n in (1, 4, 9):
-            assert mat_trace(EdgeMatrix.identity(n)) == n
+            assert EdgeMatrix.identity(n).trace() == n
 
     def test_off_diagonal_edge(self):
-        assert mat_trace(E(2, 1, 2)) == 0
+        assert E(2, 1, 2).trace() == 0
 
 
 class TestLinearKernel:
@@ -169,3 +168,48 @@ class TestLinearKernel:
         assert dot([1, 2], [Fraction(1, 2), 3]) == Fraction(13, 2)
         with pytest.raises(ValueError):
             dot([1], [1, 2])
+
+
+class TestSparseStorage:
+    """No operation stores an explicit zero; equality compares the edge maps."""
+
+    @staticmethod
+    def assert_no_zeros(m):
+        assert all(m.edges.values()), m.edges
+
+    def test_cancellations_leave_no_zeros(self):
+        a = E(3, 1, 2) + E(3, 2, 1).scale(Fraction(1, 3))
+        x = E(3, 1, 1) + E(3, 1, 2)
+        y = E(3, 1, 3) - E(3, 2, 3)
+        h = E(3, 1, 1) - E(3, 2, 2)
+        for m in (a - a, a + (-a), a.scale(0), x @ y, mat_bracket(h, h.scale(5))):
+            self.assert_no_zeros(m)
+            assert m == EdgeMatrix.zero(3)
+        bracket = mat_bracket(E(3, 1, 2), E(3, 2, 1))
+        self.assert_no_zeros(bracket)
+        assert bracket == h
+
+    def test_random_operations_match_dense_rows(self):
+        rng = random.Random(314)
+
+        def sample(dim):
+            return EdgeMatrix.from_rows(
+                [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)] for _ in range(dim)]
+            )
+
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            a, b = sample(dim), sample(dim)
+            signs = [rng.choice((1, -1)) for _ in range(dim)]
+            for m, op in ((a + b, operator.add), (a - b, operator.sub)):
+                assert m.rows == tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.rows, b.rows))
+            product = a @ b
+            assert product.rows == tuple(
+                tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(dim)) for j in range(dim))
+                for i in range(dim)
+            )
+            for m in (a + b, a - b, -a, a.scale(Fraction(-2, 3)), a.transpose(),
+                      a.signed_transpose(signs), product, mat_bracket(a, b)):
+                self.assert_no_zeros(m)
+            assert a - a == EdgeMatrix.zero(dim)
+            assert a.trace() == sum(a.rows[i][i] for i in range(dim))

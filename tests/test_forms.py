@@ -10,7 +10,7 @@ from conftest import family_ranks, realization, root_datum
 import liealg as L
 from liealg import AlgebraFamily
 from liealg.forms import CartanMatrix, _ratio_matrix
-from liealg.matrices import dot, mat_bracket, mat_trace
+from liealg.matrices import dot, mat_bracket
 
 
 SIGMA = {
@@ -26,7 +26,7 @@ class TestKillingForm:
         r = realization(AlgebraFamily.SL, 2)
         h = r.cartan_basis[0]
         assert L.killing_form_ad(r, h, h) == 8
-        assert L.killing_form_ad(r, h, h) == 4 * mat_trace(h @ h)
+        assert L.killing_form_ad(r, h, h) == 4 * (h @ h).trace()
 
     def test_zero_argument(self):
         r = realization(AlgebraFamily.SP, 2)
@@ -71,7 +71,7 @@ class TestKillingForm:
         r = rd.realization
         for x in r.cartan_basis:
             for y in r.cartan_basis:
-                assert L.killing_form_roots(rd, x, y) == coeffs.trace * mat_trace(x @ y)
+                assert L.killing_form_roots(rd, x, y) == coeffs.trace * (x @ y).trace()
 
     def test_invariance_under_bracket(self):
         # kappa([x,y],z) + kappa(y,[x,z]) = 0 on sampled basis triples.

@@ -188,7 +188,7 @@ class TestSl2Triples:
         alpha = (Fraction(1), Fraction(-1))
         assert verify_sl2_triple(rd, alpha)
         h = rd.coroot(alpha)
-        assert h.sparse() == {(0, 0): 1, (1, 1): -1}
+        assert h.edges == {(0, 0): 1, (1, 1): -1}
 
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_every_root_carries_a_triple(self, family, n):
