@@ -26,6 +26,6 @@ for family, n in [
     report = L.verify_root_axioms(
         rd.roots, L.weight_inner(rd), expected_dim=spec.lie_rank
     )
-    for check in report.checks:
-        print(f"  axiom {check.name}: {'PASS' if check.passed else 'FAIL'}")
+    for check in report.results:
+        print(f"  axiom {check.name}: {check.status.upper()}")
     print()

@@ -8,13 +8,15 @@ presentations, and basic invariant polynomials, all in exact arithmetic.
 
 from .catalog import (
     AlgebraRealization,
+    Check,
+    CheckReport,
     InternalConsistencyError,
     build,
     check_membership,
     format_weight,
     structure_constants,
 )
-from .digraph import Edge, edge_to_matrix, opposite_antimorphism
+from .digraph import opposite_antimorphism
 from .dynkin import (
     DynkinDiagram,
     SerrePresentation,
@@ -34,7 +36,6 @@ from .forms import (
     killing_coefficients,
     killing_form_ad,
     killing_form_roots,
-    reflect,
     root_lengths,
     weight_inner,
 )
@@ -46,10 +47,11 @@ from .invariants import (
     jacobian_criterion,
 )
 from .matrices import EdgeMatrix, mat_bracket
-from .polynomials import MultiPoly, poly_det, poly_eval
+from .polynomials import MultiPoly, poly_det
 from .roots import (
     RootDatum,
     cartan_decompose,
+    reflect,
     root_count,
     verify_root_axioms,
     verify_sl2_triple,
@@ -72,8 +74,9 @@ __all__ = [
     "AlgebraRealization",
     "AlgebraSpec",
     "CartanMatrix",
+    "Check",
+    "CheckReport",
     "DynkinDiagram",
-    "Edge",
     "EdgeMatrix",
     "InternalConsistencyError",
     "InvariantSuite",
@@ -95,7 +98,6 @@ __all__ = [
     "classify",
     "compose",
     "coroot_pairing_matrix",
-    "edge_to_matrix",
     "format_rational",
     "format_weight",
     "generate",
@@ -108,7 +110,6 @@ __all__ = [
     "opposite_antimorphism",
     "parse_rational",
     "poly_det",
-    "poly_eval",
     "reflect",
     "root_count",
     "root_lengths",

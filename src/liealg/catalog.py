@@ -23,6 +23,42 @@ class InternalConsistencyError(RuntimeError):
     """A structural fact that must hold by construction failed to hold."""
 
 
+@dataclass(frozen=True)
+class Check:
+    """One verdict: which suite ran it, what was checked, and the outcome.
+
+    ``status`` is "pass", "fail" or "skip"; a skip is never a pass, but it
+    does not fail a report either.
+    """
+
+    suite: str
+    name: str
+    status: str
+    detail: str
+
+    def __post_init__(self) -> None:
+        if self.status not in ("pass", "fail", "skip"):
+            raise ValueError(f"check status must be pass, fail or skip, got {self.status!r}")
+
+    @staticmethod
+    def of(suite: str, name: str, ok: bool, detail: str) -> "Check":
+        return Check(suite, name, "pass" if ok else "fail", detail)
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """An ordered run of checks; it passes when none of them failed."""
+
+    results: tuple[Check, ...]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.status != "fail" for c in self.results)
+
+    def failures(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.results if c.status == "fail")
+
+
 def format_weight(w: Sequence[Fraction]) -> str:
     """Render a functional as a combination of the coordinate symbols a_i."""
     parts: list[str] = []

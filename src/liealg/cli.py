@@ -12,13 +12,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import catalog, dynkin, forms, invariants, roots, weyl
+from .catalog import Check, CheckReport
 from .exact import format_rational, parse_rational
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import dot
-from .roots import is_positive
 
 SCHEMA = "liealg/1"
 
@@ -28,6 +28,12 @@ FAMILY_SIGMA_COEFFICIENT = {
     AlgebraFamily.SO_EVEN: lambda n: 4 * (n - 1),
     AlgebraFamily.SO_ODD: lambda n: 4 * n - 2,
 }
+
+# (JSON key, Check attribute) pairs for each shape a run of checks takes in liealg/1.
+Fields = Sequence[tuple[str, str]]
+CHECK_FIELDS: Fields = tuple((field, field) for field in ("suite", "name", "status", "detail"))
+AXIOM_FIELDS = CHECK_FIELDS[1:]
+RELATION_FIELDS = (("relation", "name"), ("status", "status"))
 
 
 class InputError(Exception):
@@ -55,12 +61,42 @@ def _emit(args, payload: dict[str, Any], text_lines: list[str]) -> None:
             print(line)
 
 
+def _render(
+    checks: Sequence[Check], line: str, fields: Fields = CHECK_FIELDS
+) -> tuple[list[dict[str, str]], list[str]]:
+    """JSON records and text lines for a run of checks.
+
+    ``line`` formats one check from its fields, with the status upper-cased.
+    """
+    records = [{key: getattr(c, attr) for key, attr in fields} for c in checks]
+    lines = [
+        line.format(suite=c.suite, name=c.name, status=c.status.upper(), detail=c.detail)
+        for c in checks
+    ]
+    return records, lines
+
+
+def _emit_report(args, payload: dict[str, Any], lines: list[str], report: CheckReport,
+                 line: str, key: str = "checks", fields: Fields = CHECK_FIELDS) -> int:
+    """Emit the checks and the overall result after ``lines``; return the exit code."""
+    payload[key], check_lines = _render(report.results, line, fields)
+    payload["all_passed"] = report.all_passed
+    result = "PASS" if report.all_passed else "FAIL"
+    _emit(args, payload, [*lines, *check_lines, f"result: {result}"])
+    return 0 if report.all_passed else 1
+
+
 def _spec_from_args(args) -> AlgebraSpec:
     try:
         family = AlgebraFamily.from_name(args.family)
         return AlgebraSpec(family, args.n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _header(command: str, spec: AlgebraSpec) -> dict[str, Any]:
+    """The leading keys of every family command's JSON payload."""
+    return {"schema": SCHEMA, "command": command, "family": spec.family.cli_name, "n": spec.rank}
 
 
 def _root_datum(spec: AlgebraSpec) -> roots.RootDatum:
@@ -93,10 +129,7 @@ def cmd_info(args) -> int:
 
     r = rd.realization
     payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "command": "info",
-        "family": spec.family.cli_name,
-        "n": spec.rank,
+        **_header("info", spec),
         "algebra": spec.name,
         "realization_dim": spec.realization_dim,
         "lie_rank": spec.lie_rank,
@@ -157,174 +190,99 @@ def cmd_info(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-SELECTORS = ("axioms", "sl2", "serre", "killing", "weyl", "invariants", "all")
+
+def _checks_axioms(rd: roots.RootDatum) -> Sequence[Check]:
+    inner = forms.weight_inner(rd)
+    return roots.verify_root_axioms(rd.roots, inner, expected_dim=rd.spec.lie_rank).results
 
 
-def _checks_axioms(rd: roots.RootDatum) -> list[dict[str, str]]:
-    report = roots.verify_root_axioms(
-        rd.roots, forms.weight_inner(rd), expected_dim=rd.spec.lie_rank
-    )
+def _checks_sl2(rd: roots.RootDatum) -> Sequence[Check]:
     return [
-        {
-            "suite": "axioms",
-            "name": check.name,
-            "status": "pass" if check.passed else "fail",
-            "detail": check.detail,
-        }
-        for check in report.checks
+        Check.of("sl2", f"triple {catalog.format_weight(root)}",
+                 roots.verify_sl2_triple(rd, root), "x, y, h relations and a(h)=2")
+        for root in rd.roots
     ]
 
 
-def _checks_sl2(rd: roots.RootDatum) -> list[dict[str, str]]:
-    out = []
-    for root in rd.roots:
-        ok = roots.verify_sl2_triple(rd, root)
-        out.append(
-            {
-                "suite": "sl2",
-                "name": f"triple {catalog.format_weight(root)}",
-                "status": "pass" if ok else "fail",
-                "detail": "x, y, h relations and a(h)=2",
-            }
-        )
-    return out
-
-
-def _checks_serre(rd: roots.RootDatum) -> list[dict[str, str]]:
-    pairing = forms.coroot_pairing_matrix(rd)
+def _checks_serre(rd: roots.RootDatum, pairing: forms.CartanMatrix) -> Sequence[Check]:
     presentation = dynkin.serre_presentation(pairing)
-    report = dynkin.verify_serre(rd.realization, rd, presentation)
-    return [
-        {
-            "suite": "serre",
-            "name": rel.describe(),
-            "status": "pass" if ok else "fail",
-            "detail": "exact matrix identity",
-        }
-        for rel, ok in report.results
-    ]
+    return dynkin.verify_serre(rd.realization, rd, presentation).results
 
 
-def _checks_killing(rd: roots.RootDatum) -> list[dict[str, str]]:
-    spec = rd.spec
+def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
+    spec, r = rd.spec, rd.realization
     coeffs = forms.killing_coefficients(rd)
     expected = FAMILY_SIGMA_COEFFICIENT[spec.family](spec.rank)
-    out = [
-        {
-            "suite": "killing",
-            "name": "sum coefficient",
-            "status": "pass" if coeffs.sigma == expected else "fail",
-            "detail": f"got {format_rational(coeffs.sigma)}, expected {expected}",
-        }
-    ]
-    r = rd.realization
-    cartan = r.cartan_basis
     agree = all(
         forms.killing_form_ad(r, x, y) == forms.killing_form_roots(rd, x, y)
-        for x in cartan
-        for y in cartan
+        for x in r.cartan_basis
+        for y in r.cartan_basis
     )
-    out.append(
-        {
-            "suite": "killing",
-            "name": "ad-trace route equals root-sum route",
-            "status": "pass" if agree else "fail",
-            "detail": "entrywise on the Cartan basis",
-        }
-    )
-    return out
+    return [
+        Check.of("killing", "sum coefficient", coeffs.sigma == expected,
+                 f"got {format_rational(coeffs.sigma)}, expected {expected}"),
+        Check.of("killing", "ad-trace route equals root-sum route", agree,
+                 "entrywise on the Cartan basis"),
+    ]
 
 
-def _checks_weyl(rd: roots.RootDatum, max_order: int) -> list[dict[str, str]]:
-    spec = rd.spec
-    formula = weyl.weyl_order_formula(spec)
+def _checks_weyl(rd: roots.RootDatum, max_order: int) -> Sequence[Check]:
+    formula = weyl.weyl_order_formula(rd.spec)
     if formula > max_order:
-        return [
-            {
-                "suite": "weyl",
-                "name": "enumeration",
-                "status": "skip",
-                "detail": f"order {formula} exceeds --max-order {max_order}",
-            }
-        ]
+        return [Check("weyl", "enumeration", "skip",
+                      f"order {formula} exceeds --max-order {max_order}")]
     gens = weyl.simple_reflections(rd)
     group = weyl.generate(gens, cap=max_order)
-    out = [
-        {
-            "suite": "weyl",
-            "name": "order",
-            "status": "pass" if len(group) == formula else "fail",
-            "detail": f"enumerated {len(group)}, closed form {formula}",
-        }
-    ]
     root_set = set(rd.roots)
-    closed = all(
-        tuple(weyl.apply(g, root)) in root_set for g in gens for root in rd.roots
-    )
-    out.append(
-        {
-            "suite": "weyl",
-            "name": "root system is permuted",
-            "status": "pass" if closed else "fail",
-            "detail": "each generator maps the root set onto itself",
-        }
-    )
-    if spec.family is AlgebraFamily.SO_EVEN:
-        even = all(g.sign_product() == 1 for g in group)
-        out.append(
-            {
-                "suite": "weyl",
-                "name": "even sign changes only",
-                "status": "pass" if even else "fail",
-                "detail": "every element has sign product +1",
-            }
-        )
-    return out
-
-
-def _checks_invariants(rd: roots.RootDatum) -> list[dict[str, str]]:
-    spec = rd.spec
-    suite = invariants.build_suite(spec.family, spec.lie_rank)
-    formula = weyl.weyl_order_formula(spec)
-    out = [
-        {
-            "suite": "invariants",
-            "name": "degree product equals weyl order",
-            "status": "pass" if suite.degree_product() == formula else "fail",
-            "detail": f"degrees {list(suite.degrees)} multiply to {suite.degree_product()},"
-            f" |W| = {formula}",
-        }
+    closed = all(tuple(weyl.apply(g, root)) in root_set for g in gens for root in rd.roots)
+    checks = [
+        Check.of("weyl", "order", len(group) == formula,
+                 f"enumerated {len(group)}, closed form {formula}"),
+        Check.of("weyl", "root system is permuted", closed,
+                 "each generator maps the root set onto itself"),
     ]
-    gens = weyl.simple_reflections(rd)
-    fixed = invariants.check_invariance(suite, gens)
-    out.append(
-        {
-            "suite": "invariants",
-            "name": "invariance under simple reflections",
-            "status": "pass" if fixed else "fail",
-            "detail": "symbolic equality after substitution",
-        }
-    )
-    if spec.lie_rank <= 4:
-        nonzero = invariants.jacobian_criterion(suite)
-        out.append(
-            {
-                "suite": "invariants",
-                "name": "jacobian criterion",
-                "status": "pass" if nonzero else "fail",
-                "detail": "exact Jacobian determinant is nonzero",
-            }
-        )
+    if rd.spec.family is AlgebraFamily.SO_EVEN:
+        even = all(g.sign_product() == 1 for g in group)
+        checks.append(Check.of("weyl", "even sign changes only", even,
+                               "every element has sign product +1"))
+    return checks
+
+
+def _checks_invariants(
+    rd: roots.RootDatum, suite: invariants.InvariantSuite
+) -> Sequence[Check]:
+    formula = weyl.weyl_order_formula(rd.spec)
+    fixed = invariants.check_invariance(suite, weyl.simple_reflections(rd))
+    checks = [
+        Check.of("invariants", "degree product equals weyl order",
+                 suite.degree_product() == formula,
+                 f"degrees {list(suite.degrees)} multiply to {suite.degree_product()},"
+                 f" |W| = {formula}"),
+        Check.of("invariants", "invariance under simple reflections", fixed,
+                 "symbolic equality after substitution"),
+    ]
+    if rd.spec.lie_rank <= 4:
+        checks.append(Check.of("invariants", "jacobian criterion",
+                               invariants.jacobian_criterion(suite),
+                               "exact Jacobian determinant is nonzero"))
     else:
-        out.append(
-            {
-                "suite": "invariants",
-                "name": "jacobian criterion",
-                "status": "skip",
-                "detail": "rank above 4; skipped for runtime",
-            }
-        )
-    return out
+        checks.append(Check("invariants", "jacobian criterion", "skip",
+                            "rank above 4; skipped for runtime"))
+    return checks
+
+
+# Suite name -> builder of its checks from the root datum and --max-order.
+SUITES: dict[str, Callable[[roots.RootDatum, int], Sequence[Check]]] = {
+    "axioms": lambda rd, _: _checks_axioms(rd),
+    "sl2": lambda rd, _: _checks_sl2(rd),
+    "serre": lambda rd, _: _checks_serre(rd, forms.coroot_pairing_matrix(rd)),
+    "killing": lambda rd, _: _checks_killing(rd),
+    "weyl": _checks_weyl,
+    "invariants": lambda rd, _: _checks_invariants(
+        rd, invariants.build_suite(rd.spec.family, rd.spec.lie_rank)
+    ),
+}
+SELECTORS = (*SUITES, "all")
 
 
 def cmd_verify(args) -> int:
@@ -334,38 +292,12 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {', '.join(SELECTORS)}"
         )
     rd = _root_datum(spec)
-    checks: list[dict[str, str]] = []
-    selected = SELECTORS[:-1] if args.suite == "all" else (args.suite,)
-    for suite in selected:
-        if suite == "axioms":
-            checks.extend(_checks_axioms(rd))
-        elif suite == "sl2":
-            checks.extend(_checks_sl2(rd))
-        elif suite == "serre":
-            checks.extend(_checks_serre(rd))
-        elif suite == "killing":
-            checks.extend(_checks_killing(rd))
-        elif suite == "weyl":
-            checks.extend(_checks_weyl(rd, args.max_order))
-        elif suite == "invariants":
-            checks.extend(_checks_invariants(rd))
-    all_passed = all(c["status"] != "fail" for c in checks)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "family": spec.family.cli_name,
-        "n": spec.rank,
-        "suite": args.suite,
-        "checks": checks,
-        "all_passed": all_passed,
-    }
-    lines = [
-        f"{c['suite']}: {c['name']}: {c['status'].upper()} ({c['detail']})"
-        for c in checks
-    ]
-    lines.append(f"result: {'PASS' if all_passed else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if all_passed else 1
+    selected = SUITES if args.suite == "all" else (args.suite,)
+    report = CheckReport(
+        tuple(c for suite in selected for c in SUITES[suite](rd, args.max_order))
+    )
+    payload = {**_header("verify", spec), "suite": args.suite}
+    return _emit_report(args, payload, [], report, "{suite}: {name}: {status} ({detail})")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +311,10 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -430,108 +366,48 @@ def _parse_cartan(data: Any, path: str) -> forms.CartanMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _derive_simple_roots(
-    vectors: list[tuple[Fraction, ...]]
-) -> list[tuple[Fraction, ...]]:
-    """Lex-positive roots that are not sums of two positive roots."""
-    positive = {v for v in vectors if is_positive(v)}
-    simple = []
-    for candidate in sorted(positive, reverse=True):
-        decomposable = any(
-            tuple(c - q for c, q in zip(candidate, other)) in positive
-            for other in positive
-            if other != candidate
-        )
-        if not decomposable:
-            simple.append(candidate)
-    return simple
-
-
 def cmd_classify(args) -> int:
     data = _load_json(args.path)
     if not isinstance(data, dict) or not ({"vectors", "cartan"} & set(data)):
         raise InputError(
             f"{args.path}: expected a JSON object with a \"vectors\" or \"cartan\" key"
         )
+    kind = "vectors" if "vectors" in data else "cartan"
+    payload: dict[str, Any] = {"schema": SCHEMA, "command": "classify", "input": kind}
     lines: list[str] = []
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "input": "vectors" if "vectors" in data else "cartan",
-    }
-    failed = False
-
+    vectors = None
     if "vectors" in data:
         vectors = _parse_vectors(data["vectors"], args.path)
         report = roots.verify_root_axioms(vectors, dot)
-        payload["axioms"] = [
-            {
-                "name": c.name,
-                "status": "pass" if c.passed else "fail",
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ]
-        for c in report.checks:
-            lines.append(
-                f"axiom {c.name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})"
-            )
+        payload["axioms"], lines = _render(
+            report.results, "axiom {name}: {status} ({detail})", AXIOM_FIELDS
+        )
         if not report.all_passed:
             failing = ", ".join(c.name for c in report.failures())
             lines.append(f"classification: failed root-system axioms ({failing})")
             payload["classification"] = None
             _emit(args, payload, lines)
             return 1
-        simple = _derive_simple_roots(vectors)
-        entries = []
-        for a in simple:
-            row = []
-            for b in simple:
-                ratio = 2 * dot(a, b) / dot(b, b)
-                if ratio.denominator != 1:
-                    raise InputError(
-                        f"{args.path}: non-integer Cartan ratio {ratio} among simple roots"
-                    )
-                row.append(int(ratio))
-            entries.append(tuple(row))
-        try:
-            A = forms.CartanMatrix(tuple(entries))
-        except ValueError as exc:
-            lines.append(f"classification: NotSimple: {exc}")
-            payload["classification"] = "NotSimple"
-            payload["reason"] = str(exc)
-            _emit(args, payload, lines)
-            return 1
-        lengths = [dot(a, a) for a in simple]
-    else:
-        A = _parse_cartan(data["cartan"], args.path)
-        try:
-            lengths = dynkin.lengths_from_cartan(A)
-        except ValueError as exc:
-            lines.append(f"classification: NotSimple: {exc}")
-            payload["classification"] = "NotSimple"
-            payload["reason"] = str(exc)
-            _emit(args, payload, lines)
-            return 1
 
-    payload["cartan_matrix"] = [list(row) for row in A.entries]
-    lines.append("cartan matrix:")
-    lines.extend("  " + row for row in _format_matrix(A.entries))
-
+    # Every way the input can fail to be a simple type raises ValueError here.
     try:
+        if vectors is None:
+            A = _parse_cartan(data["cartan"], args.path)
+            lengths = dynkin.lengths_from_cartan(A)
+        else:
+            simple = roots.simple_roots(vectors)
+            A = forms.CartanMatrix(forms.cartan_entries(simple, dot))
+            lengths = [dot(a, a) for a in simple]
+        payload["cartan_matrix"] = [list(row) for row in A.entries]
+        lines.append("cartan matrix:")
+        lines.extend("  " + row for row in _format_matrix(A.entries))
         diagram = dynkin.build_diagram(A, lengths)
+        if not dynkin.check_positive_definite(diagram, A, lengths):
+            raise ValueError("positive definiteness fails")
     except ValueError as exc:
-        lines.append(f"classification: NotSimple: {exc}")
-        payload["classification"] = "NotSimple"
+        lines.append(f"classification: {dynkin.NOT_SIMPLE}: {exc}")
+        payload["classification"] = dynkin.NOT_SIMPLE
         payload["reason"] = str(exc)
-        _emit(args, payload, lines)
-        return 1
-
-    positive_definite = dynkin.check_positive_definite(diagram, A, lengths)
-    if not positive_definite:
-        lines.append("classification: NotSimple: positive definiteness fails")
-        payload["classification"] = "NotSimple"
-        payload["reason"] = "positive definiteness fails"
         _emit(args, payload, lines)
         return 1
 
@@ -554,27 +430,16 @@ def cmd_serre(args) -> int:
     spec = _spec_from_args(args)
     rd = _root_datum(spec)
     pairing = forms.coroot_pairing_matrix(rd)
-    presentation = dynkin.serre_presentation(pairing)
-    report = dynkin.verify_serre(rd.realization, rd, presentation)
+    report = CheckReport(tuple(_checks_serre(rd, pairing)))
     payload = {
-        "schema": SCHEMA,
-        "command": "serre",
-        "family": spec.family.cli_name,
-        "n": spec.rank,
+        **_header("serre", spec),
         "cartan_pairing_matrix": [list(row) for row in pairing.entries],
-        "relations": [
-            {"relation": rel.describe(), "status": "pass" if ok else "fail"}
-            for rel, ok in report.results
-        ],
-        "all_passed": report.all_passed,
     }
     lines = ["cartan pairing matrix (A_ij = a_j(h_i)):"]
     lines.extend("  " + row for row in _format_matrix(pairing.entries))
-    for rel, ok in report.results:
-        lines.append(f"{rel.describe()}: {'PASS' if ok else 'FAIL'}")
-    lines.append(f"result: {'PASS' if report.all_passed else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if report.all_passed else 1
+    return _emit_report(
+        args, payload, lines, report, "{name}: {status}", "relations", RELATION_FIELDS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +450,16 @@ def cmd_serre(args) -> int:
 def cmd_invariants(args) -> int:
     spec = _spec_from_args(args)
     rd = _root_datum(spec)
-    checks = _checks_invariants(rd)
     suite = invariants.build_suite(spec.family, spec.lie_rank)
+    report = CheckReport(tuple(_checks_invariants(rd, suite)))
+    order = weyl.weyl_order_formula(spec)
     payload = {
-        "schema": SCHEMA,
-        "command": "invariants",
-        "family": spec.family.cli_name,
-        "n": spec.rank,
+        **_header("invariants", spec),
         "nvars": suite.nvars,
         "degrees": list(suite.degrees),
         "degree_product": suite.degree_product(),
-        "weyl_order_formula": weyl.weyl_order_formula(spec),
+        "weyl_order_formula": order,
         "polynomials": [str(p) for p in suite.polys],
-        "checks": checks,
-        "all_passed": all(c["status"] != "fail" for c in checks),
     }
     lines = [
         f"invariant suite for {spec.name}: {suite.nvars} variables",
@@ -606,14 +467,9 @@ def cmd_invariants(args) -> int:
         *(f"  f{i + 1} = {p}" for i, p in enumerate(suite.polys)),
         f"degrees: {', '.join(str(d) for d in suite.degrees)}",
         f"degree product: {suite.degree_product()}",
-        f"weyl order (formula): {weyl.weyl_order_formula(spec)}",
+        f"weyl order (formula): {order}",
     ]
-    for c in checks:
-        lines.append(f"{c['name']}: {c['status'].upper()} ({c['detail']})")
-    all_passed = payload["all_passed"]
-    lines.append(f"result: {'PASS' if all_passed else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if all_passed else 1
+    return _emit_report(args, payload, lines, report, "{name}: {status} ({detail})")
 
 
 # ---------------------------------------------------------------------------
@@ -643,55 +499,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "family",
-            help="one of sl, sp, so-even, so-odd",
-        )
-        p.add_argument(
-            "n",
-            type=int,
-            help="the classical parameter n: sl_n, sp_2n, so_2n, so_2n+1"
-            " (for sl the Lie rank is n-1)",
-        )
+    def command(name: str, handler, help_text: str, family: bool = True):
+        p = sub.add_parser(name, help=help_text)
+        if family:
+            p.add_argument("family", help="one of sl, sp, so-even, so-odd")
+            p.add_argument(
+                "n",
+                type=int,
+                help="the classical parameter n: sl_n, sp_2n, so_2n, so_2n+1"
+                " (for sl the Lie rank is n-1)",
+            )
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_info = sub.add_parser("info", help="dimensions, roots, Cartan matrix, diagram")
-    add_family_args(p_info)
+    p_info = command("info", cmd_info, "dimensions, roots, Cartan matrix, diagram")
     p_info.add_argument(
         "--enumerate-weyl",
         action="store_true",
         help="also enumerate the Weyl group (bounded by --max-order)",
     )
-    p_info.add_argument("--max-order", type=_order_cap, default=100_000)
-    p_info.set_defaults(handler=cmd_info)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    add_family_args(p_verify)
-    p_verify.add_argument(
-        "suite",
-        help=f"one of {', '.join(SELECTORS)}",
-    )
-    p_verify.add_argument("--max-order", type=_order_cap, default=100_000)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_classify = sub.add_parser(
-        "classify", help="classify a root-vector or Cartan-matrix JSON file"
+    p_verify = command("verify", cmd_verify, "run verification suites")
+    p_verify.add_argument("suite", help=f"one of {', '.join(SELECTORS)}")
+    for p in (p_info, p_verify):
+        p.add_argument("--max-order", type=_order_cap, default=100_000)
+    p_classify = command(
+        "classify", cmd_classify, "classify a root-vector or Cartan-matrix JSON file", False
     )
     p_classify.add_argument("path", help="JSON file with a vectors or cartan key")
-    p_classify.add_argument("--format", choices=("text", "json"), default="text")
-    p_classify.set_defaults(handler=cmd_classify)
-
-    p_serre = sub.add_parser("serre", help="emit and verify the Serre presentation")
-    add_family_args(p_serre)
-    p_serre.set_defaults(handler=cmd_serre)
-
-    p_invariants = sub.add_parser(
-        "invariants", help="basic invariant polynomials and their checks"
-    )
-    add_family_args(p_invariants)
-    p_invariants.set_defaults(handler=cmd_invariants)
-
+    command("serre", cmd_serre, "emit and verify the Serre presentation")
+    command("invariants", cmd_invariants, "basic invariant polynomials and their checks")
     return parser
 
 

@@ -9,30 +9,8 @@ g_(-a) of the canonical realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import AlgebraFamily
 from .matrices import EdgeMatrix
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Single directed edge from vertex ``source`` to ``target`` (1-indexed)."""
-
-    source: int
-    target: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.source <= self.dim and 1 <= self.target <= self.dim):
-            raise ValueError(
-                f"edge ({self.source}->{self.target}) out of range for dim {self.dim}"
-            )
-
-
-def edge_to_matrix(e: Edge) -> EdgeMatrix:
-    """The elementary matrix with a single 1 at (source, target)."""
-    return EdgeMatrix.unit(e.dim, e.source, e.target)
 
 
 def vertex_signs(family: AlgebraFamily, dim: int) -> tuple[int, ...]:

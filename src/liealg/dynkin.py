@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import AlgebraRealization, InternalConsistencyError
+from .catalog import AlgebraRealization, Check, CheckReport, InternalConsistencyError
 from .digraph import opposite_antimorphism
 from .exact import Scalar, as_fraction
 from .forms import CartanMatrix
@@ -378,21 +378,9 @@ def serre_presentation(A: CartanMatrix) -> SerrePresentation:
     return SerrePresentation(cartan=A, relations=tuple(relations))
 
 
-@dataclass(frozen=True)
-class SerreReport:
-    results: tuple[tuple[SerreRelation, bool], ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-    def failures(self) -> tuple[SerreRelation, ...]:
-        return tuple(rel for rel, ok in self.results if not ok)
-
-
 def verify_serre(
     r: AlgebraRealization, rd: RootDatum, p: SerrePresentation
-) -> SerreReport:
+) -> CheckReport:
     """Substitute the canonical triples into a presentation and check it.
 
     H_i is the i-th fundamental coroot, X_i the fundamental root vector, and
@@ -418,10 +406,17 @@ def verify_serre(
             )
         Y.append(image.scale(1 / scale))
 
-    results: list[tuple[SerreRelation, bool]] = []
-    for rel in p.relations:
-        results.append((rel, _relation_holds(rel, p.cartan, H, X, Y)))
-    return SerreReport(results=tuple(results))
+    return CheckReport(
+        tuple(
+            Check.of(
+                "serre",
+                rel.describe(),
+                _relation_holds(rel, p.cartan, H, X, Y),
+                "exact matrix identity",
+            )
+            for rel in p.relations
+        )
+    )
 
 
 def _relation_holds(

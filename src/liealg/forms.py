@@ -30,7 +30,7 @@ from .catalog import (
     span_solver,
 )
 from .matrices import EdgeMatrix, dot, solve_linear
-from .roots import Inner, RootDatum, reflect as reflect  # re-exported reflection
+from .roots import Inner, RootDatum
 
 __all__ = [
     "CartanMatrix",
@@ -38,11 +38,11 @@ __all__ = [
     "killing_form_roots",
     "cartan_killing_gram",
     "weight_inner",
+    "cartan_entries",
     "cartan_matrix",
     "coroot_pairing_matrix",
     "root_lengths",
     "killing_coefficients",
-    "reflect",
 ]
 
 
@@ -159,9 +159,10 @@ class CartanMatrix:
         return CartanMatrix(tuple(zip(*self.entries)))
 
 
-def _ratio_matrix(
+def cartan_entries(
     fundamental: Sequence[Weight], inner: Inner
 ) -> tuple[tuple[int, ...], ...]:
+    """Entries 2<a_i,a_j>/<a_j,a_j>; a non-integer one is an internal inconsistency."""
     size = len(fundamental)
     norms = [inner(a, a) for a in fundamental]
     rows = []
@@ -184,7 +185,7 @@ def cartan_matrix(rd: RootDatum) -> CartanMatrix:
     Non-integer ratios abort: integrality is a theorem, so a violation means
     the inner product is wrong.
     """
-    return CartanMatrix(_ratio_matrix(rd.fundamental_roots, weight_inner(rd)))
+    return CartanMatrix(cartan_entries(rd.fundamental_roots, weight_inner(rd)))
 
 
 def coroot_pairing_matrix(rd: RootDatum) -> CartanMatrix:

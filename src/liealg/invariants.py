@@ -114,15 +114,6 @@ def jacobian_criterion(s: InvariantSuite) -> bool:
     return not jacobian(s).is_zero()
 
 
-def jacobian_of(polys: Sequence[MultiPoly]) -> MultiPoly:
-    """Jacobian determinant of an arbitrary square family of polynomials."""
-    nv = polys[0].nvars
-    if len(polys) != nv:
-        raise ValueError("need as many polynomials as variables")
-    matrix = [[p.derivative(j) for j in range(nv)] for p in polys]
-    return poly_det(matrix)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms for comparison and the exact constant between them.
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exact import Scalar, as_fraction, is_scalar
 
-Edge = tuple[int, int]
+Position = tuple[int, int]  # (row, column), 0-indexed
 
 
 def _add_multiple(acc: dict, row: Mapping, factor: Scalar) -> None:
@@ -44,14 +44,14 @@ class EdgeMatrix:
     """
 
     dim: int
-    edges: dict[Edge, Scalar]
+    edges: dict[Position, Scalar]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "EdgeMatrix":
         dim = len(rows)
         if dim == 0:
             raise ValueError("matrix must have positive dimension")
-        edges: dict[Edge, Scalar] = {}
+        edges: dict[Position, Scalar] = {}
         for r, row in enumerate(rows):
             if len(row) != dim:
                 raise ValueError("matrix must be square")
@@ -89,7 +89,7 @@ class EdgeMatrix:
             dense[r][c] = x
         return tuple(tuple(row) for row in dense)
 
-    def __getitem__(self, rc: Edge) -> Scalar:
+    def __getitem__(self, rc: Position) -> Scalar:
         return self.edges.get(rc, 0)
 
     def __eq__(self, other: object) -> bool:
@@ -128,7 +128,7 @@ class EdgeMatrix:
         out_of: dict[int, list[tuple[int, Scalar]]] = {}
         for (k, j), b in other.edges.items():
             out_of.setdefault(k, []).append((j, b))
-        acc: dict[Edge, Scalar] = {}
+        acc: dict[Position, Scalar] = {}
         for (i, k), a in self.edges.items():
             for j, b in out_of.get(k, ()):
                 acc[(i, j)] = acc.get((i, j), 0) + a * b

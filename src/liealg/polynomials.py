@@ -218,10 +218,6 @@ class MultiPoly:
         return text.replace("+ -", "- ")
 
 
-def poly_eval(p: MultiPoly, point: Sequence[Scalar]) -> Fraction:
-    return p.eval(point)
-
-
 def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Exact determinant of a square matrix of polynomials.
 

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 from .catalog import (
     AlgebraRealization,
+    Check,
+    CheckReport,
     InternalConsistencyError,
     Weight,
     format_weight,
@@ -68,6 +70,21 @@ def is_positive(w: Weight) -> bool:
         if c:
             return c > 0
     return False
+
+
+def simple_roots(roots: Sequence[Weight]) -> list[Weight]:
+    """Positive roots that are not sums of two positive roots, in descending order."""
+    positive = {w for w in roots if is_positive(w)}
+    simple = []
+    for candidate in sorted(positive, reverse=True):
+        decomposable = any(
+            tuple(c - q for c, q in zip(candidate, other)) in positive
+            for other in positive
+            if other != candidate
+        )
+        if not decomposable:
+            simple.append(candidate)
+    return simple
 
 
 def negate(w: Weight) -> Weight:
@@ -246,26 +263,6 @@ def reflect(inner: Inner, alpha: Weight, beta: Weight) -> Weight:
     return tuple(b - factor * a for a, b in zip(alpha, beta))
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class RootAxiomReport:
-    checks: tuple[AxiomCheck, ...]
-    span_dim: int
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
 def _parallel(a: Weight, b: Weight) -> Fraction | None:
     """The ratio k with b = k a, or None if not parallel."""
     ratio: Fraction | None = None
@@ -286,7 +283,7 @@ def verify_root_axioms(
     roots: Sequence[Weight],
     inner: Inner,
     expected_dim: int | None = None,
-) -> RootAxiomReport:
+) -> CheckReport:
     """Check the defining axioms of a root system, reporting each verdict.
 
     Failures are recorded in the report, never raised.  ``expected_dim``
@@ -294,7 +291,7 @@ def verify_root_axioms(
     input is accepted as the ambient space.
     """
     root_set = {tuple(Fraction(c) for c in w) for w in roots}
-    checks: list[AxiomCheck] = []
+    checks: list[Check] = []
 
     ordered = sorted(root_set, reverse=True)
     echelon = _Echelon()
@@ -304,7 +301,8 @@ def verify_root_axioms(
     nonzero = bool(root_set) and all(any(c for c in w) for w in root_set)
     spans = nonzero and (expected_dim is None or span_dim == expected_dim)
     checks.append(
-        AxiomCheck(
+        Check.of(
+            "axioms",
             "spanning",
             spans,
             f"finite nonzero set spanning a space of dimension {span_dim}"
@@ -317,7 +315,8 @@ def verify_root_axioms(
         gram = [[inner(u, v) for v in independent] for u in independent]
         euclidean = is_positive_definite(gram)
     checks.append(
-        AxiomCheck(
+        Check.of(
+            "axioms",
             "euclidean",
             euclidean,
             "inner product is positive definite on the span",
@@ -337,7 +336,8 @@ def verify_root_axioms(
         if bad_multiple:
             break
     checks.append(
-        AxiomCheck(
+        Check.of(
+            "axioms",
             "multiples",
             bad_multiple is None,
             bad_multiple or "contains -a for each a; only +-1 multiples occur",
@@ -363,21 +363,23 @@ def verify_root_axioms(
                     f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {cartan_integer}"
                 )
     checks.append(
-        AxiomCheck(
+        Check.of(
+            "axioms",
             "reflection",
             bad_reflection is None,
             bad_reflection or "every reflection permutes the set",
         )
     )
     checks.append(
-        AxiomCheck(
+        Check.of(
+            "axioms",
             "integrality",
             bad_integral is None,
             bad_integral or "all Cartan integers are integers",
         )
     )
 
-    return RootAxiomReport(checks=tuple(checks), span_dim=span_dim)
+    return CheckReport(tuple(checks))
 
 
 def verify_sl2_triple(rd: RootDatum, alpha: Weight) -> bool:

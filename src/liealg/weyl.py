@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .catalog import InternalConsistencyError
 from .exact import Scalar, as_fraction
+from .families import AlgebraFamily, AlgebraSpec
 from .roots import RootDatum
 
 
@@ -85,15 +86,6 @@ def apply(g: SignedPermutation, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
     return tuple(g.signs[i] * as_fraction(x[inv[i]]) for i in range(g.n))
 
 
-def element_order(g: SignedPermutation, cap: int = 64) -> int:
-    power = g
-    for order in range(1, cap + 1):
-        if power.is_identity():
-            return order
-        power = compose(power, g)
-    raise WeylOverflowError(f"element order exceeds {cap}")
-
-
 def simple_reflections(rd: RootDatum) -> list[SignedPermutation]:
     """The reflections of the fundamental roots, as signed permutations.
 
@@ -161,11 +153,8 @@ def generate(
     return frozenset(seen)
 
 
-def weyl_order_formula(rd_or_spec) -> int:
+def weyl_order_formula(spec: AlgebraSpec) -> int:
     """Closed-form Weyl group order for a classical family."""
-    from .families import AlgebraFamily, AlgebraSpec
-
-    spec: AlgebraSpec = rd_or_spec.spec if isinstance(rd_or_spec, RootDatum) else rd_or_spec
     n = spec.rank
     if spec.family is AlgebraFamily.SL:
         out = 1

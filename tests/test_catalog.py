@@ -157,3 +157,22 @@ class TestStructureConstants:
                         combined[key] = combined.get(key, Fraction(0)) - value
                     combined = {key: v for key, v in combined.items() if v}
                     assert left == combined
+
+
+class TestCheckReport:
+    def test_of_maps_verdict_to_status(self):
+        assert L.Check.of("s", "n", True, "d").status == "pass"
+        assert L.Check.of("s", "n", False, "d").status == "fail"
+
+    def test_unknown_status_rejected(self):
+        with pytest.raises(ValueError):
+            L.Check("s", "n", "PASS", "d")
+
+    def test_skip_neither_passes_nor_fails(self):
+        skipped = L.Check("s", "skipped", "skip", "d")
+        failed = L.Check.of("s", "failed", False, "d")
+        assert L.CheckReport((skipped,)).all_passed
+        assert L.CheckReport((skipped,)).failures() == ()
+        report = L.CheckReport((skipped, failed, L.Check.of("s", "ok", True, "d")))
+        assert not report.all_passed
+        assert report.failures() == (failed,)

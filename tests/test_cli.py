@@ -43,6 +43,52 @@ class TestGoldenInfo:
         assert first == second
 
 
+# Outputs that carry check verdicts; each golden file is the exact expected stdout.
+CHECK_GOLDENS = [
+    ("verify_sp_2_all.txt", ["verify", "sp", "2", "all"]),
+    ("verify_sp_2_all.json", ["verify", "sp", "2", "all", "--format", "json"]),
+    ("verify_so-even_4_all.txt", ["verify", "so-even", "4", "all"]),
+    ("verify_so-even_4_all.json", ["verify", "so-even", "4", "all", "--format", "json"]),
+    ("serre_sp_2.txt", ["serre", "sp", "2"]),
+    ("serre_sp_2.json", ["serre", "sp", "2", "--format", "json"]),
+    ("invariants_so-even_4.txt", ["invariants", "so-even", "4"]),
+    ("invariants_so-even_4.json", ["invariants", "so-even", "4", "--format", "json"]),
+]
+
+# One classify input per outcome: (payload, exit code).
+CLASSIFY_GOLDENS = {
+    "b2_vectors": (
+        {"vectors": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]]},
+        0,
+    ),
+    "axiom_failure": ({"vectors": [[1], [-1], [2], [-2]]}, 1),
+    "inconsistent_lengths": ({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}, 1),
+    "multiplicity_four": ({"cartan": [[2, -2], [-2, 2]]}, 1),
+    "affine_triangle": ({"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}, 1),
+}
+
+
+class TestGoldenChecks:
+    @pytest.mark.parametrize("name,argv", CHECK_GOLDENS)
+    def test_matches_golden(self, name, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    @pytest.mark.parametrize("case", sorted(CLASSIFY_GOLDENS))
+    def test_classify_matches_golden(self, case, fmt, tmp_path, capsys):
+        payload, expected_code = CLASSIFY_GOLDENS[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["classify", str(path)] + (["--format", "json"] if fmt == "json" else [])
+        code, out = run_cli(argv)
+        assert code == expected_code
+        assert out == (GOLDEN / f"classify_{case}.{fmt}").read_text(encoding="utf-8")
+        assert capsys.readouterr().err == ""
+
+
 class TestInfoContent:
     def test_so_odd_2_has_eight_roots(self):
         code, out = run_cli(["info", "so-odd", "2"])
@@ -175,6 +221,20 @@ class TestClassifyCommand:
         path.write_text("{not json", encoding="utf-8")
         code, _ = run_cli(["classify", str(path)])
         assert code == 2
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"cartan": [[2]]}\xff')
+        code, out = run_cli(["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
+
+    def test_deeply_nested_array_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out = run_cli(["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
 
     def test_empty_file_exits_two(self, tmp_path):
         path = tmp_path / "empty.json"

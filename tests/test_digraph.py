@@ -1,32 +1,32 @@
-"""Edge constructors and the opposite-graph antimorphism per family."""
+"""Elementary edge matrices and the opposite-graph antimorphism per family."""
 
 import pytest
 
 from conftest import family_ranks, realization, root_datum
 
 import liealg as L
-from liealg import AlgebraFamily, Edge
-from liealg.digraph import edge_to_matrix, opposite_antimorphism
+from liealg import AlgebraFamily
+from liealg.digraph import opposite_antimorphism
 from liealg.matrices import EdgeMatrix
 from liealg.roots import negate, weight_of
 
 
 class TestEdges:
     def test_single_entry(self):
-        assert edge_to_matrix(Edge(1, 2, 2)) == EdgeMatrix.from_rows([[0, 1], [0, 0]])
+        assert EdgeMatrix.unit(2, 1, 2) == EdgeMatrix.from_rows([[0, 1], [0, 0]])
 
     def test_dim_one_loop(self):
-        assert edge_to_matrix(Edge(1, 1, 1)) == EdgeMatrix.from_rows([[1]])
+        assert EdgeMatrix.unit(1, 1, 1) == EdgeMatrix.from_rows([[1]])
 
     def test_lower_entry(self):
-        m = edge_to_matrix(Edge(3, 1, 3))
+        m = EdgeMatrix.unit(3, 3, 1)
         assert m.edges == {(2, 0): 1}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            Edge(0, 1, 2)
+            EdgeMatrix.unit(2, 0, 1)
         with pytest.raises(ValueError):
-            Edge(1, 3, 2)
+            EdgeMatrix.unit(2, 1, 3)
 
 
 class TestOppositeAntimorphism:

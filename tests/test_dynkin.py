@@ -250,7 +250,7 @@ class TestSerrePresentation:
         rd = root_datum(family, n)
         p = serre_presentation(L.coroot_pairing_matrix(rd))
         report = verify_serre(rd.realization, rd, p)
-        assert report.all_passed, [r.describe() for r in report.failures()]
+        assert report.all_passed, [c.name for c in report.failures()]
 
     def test_sp4_depth_three_nilpotency_is_sharp(self):
         # (ad X1)^2 X2 is nonzero while (ad X1)^3 X2 vanishes.

@@ -9,7 +9,7 @@ from conftest import family_ranks, realization, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily
-from liealg.forms import CartanMatrix, _ratio_matrix
+from liealg.forms import CartanMatrix, cartan_entries
 from liealg.matrices import dot, mat_bracket
 
 
@@ -178,7 +178,7 @@ class TestCartanMatrices:
 
         fundamental = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         with pytest.raises(L.InternalConsistencyError):
-            _ratio_matrix(fundamental, skew)
+            cartan_entries(fundamental, skew)
 
 
 class TestReflect:

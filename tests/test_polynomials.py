@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liealg.matrices import determinant
-from liealg.polynomials import MultiPoly, poly_det, poly_eval
+from liealg.polynomials import MultiPoly, poly_det
 
 
 def var(nvars, i):
@@ -16,19 +16,19 @@ def var(nvars, i):
 class TestEvaluation:
     def test_sum_of_squares(self):
         p = var(2, 0) ** 2 + var(2, 1) ** 2
-        assert poly_eval(p, [1, 2]) == 5
+        assert p.eval([1, 2]) == 5
 
     def test_zero_polynomial(self):
         z = MultiPoly.zero(3)
-        assert poly_eval(z, [7, -2, Fraction(1, 3)]) == 0
+        assert z.eval([7, -2, Fraction(1, 3)]) == 0
 
     def test_product_of_variables(self):
         p = var(3, 0) * var(3, 1) * var(3, 2)
-        assert poly_eval(p, [1, -1, 2]) == -2
+        assert p.eval([1, -1, 2]) == -2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            poly_eval(var(2, 0), [1])
+            var(2, 0).eval([1])
 
 
 class TestArithmetic:
@@ -38,7 +38,7 @@ class TestArithmetic:
 
     def test_power(self):
         p = (var(1, 0) + MultiPoly.constant(1, 1)) ** 3
-        assert poly_eval(p, [2]) == 27
+        assert p.eval([2]) == 27
         assert p.terms[(2,)] == 3
 
     def test_derivative(self):

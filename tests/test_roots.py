@@ -14,6 +14,7 @@ from liealg.roots import (
     is_positive,
     negate,
     root_count,
+    simple_roots,
     verify_root_axioms,
     verify_sl2_triple,
 )
@@ -133,6 +134,13 @@ class TestRootSystems:
             assert sum(root) == 0
 
 
+class TestSimpleRoots:
+    @pytest.mark.parametrize("family,n", family_ranks(4))
+    def test_recovers_fundamental_roots(self, family, n):
+        rd = root_datum(family, n)
+        assert set(simple_roots(rd.roots)) == set(rd.fundamental_roots)
+
+
 class TestAxioms:
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_generated_systems_pass_with_killing_inner(self, family, n):
@@ -140,8 +148,10 @@ class TestAxioms:
         report = verify_root_axioms(
             rd.roots, L.weight_inner(rd), expected_dim=rd.spec.lie_rank
         )
-        assert report.all_passed, [c for c in report.checks if not c.passed]
-        assert report.span_dim == rd.spec.lie_rank
+        assert report.all_passed, report.failures()
+        spanning = report.results[0]
+        assert spanning.name == "spanning"
+        assert f"dimension {rd.spec.lie_rank} " in spanning.detail
 
     def test_double_multiple_fails(self):
         roots = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(-2), Fraction(0))]

@@ -8,7 +8,17 @@ from conftest import family_ranks, root_datum, weyl_group
 
 import liealg as L
 from liealg import AlgebraFamily, SignedPermutation, WeylOverflowError
-from liealg.weyl import apply, compose, element_order, generate, simple_reflections
+from liealg.weyl import apply, compose, generate, simple_reflections
+
+
+def element_order(g, cap=64):
+    """Smallest k <= cap with g^k the identity."""
+    power = g
+    for order in range(1, cap + 1):
+        if power.is_identity():
+            return order
+        power = compose(power, g)
+    raise AssertionError(f"element order exceeds {cap}")
 
 
 def flip(n, index):
