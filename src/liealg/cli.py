@@ -213,10 +213,11 @@ def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
     spec, r = rd.spec, rd.realization
     coeffs = forms.killing_coefficients(rd)
     expected = FAMILY_SIGMA_COEFFICIENT[spec.family](spec.rank)
+    ad_gram = forms.cartan_killing_gram_ad(r)
     agree = all(
-        forms.killing_form_ad(r, x, y) == forms.killing_form_roots(rd, x, y)
-        for x in r.cartan_basis
-        for y in r.cartan_basis
+        ad_gram[i][j] == forms.killing_form_roots(rd, x, y)
+        for i, x in enumerate(r.cartan_basis)
+        for j, y in enumerate(r.cartan_basis)
     )
     return [
         Check.of("killing", "sum coefficient", coeffs.sigma == expected,

@@ -37,6 +37,7 @@ __all__ = [
     "killing_form_ad",
     "killing_form_roots",
     "cartan_killing_gram",
+    "cartan_killing_gram_ad",
     "weight_inner",
     "cartan_entries",
     "cartan_matrix",
@@ -46,22 +47,34 @@ __all__ = [
 ]
 
 
+def _trace_of_product(ax: list[list[Fraction]], ay: list[list[Fraction]]) -> Fraction:
+    """tr(ax ay) of two square matrices given as dense rows."""
+    total = Fraction(0)
+    for i, row in enumerate(ax):
+        for k, value in enumerate(row):
+            if value:
+                total += value * ay[k][i]
+    return total
+
+
 def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:
     """Trace of ad(x) composed with ad(y) in the canonical basis."""
     for m in (x, y):
         if not check_membership(m, r.spec):
             raise ValueError(f"matrix is not a member of {r.spec}")
     solver = span_solver(r)
-    ax = ad_matrix(r, x, solver)
-    ay = ad_matrix(r, y, solver)
-    dim = len(ax)
-    total = Fraction(0)
-    for i in range(dim):
-        row = ax[i]
-        for k in range(dim):
-            if row[k]:
-                total += row[k] * ay[k][i]
-    return total
+    return _trace_of_product(ad_matrix(r, x, solver), ad_matrix(r, y, solver))
+
+
+def cartan_killing_gram_ad(r: AlgebraRealization) -> list[list[Fraction]]:
+    """``killing_form_ad`` on every pair of Cartan basis elements.
+
+    One span solver and one ad(h) per basis element serve all the pairs;
+    nothing is read from the roots.
+    """
+    solver = span_solver(r)
+    ads = [ad_matrix(r, h, solver) for h in r.cartan_basis]
+    return [[_trace_of_product(ax, ay) for ay in ads] for ax in ads]
 
 
 def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .catalog import (
@@ -263,20 +265,46 @@ def reflect(inner: Inner, alpha: Weight, beta: Weight) -> Weight:
     return tuple(b - factor * a for a, b in zip(alpha, beta))
 
 
-def _parallel(a: Weight, b: Weight) -> Fraction | None:
-    """The ratio k with b = k a, or None if not parallel."""
-    ratio: Fraction | None = None
-    for x, y in zip(a, b):
-        if not x:
-            if y:
-                return None
-            continue
-        r = Fraction(y) / Fraction(x)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
+def _integer_coordinates(
+    ordered: Sequence[Weight],
+) -> tuple[list[Weight], dict[Weight, tuple[int, ...]]]:
+    """The independent roots, picked greedily in order, and every root's
+    coordinates over them.
+
+    All coordinates are scaled by one positive factor, the least that makes
+    them integers.  The map is one-to-one, since it is linear and injective
+    on the span.
+    """
+    echelon = _Echelon()
+    independent: list[int] = []
+    expansions: list[dict[int, Fraction]] = []
+    for k, w in enumerate(ordered):
+        combination = {k: 1}
+        if echelon.add({i: c for i, c in enumerate(w) if c}, combination):
+            independent.append(k)
+            expansions.append({k: 1})
+        else:
+            # The residual 0 = w + sum of c_j w_j, over independent w_j only.
+            expansions.append({j: -c for j, c in combination.items() if j != k})
+    column = {k: i for i, k in enumerate(independent)}
+    scale = lcm(*(as_fraction(c).denominator for e in expansions for c in e.values()))
+    coords = {}
+    for w, expansion in zip(ordered, expansions):
+        x = [0] * len(independent)
+        for j, c in expansion.items():
+            x[column[j]] = int(c * scale)
+        coords[w] = tuple(x)
+    return [ordered[k] for k in independent], coords
+
+
+def _direction(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer vector with first nonzero entry positive on x's line."""
+    g = gcd(*x)
+    if not g:
+        return x
+    if next(c for c in x if c) < 0:
+        g = -g
+    return tuple(c // g for c in x)
 
 
 def verify_root_axioms(
@@ -289,13 +317,17 @@ def verify_root_axioms(
     Failures are recorded in the report, never raised.  ``expected_dim``
     pins the dimension the roots must span; when omitted the span of the
     input is accepted as the ambient space.
+
+    ``inner`` must be a symmetric bilinear form.  It is evaluated only on
+    pairs of independent roots, d * d calls for a span of dimension d: every
+    other inner product is read from that Gram matrix and the roots'
+    coordinates over the independent roots, in exact integers.
     """
     root_set = {tuple(Fraction(c) for c in w) for w in roots}
     checks: list[Check] = []
 
     ordered = sorted(root_set, reverse=True)
-    echelon = _Echelon()
-    independent = [w for w in ordered if echelon.add({i: c for i, c in enumerate(w) if c})]
+    independent, coords = _integer_coordinates(ordered)
     span_dim = len(independent)
 
     nonzero = bool(root_set) and all(any(c for c in w) for w in root_set)
@@ -310,10 +342,8 @@ def verify_root_axioms(
         )
     )
 
-    euclidean = True
-    if independent:
-        gram = [[inner(u, v) for v in independent] for u in independent]
-        euclidean = is_positive_definite(gram)
+    gram = [[as_fraction(inner(u, v)) for v in independent] for u in independent]
+    euclidean = not gram or is_positive_definite(gram)
     checks.append(
         Check.of(
             "axioms",
@@ -323,17 +353,27 @@ def verify_root_axioms(
         )
     )
 
+    # Multiples are grouped by line; the set's own iteration order picks the
+    # failure that is reported.
+    by_direction: dict[tuple[int, ...], list[Weight]] = {}
+    for w in root_set:
+        by_direction.setdefault(_direction(coords[w]), []).append(w)
+    zeros = by_direction.get((0,) * span_dim, [])
     bad_multiple = None
     for a in root_set:
-        if negate(a) not in root_set:
+        minus_a = negate(a)
+        if minus_a not in root_set:
             bad_multiple = f"-({format_weight(a)}) missing"
             break
-        for b in root_set:
-            k = _parallel(a, b)
-            if k is not None and k not in (1, -1):
-                bad_multiple = f"{format_weight(b)} = {k} * ({format_weight(a)})"
-                break
-        if bad_multiple:
+        if not any(a):
+            continue
+        # The zero vector is 0 * a for every a.
+        parallel = {b for b in by_direction[_direction(coords[a])] if b not in (a, minus_a)}
+        parallel.update(zeros)
+        if parallel:
+            b = next(w for w in root_set if w in parallel)
+            i = next(i for i, c in enumerate(a) if c)
+            bad_multiple = f"{format_weight(b)} = {b[i] / a[i]} * ({format_weight(a)})"
             break
     checks.append(
         Check.of(
@@ -344,24 +384,34 @@ def verify_root_axioms(
         )
     )
 
+    # One common factor scales every inner product; no verdict depends on it.
+    factor = lcm(*(c.denominator for row in gram for c in row))
+    gram_int = [[int(c * factor) for c in row] for row in gram]
+    coordinate_set = set(coords.values())
     bad_reflection = None
     bad_integral = None
     for a in ordered:
-        norm = as_fraction(inner(a, a))
+        xa = coords[a]
+        row = [sum(map(mul, xa, column)) for column in zip(*gram_int)]
+        norm = sum(map(mul, row, xa))
         if not norm:
             bad_reflection = f"{format_weight(a)} has zero norm"
             break
+        twice = [2 * g for g in row]
         for b in ordered:
-            image = reflect(inner, a, b)
-            if image not in root_set and bad_reflection is None:
-                bad_reflection = (
-                    f"S_{{{format_weight(a)}}}({format_weight(b)}) leaves the set"
-                )
-            cartan_integer = 2 * as_fraction(inner(a, b)) / norm
-            if cartan_integer.denominator != 1 and bad_integral is None:
-                bad_integral = (
-                    f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {cartan_integer}"
-                )
+            xb = coords[b]
+            pairing = sum(map(mul, twice, xb))
+            n, remainder = divmod(pairing, norm)
+            if remainder:
+                n = Fraction(pairing, norm)
+                if bad_integral is None:
+                    bad_integral = f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {n}"
+            if bad_reflection is None:
+                image = tuple(y - n * x for x, y in zip(xa, xb))
+                if image not in coordinate_set:
+                    bad_reflection = (
+                        f"S_{{{format_weight(a)}}}({format_weight(b)}) leaves the set"
+                    )
     checks.append(
         Check.of(
             "axioms",

@@ -43,11 +43,6 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
-
     def inverse(self) -> "SignedPermutation":
         n = self.n
         inv = [0] * n

@@ -62,6 +62,9 @@ CLASSIFY_GOLDENS = {
         0,
     ),
     "axiom_failure": ({"vectors": [[1], [-1], [2], [-2]]}, 1),
+    "zero_vector": ({"vectors": [[1], [-1], [0]]}, 1),
+    "all_zero": ({"vectors": [[0, 0], [0, 0]]}, 1),
+    "missing_negative": ({"vectors": [[1, 1], [-1, -1], [1, -1], [-1, 1], [2, 0]]}, 1),
     "inconsistent_lengths": ({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}, 1),
     "multiplicity_four": ({"cartan": [[2, -2], [-2, 2]]}, 1),
     "affine_triangle": ({"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}, 1),

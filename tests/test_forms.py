@@ -8,7 +8,7 @@ import pytest
 from conftest import family_ranks, realization, root_datum
 
 import liealg as L
-from liealg import AlgebraFamily
+from liealg import AlgebraFamily, forms
 from liealg.forms import CartanMatrix, cartan_entries
 from liealg.matrices import dot, mat_bracket
 
@@ -62,6 +62,17 @@ class TestKillingForm:
         for x in r.cartan_basis:
             for y in r.cartan_basis:
                 assert L.killing_form_ad(r, x, y) == L.killing_form_roots(rd, x, y)
+
+    @pytest.mark.parametrize("family,n", family_ranks(3))
+    def test_cartan_gram_ad_is_pairwise_route_with_one_solver(self, family, n, monkeypatch):
+        r = realization(family, n)
+        builds = []
+        build = forms.span_solver
+        monkeypatch.setattr(forms, "span_solver", lambda r: builds.append(r) or build(r))
+        gram = forms.cartan_killing_gram_ad(r)
+        assert len(builds) == 1
+        cartan = r.cartan_basis
+        assert gram == [[L.killing_form_ad(r, x, y) for y in cartan] for x in cartan]
 
     @pytest.mark.parametrize("family,n", family_ranks(6))
     def test_sigma_and_trace_coefficients(self, family, n):

@@ -1,8 +1,10 @@
-"""The echelon kernel against sympy's exact linear algebra on seeded random input.
+"""The exact kernels against sympy on seeded random input.
 
 Matrices are sparse rationals, some singular by construction (a product of
 thinner factors) and some permuted triangular, so pivots turn up in every
-column order and the determinant's sign rule is exercised.
+column order and the determinant's sign rule is exercised.  The polynomial
+determinant gets matrices of sparse polynomials, some with a row that is a
+polynomial multiple of another.
 """
 
 import random
@@ -11,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from liealg.matrices import determinant, solve_linear, sparse_rank
+from liealg.polynomials import MultiPoly, poly_det
 
 sympy = pytest.importorskip("sympy")
 
@@ -119,3 +122,49 @@ def test_solve_linear_matches_sympy():
             outcomes.add("unique")
             assert solve_linear(rows, rhs) == [from_sympy(x) for x in solution], (rows, rhs)
     assert outcomes == {"inconsistent", "underdetermined", "unique"}
+
+
+def random_poly(rng, nvars):
+    """Up to three terms of degree at most 2; zero about a fifth of the time."""
+    terms = {}
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        expo = tuple(rng.randint(0, 1) for _ in range(nvars))
+        if sum(expo) < 2 and rng.random() < 0.5:
+            expo = tuple(e + (k == 0) for k, e in enumerate(expo))
+        terms[expo] = rational(rng) or Fraction(1)
+    return MultiPoly(nvars, terms)
+
+
+def poly_cases():
+    rng = random.Random(20261018)
+    cases = []
+    for trial in range(40):
+        n, nvars = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[random_poly(rng, nvars) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:
+            factor = random_poly(rng, nvars)
+            rows[-1] = [factor * x for x in rows[0]]
+        cases.append((nvars, rows))
+    return cases
+
+
+def poly_terms_from_sympy(expr, symbols):
+    poly = sympy.Poly(expr, *symbols)
+    return {expo: from_sympy(c) for expo, c in poly.as_dict().items()}
+
+
+def test_poly_det_matches_sympy():
+    outcomes = set()
+    for nvars, rows in poly_cases():
+        symbols = sympy.symbols(f"x0:{nvars}")
+        matrix = sympy.Matrix(
+            [[sum((sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(s**e for s, e in zip(symbols, expo)))
+                   for expo, c in p.terms.items()), sympy.Integer(0)) for p in row]
+             for row in rows]
+        )
+        expected = poly_terms_from_sympy(matrix.det(method="berkowitz"), symbols)
+        got = poly_det(rows)
+        assert got.terms == expected, rows
+        outcomes.add("zero" if got.is_zero() else "nonzero")
+    assert outcomes == {"zero", "nonzero"}

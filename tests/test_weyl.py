@@ -11,11 +11,15 @@ from liealg import AlgebraFamily, SignedPermutation, WeylOverflowError
 from liealg.weyl import apply, compose, generate, simple_reflections
 
 
+def is_identity(g):
+    return g == SignedPermutation.identity(g.n)
+
+
 def element_order(g, cap=64):
     """Smallest k <= cap with g^k the identity."""
     power = g
     for order in range(1, cap + 1):
-        if power.is_identity():
+        if is_identity(power):
             return order
         power = compose(power, g)
     raise AssertionError(f"element order exceeds {cap}")
@@ -42,12 +46,12 @@ class TestGroupLaw:
 
     def test_inverse(self):
         g = compose(flip(3, 2), transposition(3, 0, 2))
-        assert compose(g, g.inverse()).is_identity()
-        assert compose(g.inverse(), g).is_identity()
+        assert is_identity(compose(g, g.inverse()))
+        assert is_identity(compose(g.inverse(), g))
 
     def test_sign_flips_square_to_identity(self):
         f = flip(4, 1)
-        assert compose(f, f).is_identity()
+        assert is_identity(compose(f, f))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
