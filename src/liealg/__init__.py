@@ -51,14 +51,12 @@ from .polynomials import MultiPoly, poly_det
 from .roots import (
     RootDatum,
     cartan_decompose,
-    reflect,
     root_count,
     verify_root_axioms,
     verify_sl2_triple,
     weight_of,
 )
 from .weyl import (
-    SignedPermutation,
     WeylOverflowError,
     apply,
     compose,
@@ -83,7 +81,6 @@ __all__ = [
     "MultiPoly",
     "RootDatum",
     "SerrePresentation",
-    "SignedPermutation",
     "WeylOverflowError",
     "apply",
     "ascii_diagram",
@@ -110,7 +107,6 @@ __all__ = [
     "opposite_antimorphism",
     "parse_rational",
     "poly_det",
-    "reflect",
     "root_count",
     "root_lengths",
     "serre_presentation",

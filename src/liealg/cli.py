@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 from typing import Any, Callable, Sequence
 
 from . import catalog, dynkin, forms, invariants, roots, weyl
@@ -243,7 +244,7 @@ def _checks_weyl(rd: roots.RootDatum, max_order: int) -> Sequence[Check]:
                  "each generator maps the root set onto itself"),
     ]
     if rd.spec.family is AlgebraFamily.SO_EVEN:
-        even = all(g.sign_product() == 1 for g in group)
+        even = all(prod(1 if v > 0 else -1 for v in g) == 1 for g in group)
         checks.append(Check.of("weyl", "even sign changes only", even,
                                "every element has sign product +1"))
     return checks

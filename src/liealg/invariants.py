@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .families import AlgebraFamily
 from .polynomials import MultiPoly, poly_det
-from .weyl import SignedPermutation
+from .weyl import Window
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,7 @@ class InvariantSuite:
     degrees: tuple[int, ...]
 
     def degree_product(self) -> int:
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
+        return prod(self.degrees)
 
 
 def _power_sum(nvars: int, power: int) -> MultiPoly:
@@ -70,18 +68,18 @@ def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
     return InvariantSuite(family=family, rank=n, nvars=nvars, polys=polys, degrees=degrees)
 
 
-def check_invariance(s: InvariantSuite, gens: Sequence[SignedPermutation]) -> bool:
+def check_invariance(s: InvariantSuite, gens: Sequence[Window]) -> bool:
     """True iff every polynomial is fixed by every generator.
 
     Fixing the generators fixes the whole group they generate, since the
     action is by algebra automorphisms.
     """
     for g in gens:
-        if g.n != s.nvars:
+        if len(g) != s.nvars:
             raise ValueError(
-                f"generator acts on {g.n} coordinates, suite has {s.nvars} variables"
+                f"generator acts on {len(g)} coordinates, suite has {s.nvars} variables"
             )
-    return all(p.transform(g.perm, g.signs) == p for p in s.polys for g in gens)
+    return all(p.transform(g) == p for p in s.polys for g in gens)
 
 
 def _restrict_to_effective(s: InvariantSuite) -> tuple[MultiPoly, ...]:

@@ -171,23 +171,20 @@ class MultiPoly:
             )
         return result
 
-    def transform(self, perm: Sequence[int], signs: Sequence[int]) -> "MultiPoly":
-        """Compose with the signed coordinate change x_i -> signs[i]*x_{perm^-1(i)}.
+    def transform(self, window: Sequence[int]) -> "MultiPoly":
+        """Compose with the signed permutation whose window is ``window``.
 
-        Returns the polynomial p' with p'(x) = p(gx) where (gx)_i is the
-        signed-permutation action; this is the right action used for
-        invariance checks.
+        Returns the polynomial p' with p'(x) = p(gx), where (gx)_{|w_k|} =
+        sign(w_k) x_k as in ``liealg.weyl``; this is the right action used
+        for invariance checks.
         """
-        if len(perm) != self.nvars or len(signs) != self.nvars:
+        if len(window) != self.nvars:
             raise ValueError("carrier size does not match variable count")
         terms: dict[Exponent, Fraction] = {}
         for expo, coeff in self.terms.items():
-            sign = 1
-            for e, s in zip(expo, signs):
-                if s < 0 and e % 2:
-                    sign = -sign
-            new_expo = tuple(expo[perm[j]] for j in range(self.nvars))
-            new = terms.get(new_expo, Fraction(0)) + sign * coeff
+            new_expo = tuple(expo[abs(v) - 1] for v in window)
+            odd_flips = sum(e % 2 for e, v in zip(new_expo, window) if v < 0)
+            new = terms.get(new_expo, Fraction(0)) + (-1) ** odd_flips * coeff
             if new:
                 terms[new_expo] = new
             else:

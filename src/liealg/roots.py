@@ -256,15 +256,6 @@ def root_count(spec: AlgebraSpec) -> int:
     return 2 * n * n
 
 
-def reflect(inner: Inner, alpha: Weight, beta: Weight) -> Weight:
-    """Reflection of beta in the hyperplane orthogonal to alpha."""
-    norm = as_fraction(inner(alpha, alpha))
-    if not norm:
-        raise ValueError("cannot reflect in an isotropic or zero vector")
-    factor = 2 * as_fraction(inner(alpha, beta)) / norm
-    return tuple(b - factor * a for a, b in zip(alpha, beta))
-
-
 def _integer_coordinates(
     ordered: Sequence[Weight],
 ) -> tuple[list[Weight], dict[Weight, tuple[int, ...]]]:

@@ -1,18 +1,23 @@
-"""Shared fixtures: cached realizations, root data, and Weyl enumerations."""
+"""Shared fixtures: cached realizations, root data, Weyl enumerations, and the
+reference reflection used by the reflection and root-axiom tests."""
 
 from __future__ import annotations
 
 import io
+import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
+from liealg.exact import as_fraction
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
 _ROOT_DATA: dict[tuple[AlgebraFamily, int], L.RootDatum] = {}
-_WEYL_GROUPS: dict[tuple[AlgebraFamily, int], frozenset[L.SignedPermutation]] = {}
+_WEYL_GROUPS: dict[tuple[AlgebraFamily, int], frozenset[tuple[int, ...]]] = {}
 
 ALL_FAMILIES = tuple(AlgebraFamily)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def spec_of(family: AlgebraFamily, n: int) -> AlgebraSpec:
@@ -41,6 +46,15 @@ def weyl_group(family: AlgebraFamily, n: int, cap: int = 100_000):
     return _WEYL_GROUPS[key]
 
 
+def reflect(inner, alpha, beta):
+    """Reflection of beta in the hyperplane orthogonal to alpha."""
+    norm = as_fraction(inner(alpha, alpha))
+    if not norm:
+        raise ValueError("cannot reflect in an isotropic or zero vector")
+    factor = 2 * as_fraction(inner(alpha, beta)) / norm
+    return tuple(b - factor * a for a, b in zip(alpha, beta))
+
+
 def family_ranks(max_rank: int):
     """All (family, n) pairs with n up to max_rank, honoring family minimums."""
     out = []
@@ -49,6 +63,12 @@ def family_ranks(max_rank: int):
         for n in range(start, max_rank + 1):
             out.append((family, n))
     return out
+
+
+def src_env() -> dict[str, str]:
+    """The environment with src/ first on PYTHONPATH, for child interpreters."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -15,13 +15,13 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import family_ranks, root_datum
+from conftest import family_ranks, reflect, root_datum
 
 import liealg as L
 from liealg.catalog import Check, CheckReport, format_weight
 from liealg.exact import as_fraction
 from liealg.matrices import _Echelon, dot, is_positive_definite
-from liealg.roots import negate, reflect, verify_root_axioms
+from liealg.roots import negate, verify_root_axioms
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, src_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -277,6 +277,7 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "liealg", "info", "sl", "2"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert result.returncode == 0
         assert "algebra: sl_2" in result.stdout
@@ -286,5 +287,6 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "liealg", "info"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert result.returncode == 2

@@ -1,11 +1,12 @@
 """Every narrative script in demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,12 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
