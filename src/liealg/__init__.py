@@ -14,7 +14,6 @@ from .catalog import (
     build,
     check_membership,
     format_weight,
-    structure_constants,
 )
 from .digraph import opposite_antimorphism
 from .dynkin import (
@@ -111,7 +110,6 @@ __all__ = [
     "root_lengths",
     "serre_presentation",
     "simple_reflections",
-    "structure_constants",
     "verify_root_axioms",
     "verify_serre",
     "verify_sl2_triple",

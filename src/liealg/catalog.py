@@ -247,32 +247,6 @@ def span_solver(r: AlgebraRealization) -> SpanSolver:
     return SpanSolver(r.basis_matrices())
 
 
-def structure_constants(
-    r: AlgebraRealization,
-) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k, solved exactly."""
-    mats = r.basis_matrices()
-    solver = span_solver(r)
-    dim = len(mats)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i == j:
-                row.append((Fraction(0),) * dim)
-                continue
-            bracket = mat_bracket(mats[i], mats[j])
-            try:
-                coeffs = solver.expand(bracket)
-            except ValueError as exc:
-                raise InternalConsistencyError(
-                    f"bracket of basis elements {i},{j} falls outside the span"
-                ) from exc
-            row.append(tuple(coeffs))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def ad_matrix(r: AlgebraRealization, x: EdgeMatrix, solver: SpanSolver | None = None):
     """Matrix of ad(x) = [x, .] in the canonical basis (columns = images)."""
     if solver is None:

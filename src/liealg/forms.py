@@ -4,6 +4,12 @@ The Killing form is computed by two independent routes: the trace of composed
 adjoint matrices, and the sum over roots of a(x)a(y).  On the Cartan
 subalgebra the two agree identically, which the test suite pins down.
 
+The root-sum Gram on the Cartan basis is summed once per root datum, in
+integers, and certified there to be sigma times the coordinate sum form
+sum_i x_i y_i (``RootDatum.killing_metric``).  The induced inner product on
+weights is therefore <u, v> = u.v / sigma, taken on the sum-zero lifts for
+sl; no Gram matrix is inverted.
+
 Two transposed Cartan matrix conventions are in circulation.  This package
 exposes both:
 
@@ -29,8 +35,9 @@ from .catalog import (
     check_membership,
     span_solver,
 )
-from .matrices import EdgeMatrix, dot, solve_linear
-from .roots import Inner, RootDatum
+from .families import AlgebraFamily
+from .matrices import EdgeMatrix, dot
+from .roots import Inner, KillingCoefficients, RootDatum
 
 __all__ = [
     "CartanMatrix",
@@ -89,49 +96,32 @@ def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:
 
 
 def cartan_killing_gram(rd: RootDatum) -> list[list[Fraction]]:
-    """Gram matrix of the Killing form on the Cartan basis.
+    """Gram matrix of the Killing form on the Cartan basis, by the root-sum route.
 
-    This is the ad-trace form: ad(h) is diagonal in the canonical basis with
-    the root values as eigenvalues, so tr(ad(h) ad(h')) is accumulated
-    directly from those eigenvalues.
+    A fresh copy of ``rd.killing_metric.gram``: ad(h) is diagonal in the
+    canonical basis with the root values as eigenvalues, so tr(ad(h) ad(h'))
+    is summed directly from those eigenvalues.
     """
-    r = rd.realization
-    coords = [r.diag_coords(h) for h in r.cartan_basis]
-    size = len(coords)
-    eigen = [[dot(root, c) for root in rd.roots] for c in coords]
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            value = sum(
-                (ei * ej for ei, ej in zip(eigen[i], eigen[j])), Fraction(0)
-            )
-            gram[i][j] = value
-            gram[j][i] = value
-    return gram
+    return [list(row) for row in rd.killing_metric.gram]
 
 
 def weight_inner(rd: RootDatum) -> Inner:
     """The inner product on weights induced by the Killing form.
 
-    A weight evaluates on the Cartan basis; transporting through the
-    isomorphism h -> h* given by the Killing form yields
-    <u, v> = eval(u) . K^-1 eval(v) with K the Cartan Gram matrix.
+    Transporting through the isomorphism h -> h* given by the Killing form
+    yields <u, v> = eval(u) . K^-1 eval(v), with K the Cartan Gram.  Since K
+    is certified to be sigma times the coordinate sum form, this is
+    u.v / sigma.  For sl the Cartan is the sum-zero hyperplane, so u and v
+    are first projected onto it: <u, v> = (u.v - (sum u)(sum v)/n) / sigma,
+    which equals the inverse-Gram value on every input.
     """
-    r = rd.realization
-    coords = [r.diag_coords(h) for h in r.cartan_basis]
-    gram = cartan_killing_gram(rd)
-    cache: dict[Weight, list[Fraction]] = {}
-
-    def solve(weight: Weight) -> list[Fraction]:
-        key = tuple(Fraction(c) for c in weight)
-        if key not in cache:
-            evaluation = [dot(key, c) for c in coords]
-            cache[key] = solve_linear(gram, evaluation)
-        return cache[key]
+    sigma = rd.killing_metric.coefficients.sigma
+    if rd.spec.family is not AlgebraFamily.SL:
+        return lambda u, v: dot(u, v) / sigma
+    n = rd.spec.rank
 
     def inner(u: Weight, v: Weight) -> Fraction:
-        evaluation = [dot(tuple(Fraction(c) for c in u), c) for c in coords]
-        return dot(evaluation, solve(v))
+        return (dot(u, v) - Fraction(sum(u) * sum(v), n)) / sigma
 
     return inner
 
@@ -229,48 +219,6 @@ def root_lengths(rd: RootDatum) -> tuple[Fraction, ...]:
     return tuple(inner(a, a) for a in rd.fundamental_roots)
 
 
-@dataclass(frozen=True)
-class KillingCoefficients:
-    """Killing form on the Cartan as multiples of two reference forms.
-
-    ``sigma`` is the coefficient against sum_i x_i y_i in the diagonal
-    coordinates; ``trace`` is the coefficient against tr(xy) of the matrices
-    themselves.  For the doubled realizations (sp, so) tr(xy) is twice the
-    coordinate sum, so the two coefficients differ by a factor 2.
-    """
-
-    sigma: Fraction
-    trace: Fraction
-
-
 def killing_coefficients(rd: RootDatum) -> KillingCoefficients:
     """Exact fit of the Cartan Killing form against both reference forms."""
-    r = rd.realization
-    cartan = r.cartan_basis
-    coords = [r.diag_coords(h) for h in cartan]
-    gram = cartan_killing_gram(rd)
-    size = len(cartan)
-
-    sigma: Fraction | None = None
-    trace: Fraction | None = None
-    for i in range(size):
-        for j in range(size):
-            ref_sigma = dot(coords[i], coords[j])
-            ref_trace = (cartan[i] @ cartan[j]).trace()
-            if sigma is None and ref_sigma:
-                sigma = gram[i][j] / ref_sigma
-            if trace is None and ref_trace:
-                trace = gram[i][j] / ref_trace
-    if sigma is None or trace is None:
-        raise InternalConsistencyError("degenerate reference forms on the Cartan")
-    for i in range(size):
-        for j in range(size):
-            if gram[i][j] != sigma * dot(coords[i], coords[j]):
-                raise InternalConsistencyError(
-                    "Killing form is not proportional to the coordinate sum form"
-                )
-            if gram[i][j] != trace * (cartan[i] @ cartan[j]).trace():
-                raise InternalConsistencyError(
-                    "Killing form is not proportional to the trace form"
-                )
-    return KillingCoefficients(sigma=sigma, trace=trace)
+    return rd.killing_metric.coefficients

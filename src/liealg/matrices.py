@@ -269,30 +269,46 @@ class SpanSolver:
 # ---------------------------------------------------------------------------
 
 
+class LinearSolver:
+    """One fixed exact linear system, eliminated once, solved for many right-hand sides.
+
+    A solution of ``matrix`` x = rhs is the expansion of rhs over the columns
+    of ``matrix``; the columns are reduced into echelon form once, and each
+    solve then costs one reduction of the right-hand side.
+    """
+
+    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
+        self.nrows = len(matrix)
+        if self.nrows == 0 or any(len(row) != len(matrix[0]) for row in matrix):
+            raise ValueError("malformed linear system")
+        self.ncols = len(matrix[0])
+        self._echelon = _Echelon()
+        self.rank = sum(
+            1
+            for j in range(self.ncols)
+            if self._echelon.add(_sparse_vector(row[j] for row in matrix), {j: 1})
+        )
+
+    def solve(self, rhs: Sequence[Scalar]) -> list[Fraction]:
+        """The unique solution; raises on no solution or an ambiguous one."""
+        if len(rhs) != self.nrows:
+            raise ValueError("malformed linear system")
+        combination: dict[int, Fraction] = {}
+        if self._echelon.reduce(_sparse_vector(rhs), combination):
+            raise ValueError("inconsistent linear system")
+        if self.rank < self.ncols:
+            raise ValueError("underdetermined linear system")
+        solution = [Fraction(0)] * self.ncols
+        for j, value in combination.items():
+            solution[j] = -value
+        return solution
+
+
 def solve_linear(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction]:
-    """Solve a consistent linear system exactly; raises on no/ambiguous solution.
-
-    The solution is the expansion of ``rhs`` over the columns of ``matrix``.
-    """
-    nrows = len(matrix)
-    if nrows == 0 or len(rhs) != nrows or any(len(row) != len(matrix[0]) for row in matrix):
-        raise ValueError("malformed linear system")
-    ncols = len(matrix[0])
-    echelon = _Echelon()
-    rank = sum(
-        1 for j in range(ncols) if echelon.add(_sparse_vector(row[j] for row in matrix), {j: 1})
-    )
-    combination: dict[int, Fraction] = {}
-    if echelon.reduce(_sparse_vector(rhs), combination):
-        raise ValueError("inconsistent linear system")
-    if rank < ncols:
-        raise ValueError("underdetermined linear system")
-    solution = [Fraction(0)] * ncols
-    for j, value in combination.items():
-        solution[j] = -value
-    return solution
+    """Solve a consistent linear system exactly; raises on no/ambiguous solution."""
+    return LinearSolver(matrix).solve(rhs)
 
 
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -26,11 +27,11 @@ from .exact import as_fraction
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import (
     EdgeMatrix,
+    LinearSolver,
     _Echelon,
     dot,
     is_positive_definite,
     mat_bracket,
-    solve_linear,
 )
 
 Inner = Callable[[Weight, Weight], Fraction]
@@ -56,14 +57,20 @@ def weight_of(r: AlgebraRealization, m: EdgeMatrix) -> Weight:
 
 def _eigenvalues_to_coords(spec: AlgebraSpec, eigenvalues: Sequence[Fraction]) -> Weight:
     """Convert eigenvalues on the Cartan basis to coordinates in a_1..a_n."""
-    n = spec.rank
     if spec.family is not AlgebraFamily.SL:
         return tuple(Fraction(v) for v in eigenvalues)
-    # sl: the basis is h_k = E_kk - E_(k+1,k+1); pick the sum-zero lift.
+    return tuple(_sum_zero_lift(spec.rank).solve([*eigenvalues, 0]))
+
+
+@lru_cache(maxsize=None)
+def _sum_zero_lift(n: int) -> LinearSolver:
+    """The sl system: the basis is h_k = E_kk - E_(k+1,k+1); pick the sum-zero lift.
+
+    One solver per n serves every root vector; ``solve`` leaves it unchanged.
+    """
     rows = [[1 if i == k else -1 if i == k + 1 else 0 for i in range(n)] for k in range(n - 1)]
     rows.append([1] * n)
-    rhs = list(eigenvalues) + [Fraction(0)]
-    return tuple(solve_linear(rows, rhs))
+    return LinearSolver(rows)
 
 
 def is_positive(w: Weight) -> bool:
@@ -142,6 +149,79 @@ class RootDatum:
             raise ValueError(f"{format_weight(root)} is not a root of {self.spec}")
         return self.coroots[root]
 
+    @cached_property
+    def killing_metric(self) -> KillingMetric:
+        """The Killing form on the Cartan basis, summed and certified on first use."""
+        return _killing_metric(self)
+
+
+@dataclass(frozen=True)
+class KillingCoefficients:
+    """Killing form on the Cartan as multiples of two reference forms.
+
+    ``sigma`` is the coefficient against sum_i x_i y_i in the diagonal
+    coordinates; ``trace`` is the coefficient against tr(xy) of the matrices
+    themselves.  For the doubled realizations (sp, so) tr(xy) is twice the
+    coordinate sum, so the two coefficients differ by a factor 2.
+    """
+
+    sigma: Fraction
+    trace: Fraction
+
+
+@dataclass(frozen=True)
+class KillingMetric:
+    """The Killing form on the Cartan basis h_1..h_r of one root datum.
+
+    ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace
+    form, since ad(h) is diagonal in the canonical basis with the root values
+    as eigenvalues.  ``coefficients`` certifies that the Gram is exactly
+    sigma (x_i . x_j) and trace tr(h_i h_j), with sigma nonzero.
+    """
+
+    gram: tuple[tuple[Fraction, ...], ...]
+    coefficients: KillingCoefficients
+
+
+def _killing_metric(rd: RootDatum) -> KillingMetric:
+    """Sum the Cartan Gram over the root eigenvalues and prove it proportional."""
+    r = rd.realization
+    cartan = r.cartan_basis
+    coords = [r.diag_coords(h) for h in cartan]
+    # One common denominator makes every coordinate, and so every eigenvalue
+    # a(h_i) and every Gram sum, a Python int.
+    scale = lcm(*(c.denominator for w in (*rd.roots, *coords) for c in w))
+
+    def scaled(w: Weight) -> list[int]:
+        return [c.numerator * (scale // c.denominator) for c in w]
+
+    root_ints = [scaled(a) for a in rd.roots]
+    eigen = [[sum(map(mul, scaled(x), a)) for a in root_ints] for x in coords]
+    unit = scale**4
+    gram = tuple(
+        tuple(Fraction(sum(map(mul, ei, ej)), unit) for ej in eigen) for ei in eigen
+    )
+
+    pairs = [(i, j) for i in range(len(cartan)) for j in range(len(cartan))]
+    ref_sigma = {(i, j): dot(coords[i], coords[j]) for i, j in pairs}
+    ref_trace = {(i, j): (cartan[i] @ cartan[j]).trace() for i, j in pairs}
+    sigma = next((gram[i][j] / ref_sigma[i, j] for i, j in pairs if ref_sigma[i, j]), None)
+    trace = next((gram[i][j] / ref_trace[i, j] for i, j in pairs if ref_trace[i, j]), None)
+    if sigma is None or trace is None:
+        raise InternalConsistencyError("degenerate reference forms on the Cartan")
+    if not sigma:
+        raise InternalConsistencyError("Killing form vanishes on the Cartan")
+    for i, j in pairs:
+        if gram[i][j] != sigma * ref_sigma[i, j]:
+            raise InternalConsistencyError(
+                "Killing form is not proportional to the coordinate sum form"
+            )
+        if gram[i][j] != trace * ref_trace[i, j]:
+            raise InternalConsistencyError(
+                "Killing form is not proportional to the trace form"
+            )
+    return KillingMetric(gram, KillingCoefficients(sigma=sigma, trace=trace))
+
 
 def cartan_decompose(r: AlgebraRealization) -> RootDatum:
     """Read off the root system and derive coroots and fundamental weights."""
@@ -172,8 +252,7 @@ def cartan_decompose(r: AlgebraRealization) -> RootDatum:
             raise InternalConsistencyError(
                 f"expected fundamental root {format_weight(root)} is not a root"
             )
-    for root in positive:
-        expand_in_fundamental(root, fundamental)
+    expand_in_fundamental(positive, fundamental)
 
     coroots: dict[Weight, EdgeMatrix] = {}
     for root in roots:
@@ -207,26 +286,29 @@ def cartan_decompose(r: AlgebraRealization) -> RootDatum:
 
 
 def expand_in_fundamental(
-    root: Weight, fundamental: Sequence[Weight]
-) -> tuple[int, ...]:
-    """Integer coefficients of a root over the fundamental roots.
+    roots: Sequence[Weight], fundamental: Sequence[Weight]
+) -> list[tuple[int, ...]]:
+    """Integer coefficients of each root over the fundamental roots.
 
-    The coefficients must be integers, all nonnegative or all nonpositive;
-    anything else is an internal inconsistency.
+    The fundamental roots are eliminated once.  The coefficients must be
+    integers, all nonnegative or all nonpositive; anything else is an
+    internal inconsistency.
     """
-    n = len(root)
-    rows = [[fundamental[k][i] for k in range(len(fundamental))] for i in range(n)]
-    coeffs = solve_linear(rows, list(root))
-    if any(c.denominator != 1 for c in coeffs):
-        raise InternalConsistencyError(
-            f"root {format_weight(root)} is not an integer combination of the fundamental roots"
-        )
-    ints = tuple(int(c) for c in coeffs)
-    if not (all(c >= 0 for c in ints) or all(c <= 0 for c in ints)):
-        raise InternalConsistencyError(
-            f"root {format_weight(root)} mixes signs over the fundamental roots"
-        )
-    return ints
+    solver = LinearSolver(list(zip(*fundamental)))
+    expansions = []
+    for root in roots:
+        coeffs = solver.solve(root)
+        if any(c.denominator != 1 for c in coeffs):
+            raise InternalConsistencyError(
+                f"root {format_weight(root)} is not an integer combination of the fundamental roots"
+            )
+        ints = tuple(int(c) for c in coeffs)
+        if not (all(c >= 0 for c in ints) or all(c <= 0 for c in ints)):
+            raise InternalConsistencyError(
+                f"root {format_weight(root)} mixes signs over the fundamental roots"
+            )
+        expansions.append(ints)
+    return expansions
 
 
 def _solve_fundamental_weights(
@@ -239,11 +321,11 @@ def _solve_fundamental_weights(
     rows = [list(c) for c in coroot_coords]
     if spec.family is AlgebraFamily.SL:
         rows = rows + [[Fraction(1)] * n]
-    weights = []
-    for i in range(len(fundamental_coroots)):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(len(rows))]
-        weights.append(tuple(solve_linear(rows, rhs)))
-    return tuple(weights)
+    solver = LinearSolver(rows)
+    return tuple(
+        tuple(solver.solve([1 if j == i else 0 for j in range(len(rows))]))
+        for i in range(len(fundamental_coroots))
+    )
 
 
 def root_count(spec: AlgebraSpec) -> int:
@@ -381,16 +463,16 @@ def verify_root_axioms(
     coordinate_set = set(coords.values())
     bad_reflection = None
     bad_integral = None
-    for a in ordered:
-        xa = coords[a]
+    # Read each root's coordinates once: the pair loop then hashes no weights.
+    table = [(w, coords[w]) for w in ordered]
+    for a, xa in table:
         row = [sum(map(mul, xa, column)) for column in zip(*gram_int)]
         norm = sum(map(mul, row, xa))
         if not norm:
             bad_reflection = f"{format_weight(a)} has zero norm"
             break
         twice = [2 * g for g in row]
-        for b in ordered:
-            xb = coords[b]
+        for b, xb in table:
             pairing = sum(map(mul, twice, xb))
             n, remainder = divmod(pairing, norm)
             if remainder:

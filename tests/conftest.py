@@ -1,16 +1,20 @@
-"""Shared fixtures: cached realizations, root data, Weyl enumerations, and the
-reference reflection used by the reflection and root-axiom tests."""
+"""Shared fixtures: cached realizations, root data, Weyl enumerations, the
+reference reflection used by the reflection and root-axiom tests, and the
+dense structure-constant table used by the catalog tests."""
 
 from __future__ import annotations
 
 import io
 import os
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
+from liealg.catalog import InternalConsistencyError, span_solver
 from liealg.exact import as_fraction
+from liealg.matrices import mat_bracket
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
 _ROOT_DATA: dict[tuple[AlgebraFamily, int], L.RootDatum] = {}
@@ -53,6 +57,32 @@ def reflect(inner, alpha, beta):
         raise ValueError("cannot reflect in an isotropic or zero vector")
     factor = 2 * as_fraction(inner(alpha, beta)) / norm
     return tuple(b - factor * a for a, b in zip(alpha, beta))
+
+
+def structure_constants(
+    r: L.AlgebraRealization,
+) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k, solved exactly."""
+    mats = r.basis_matrices()
+    solver = span_solver(r)
+    dim = len(mats)
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            if i == j:
+                row.append((Fraction(0),) * dim)
+                continue
+            bracket = mat_bracket(mats[i], mats[j])
+            try:
+                coeffs = solver.expand(bracket)
+            except ValueError as exc:
+                raise InternalConsistencyError(
+                    f"bracket of basis elements {i},{j} falls outside the span"
+                ) from exc
+            row.append(tuple(coeffs))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def family_ranks(max_rank: int):

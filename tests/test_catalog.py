@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, realization
+from conftest import family_ranks, realization, structure_constants
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
@@ -113,7 +113,7 @@ class TestStructureConstants:
     def test_sl2_classical_table(self):
         r = realization(AlgebraFamily.SL, 2)
         labels = [lab for lab, _ in r.basis]
-        c = L.structure_constants(r)
+        c = structure_constants(r)
         h, e, f = 0, 1, 2  # cartan, positive, negative in basis order
         assert labels[h].startswith("h")
         # [e,f] = h, [h,e] = 2e, [h,f] = -2f
@@ -123,14 +123,14 @@ class TestStructureConstants:
 
     def test_antisymmetry_diagonal(self):
         r = realization(AlgebraFamily.SP, 2)
-        c = L.structure_constants(r)
+        c = structure_constants(r)
         for i in range(r.dimension):
             assert not any(c[i][i])
 
     @pytest.mark.parametrize("family,n", family_ranks(3))
     def test_jacobi_contraction(self, family, n):
         r = realization(family, n)
-        c = L.structure_constants(r)
+        c = structure_constants(r)
         dim = r.dimension
         # Sparse view: nonzero (k, value) per bracket pair.
         sparse = {

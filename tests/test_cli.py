@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli, src_env
+from conftest import root_datum, run_cli, src_env
+
+from liealg import AlgebraFamily, cli, forms, weyl
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -144,6 +146,29 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "so-even", "2", "weyl"])
         assert code == 0
         assert "enumerated 4, closed form 4" in out
+
+    @pytest.mark.parametrize("element,status", [((-1, 2, 3), "fail"), ((-1, -2, 3), "pass")])
+    def test_so_even_sign_product_verdict(self, element, status, monkeypatch):
+        # A group holding one element: a single sign flip must fail the check.
+        monkeypatch.setattr(weyl, "generate", lambda gens, cap: frozenset({element}))
+        checks = {c.name: c for c in cli._checks_weyl(root_datum(AlgebraFamily.SO_EVEN, 3), 100)}
+        assert checks["even sign changes only"].status == status
+        code, out = run_cli(["verify", "so-even", "3", "weyl"])
+        assert code == 1  # the order check fails on any one-element group
+        assert f"weyl: even sign changes only: {status.upper()}" in out
+
+    def test_killing_routes_that_disagree_fail(self, monkeypatch):
+        ad_gram = forms.cartan_killing_gram_ad
+
+        def perturbed(r):
+            gram = ad_gram(r)
+            gram[0][-1] += 1
+            return gram
+
+        monkeypatch.setattr(forms, "cartan_killing_gram_ad", perturbed)
+        code, out = run_cli(["verify", "sp", "2", "killing"])
+        assert code == 1
+        assert "killing: ad-trace route equals root-sum route: FAIL" in out
 
     def test_unknown_suite_is_usage_error(self):
         code, _ = run_cli(["verify", "sl", "3", "nonsense"])

@@ -100,9 +100,10 @@ class TestRootSystems:
         assert set(rd.roots) == set(rd.positive_roots) | {
             negate(w) for w in rd.positive_roots
         }
-        for root in rd.positive_roots:
+        expansions = expand_in_fundamental(rd.positive_roots, rd.fundamental_roots)
+        assert len(expansions) == len(rd.positive_roots)
+        for root, coeffs in zip(rd.positive_roots, expansions):
             assert is_positive(root)
-            coeffs = expand_in_fundamental(root, rd.fundamental_roots)
             assert all(c >= 0 for c in coeffs)
 
     @pytest.mark.parametrize("family,n", family_ranks(4))
