@@ -16,7 +16,7 @@ for family, n in [(AlgebraFamily.SP, 2), (AlgebraFamily.SO_ODD, 3)]:
     pairing = L.coroot_pairing_matrix(rd)
     print(f"== {spec.name}, pairing matrix {pairing.entries}")
     presentation = serre_presentation(pairing)
-    report = verify_serre(rd.realization, rd, presentation)
+    report = verify_serre(rd, presentation)
     for check in report.results:
         print(f"  {check.name}: {check.status.upper()}")
     print(f"  all relations hold: {report.all_passed}\n")
@@ -24,5 +24,5 @@ for family, n in [(AlgebraFamily.SP, 2), (AlgebraFamily.SO_ODD, 3)]:
 print("Transposing the pairing matrix breaks the verification on sp_4:")
 rd = L.cartan_decompose(L.build(AlgebraSpec(AlgebraFamily.SP, 2)))
 display = L.cartan_matrix(rd)  # the transpose of the pairing matrix
-report = verify_serre(rd.realization, rd, serre_presentation(display))
+report = verify_serre(rd, serre_presentation(display))
 print("  failures:", [check.name for check in report.failures()])

@@ -4,6 +4,10 @@ Each realization carries a labelled basis in a fixed deterministic order:
 the diagonal Cartan elements first, then one vector per positive root
 (sorted by root coordinates), then their images under the opposite-graph
 antimorphism, which span the negative root spaces.
+
+Every Cartan subalgebra is diagonal, so each edge i -> j of a matrix
+carries its own weight, chi_i - chi_j (``AlgebraRealization.edge_weight``).
+Adjoint matrices are sparse columns.
 """
 
 from __future__ import annotations
@@ -121,48 +125,40 @@ class AlgebraRealization:
             raise ValueError("not a Cartan element: last diagonal entry nonzero")
         return tuple(coords)
 
+    def edge_weight(self, i: int, j: int) -> Weight:
+        """The weight chi_i - chi_j of the edge i -> j (0-indexed slots).
 
-def _fraction_tuple(values: Sequence[int]) -> Weight:
-    return tuple(Fraction(v) for v in values)
+        chi_k reads slot k as ``diag_coords`` does: x_k in the first n slots,
+        -x_(k-n) in the next n, and 0 in the last slot of odd so.
+        """
+        return _edge_weight(self.spec.rank, i, j)
+
+
+def _edge_weight(n: int, i: int, j: int) -> Weight:
+    chi = lambda k: [(k == s) - (k == s + n) for s in range(n)]
+    return tuple(Fraction(a - b) for a, b in zip(chi(i), chi(j)))
 
 
 def _positive_root_table(spec: AlgebraSpec) -> list[tuple[Weight, EdgeMatrix]]:
-    """Positive roots with their canonical edge-basis vectors, sorted."""
+    """Positive roots with their canonical edge-basis vectors, sorted.
+
+    Each root is read off its vector's edges.
+    """
     n = spec.rank
-    d = spec.realization_dim
-    E = lambda i, j: EdgeMatrix.unit(d, i, j)
-    table: list[tuple[Weight, EdgeMatrix]] = []
-
-    def coords(pairs: dict[int, int]) -> Weight:
-        base = [0] * n
-        for idx, val in pairs.items():
-            base[idx - 1] = val
-        return _fraction_tuple(base)
-
+    E = lambda i, j: EdgeMatrix.unit(spec.realization_dim, i, j)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if spec.family is AlgebraFamily.SL:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                table.append((coords({i: 1, j: -1}), E(i, j)))
+        mats = [E(i, j) for i, j in pairs]
     else:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                table.append((coords({i: 1, j: -1}), E(i, j) - E(n + j, n + i)))
+        mats = [E(i, j) - E(n + j, n + i) for i, j in pairs]
         if spec.family is AlgebraFamily.SP:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    table.append((coords({i: 1, j: 1}), E(i, n + j) + E(j, n + i)))
-            for i in range(1, n + 1):
-                table.append((coords({i: 2}), E(i, n + i)))
+            mats += [E(i, n + j) + E(j, n + i) for i, j in pairs]
+            mats += [E(i, n + i) for i in range(1, n + 1)]
         else:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    table.append((coords({i: 1, j: 1}), E(i, n + j) - E(j, n + i)))
+            mats += [E(i, n + j) - E(j, n + i) for i, j in pairs]
             if spec.family is AlgebraFamily.SO_ODD:
-                last = 2 * n + 1
-                for i in range(1, n + 1):
-                    table.append(
-                        (coords({i: 1}), E(last, n + i) - E(i, last))
-                    )
+                mats += [E(2 * n + 1, n + i) - E(i, 2 * n + 1) for i in range(1, n + 1)]
+    table = [(_edge_weight(n, *min(mat.edges)), mat) for mat in mats]
     table.sort(key=lambda item: item[0], reverse=True)
     return table
 
@@ -247,18 +243,17 @@ def span_solver(r: AlgebraRealization) -> SpanSolver:
     return SpanSolver(r.basis_matrices())
 
 
-def ad_matrix(r: AlgebraRealization, x: EdgeMatrix, solver: SpanSolver | None = None):
-    """Matrix of ad(x) = [x, .] in the canonical basis (columns = images)."""
-    if solver is None:
-        solver = span_solver(r)
-    mats = r.basis_matrices()
+def ad_matrix(x: EdgeMatrix, solver: SpanSolver) -> list[dict[int, Fraction]]:
+    """ad(x) = [x, .] over the solver's basis, as sparse columns {row: entry}.
+
+    Column k holds the nonzero coefficients of [x, b_k] over the basis.
+    """
     columns = []
-    for b in mats:
+    for b in solver.basis:
         try:
             columns.append(solver.expand(mat_bracket(x, b)))
         except ValueError as exc:
             raise InternalConsistencyError(
                 "adjoint image falls outside the span of the basis"
             ) from exc
-    dim = len(mats)
-    return [[columns[j][i] for j in range(dim)] for i in range(dim)]
+    return columns

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import prod
@@ -35,6 +36,10 @@ Fields = Sequence[tuple[str, str]]
 CHECK_FIELDS: Fields = tuple((field, field) for field in ("suite", "name", "status", "detail"))
 AXIOM_FIELDS = CHECK_FIELDS[1:]
 RELATION_FIELDS = (("relation", "name"), ("status", "status"))
+
+# Digits per classify vector, numerators and denominators summed: a printed Cartan integer
+# has at most about four times as many, which stays under Python's 4300-digit str(int) limit.
+MAX_VECTOR_DIGITS = 1000
 
 
 class InputError(Exception):
@@ -207,7 +212,7 @@ def _checks_sl2(rd: roots.RootDatum) -> Sequence[Check]:
 
 def _checks_serre(rd: roots.RootDatum, pairing: forms.CartanMatrix) -> Sequence[Check]:
     presentation = dynkin.serre_presentation(pairing)
-    return dynkin.verify_serre(rd.realization, rd, presentation).results
+    return dynkin.verify_serre(rd, presentation).results
 
 
 def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
@@ -316,6 +321,10 @@ def _load_json(path: str) -> Any:
         raise InputError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # the one other failure: Python's int-conversion limit
+        raise InputError(
+            f"{path}: an integer literal has over {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _parse_vectors(data: Any, path: str) -> list[tuple[Fraction, ...]]:
@@ -343,6 +352,12 @@ def _parse_vectors(data: Any, path: str) -> list[tuple[Fraction, ...]]:
                 raise InputError(
                     f"{path}: vector {row_index} entry {col_index}: {exc}"
                 ) from exc
+        digits = sum(len(str(c.numerator)) + len(str(c.denominator)) for c in coords)
+        if digits > MAX_VECTOR_DIGITS:
+            raise InputError(
+                f"{path}: vector {row_index} has {digits} digits;"
+                f" at most {MAX_VECTOR_DIGITS} are accepted"
+            )
         vectors.append(tuple(coords))
     return vectors
 
@@ -474,12 +489,22 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer argument: exactly [+-]?[0-9]+, no spaces, underscores or other digits."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # over Python's int-conversion digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _order_cap(text: str) -> int:
     """--max-order value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -502,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("family", help="one of sl, sp, so-even, so-odd")
             p.add_argument(
                 "n",
-                type=int,
+                type=_integer,
                 help="the classical parameter n: sl_n, sp_2n, so_2n, so_2n+1"
                 " (for sl the Lie rank is n-1)",
             )

@@ -4,6 +4,9 @@ Positive definiteness of the diagram's quadratic form (whose Gram matrix has
 irrational off-diagonal entries -sqrt(n_ij)) is decided exactly: that matrix
 is congruent by a positive diagonal scaling to the rational symmetrization
 B_ij = A_ij <a_j, a_j>, whose leading minors are checked in exact arithmetic.
+
+A Serre relation is data, a bracket word equal to a multiple of one
+generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import AlgebraRealization, Check, CheckReport, InternalConsistencyError
-from .digraph import opposite_antimorphism
+from .catalog import Check, CheckReport
 from .exact import Scalar, as_fraction
 from .forms import CartanMatrix
 from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
@@ -305,37 +307,44 @@ def _render_edge_list(d: DynkinDiagram, comp: list[int]) -> str:
 
 @dataclass(frozen=True)
 class SerreRelation:
-    """One defining relation of the presentation, in evaluable form."""
+    """One defining relation: a bracket word equal to a multiple of a generator, or 0.
 
-    kind: str  # cartan-commute | pair-h | pair-zero | h-x | h-y | nilp-x | nilp-y
-    i: int
-    j: int | None = None
+    A generator is a letter "H", "X" or "Y" and a 0-based index.  ``word``
+    (g_1, ..., g_k) is the right-nested bracket [g_1,[g_2,[...,g_k]]].  The
+    relation states word = coefficient * target; it states word = 0 when
+    ``target`` is None, and word = target when ``coefficient`` is None.
+    """
+
+    word: tuple[tuple[str, int], ...]
+    target: tuple[str, int] | None = None
     coefficient: int | None = None
-    depth: int | None = None
 
     def describe(self) -> str:
-        i1 = self.i + 1
-        j1 = None if self.j is None else self.j + 1
-        if self.kind == "cartan-commute":
-            return f"[H{i1},H{j1}] = 0"
-        if self.kind == "pair-h":
-            return f"[X{i1},Y{i1}] = H{i1}"
-        if self.kind == "pair-zero":
-            return f"[X{i1},Y{j1}] = 0"
-        if self.kind == "h-x":
-            return f"[H{i1},X{j1}] = {self.coefficient} X{j1}"
-        if self.kind == "h-y":
-            return f"[H{i1},Y{j1}] = {-self.coefficient} Y{j1}"
-        letter = "X" if self.kind == "nilp-x" else "Y"
-        body = f"{letter}{j1}"
-        for _ in range(self.depth or 0):
-            body = f"[{letter}{i1},{body}]"
-        return f"{body} = 0"
+        name = lambda g: f"{g[0]}{g[1] + 1}"
+        body = name(self.word[-1])
+        for g in reversed(self.word[:-1]):
+            body = f"[{name(g)},{body}]"
+        if self.target is None:
+            return f"{body} = 0"
+        if self.coefficient is None:
+            return f"{body} = {name(self.target)}"
+        return f"{body} = {self.coefficient} {name(self.target)}"
+
+    def holds(self, generators: dict[str, Sequence[EdgeMatrix]]) -> bool:
+        """Evaluate the relation exactly on matrices for each letter."""
+        value_of = lambda g: generators[g[0]][g[1]]
+        value = value_of(self.word[-1])
+        for g in reversed(self.word[:-1]):
+            value = mat_bracket(value_of(g), value)
+        if self.target is None:
+            return value.is_zero()
+        target = value_of(self.target)
+        return value == (target if self.coefficient is None else target.scale(self.coefficient))
 
 
 @dataclass(frozen=True)
 class SerrePresentation:
-    """Generators H_i, X_i, Y_i and the full tagged relation list."""
+    """Generators H_i, X_i, Y_i and the full relation list."""
 
     cartan: CartanMatrix
     relations: tuple[SerreRelation, ...]
@@ -352,93 +361,42 @@ def serre_presentation(A: CartanMatrix) -> SerrePresentation:
     brackets of the outer generator around the inner one.
     """
     n = A.rank
-    relations: list[SerreRelation] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            relations.append(SerreRelation("cartan-commute", i, j))
-    for i in range(n):
-        relations.append(SerreRelation("pair-h", i))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                relations.append(SerreRelation("pair-zero", i, j))
-    for i in range(n):
-        for j in range(n):
-            relations.append(SerreRelation("h-x", i, j, coefficient=A[i, j]))
-    for i in range(n):
-        for j in range(n):
-            relations.append(SerreRelation("h-y", i, j, coefficient=A[i, j]))
-    for kind in ("nilp-x", "nilp-y"):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    relations.append(
-                        SerreRelation(kind, i, j, coefficient=A[i, j], depth=1 - A[i, j])
-                    )
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    relations = [
+        *(SerreRelation((("H", i), ("H", j))) for i, j in pairs if i < j),
+        *(SerreRelation((("X", i), ("Y", i)), ("H", i)) for i in range(n)),
+        *(SerreRelation((("X", i), ("Y", j))) for i, j in pairs if i != j),
+        *(SerreRelation((("H", i), ("X", j)), ("X", j), A[i, j]) for i, j in pairs),
+        *(SerreRelation((("H", i), ("Y", j)), ("Y", j), -A[i, j]) for i, j in pairs),
+        *(
+            SerreRelation(((letter, i),) * (1 - A[i, j]) + ((letter, j),))
+            for letter in "XY"
+            for i, j in pairs
+            if i != j
+        ),
+    ]
     return SerrePresentation(cartan=A, relations=tuple(relations))
 
 
-def verify_serre(
-    r: AlgebraRealization, rd: RootDatum, p: SerrePresentation
-) -> CheckReport:
+def verify_serre(rd: RootDatum, p: SerrePresentation) -> CheckReport:
     """Substitute the canonical triples into a presentation and check it.
 
     H_i is the i-th fundamental coroot, X_i the fundamental root vector, and
-    Y_i the image of X_i under the opposite-graph map rescaled so that
-    [X_i, Y_i] = H_i; the rescaling decouples the verdicts from the sign
-    convention of that map.
+    Y_i its stored partner, the opposite root vector scaled so that
+    [X_i, Y_i] = H_i.
     """
-    if p.rank != r.spec.lie_rank:
+    if p.rank != rd.spec.lie_rank:
         raise ValueError(
-            f"presentation rank {p.rank} does not match Lie rank {r.spec.lie_rank}"
+            f"presentation rank {p.rank} does not match Lie rank {rd.spec.lie_rank}"
         )
-    H = list(rd.fundamental_coroots)
-    X = [rd.root_vector(a) for a in rd.fundamental_roots]
-    Y = []
-    for h, x in zip(H, X):
-        image = opposite_antimorphism(x, r.spec.family)
-        bracket = mat_bracket(x, image)
-        scale = bracket.ratio(h)
-        if scale is None or not scale:
-            raise InternalConsistencyError(
-                "cannot scale the opposite root vector: [x, T(x)] is not a "
-                "nonzero multiple of the coroot"
-            )
-        Y.append(image.scale(1 / scale))
-
+    generators = {
+        "H": rd.fundamental_coroots,
+        "X": [rd.root_vector(a) for a in rd.fundamental_roots],
+        "Y": [rd.partners[a] for a in rd.fundamental_roots],
+    }
     return CheckReport(
         tuple(
-            Check.of(
-                "serre",
-                rel.describe(),
-                _relation_holds(rel, p.cartan, H, X, Y),
-                "exact matrix identity",
-            )
+            Check.of("serre", rel.describe(), rel.holds(generators), "exact matrix identity")
             for rel in p.relations
         )
     )
-
-
-def _relation_holds(
-    rel: SerreRelation,
-    A: CartanMatrix,
-    H: list[EdgeMatrix],
-    X: list[EdgeMatrix],
-    Y: list[EdgeMatrix],
-) -> bool:
-    i, j = rel.i, rel.j
-    if rel.kind == "cartan-commute":
-        return mat_bracket(H[i], H[j]).is_zero()
-    if rel.kind == "pair-h":
-        return mat_bracket(X[i], Y[i]) == H[i]
-    if rel.kind == "pair-zero":
-        return mat_bracket(X[i], Y[j]).is_zero()
-    if rel.kind == "h-x":
-        return mat_bracket(H[i], X[j]) == X[j].scale(A[i, j])
-    if rel.kind == "h-y":
-        return mat_bracket(H[i], Y[j]) == Y[j].scale(-A[i, j])
-    gens = X if rel.kind == "nilp-x" else Y
-    value = gens[j]
-    for _ in range(rel.depth or 0):
-        value = mat_bracket(gens[i], value)
-    return value.is_zero()

@@ -54,13 +54,14 @@ __all__ = [
 ]
 
 
-def _trace_of_product(ax: list[list[Fraction]], ay: list[list[Fraction]]) -> Fraction:
-    """tr(ax ay) of two square matrices given as dense rows."""
+def _trace_of_product(ax: list[dict[int, Fraction]], ay: list[dict[int, Fraction]]) -> Fraction:
+    """tr(ax ay) = sum of ax[i][k] ay[k][i] over the nonzeros of sparse columns {row: entry}."""
     total = Fraction(0)
-    for i, row in enumerate(ax):
-        for k, value in enumerate(row):
-            if value:
-                total += value * ay[k][i]
+    for k, column in enumerate(ax):
+        for i, value in column.items():
+            other = ay[i].get(k)
+            if other is not None:
+                total += value * other
     return total
 
 
@@ -70,7 +71,7 @@ def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Frac
         if not check_membership(m, r.spec):
             raise ValueError(f"matrix is not a member of {r.spec}")
     solver = span_solver(r)
-    return _trace_of_product(ad_matrix(r, x, solver), ad_matrix(r, y, solver))
+    return _trace_of_product(ad_matrix(x, solver), ad_matrix(y, solver))
 
 
 def cartan_killing_gram_ad(r: AlgebraRealization) -> list[list[Fraction]]:
@@ -80,7 +81,7 @@ def cartan_killing_gram_ad(r: AlgebraRealization) -> list[list[Fraction]]:
     nothing is read from the roots.
     """
     solver = span_solver(r)
-    ads = [ad_matrix(r, h, solver) for h in r.cartan_basis]
+    ads = [ad_matrix(h, solver) for h in r.cartan_basis]
     return [[_trace_of_product(ax, ay) for ay in ads] for ax in ads]
 
 

@@ -156,14 +156,6 @@ class EdgeMatrix:
     def is_zero(self) -> bool:
         return not self.edges
 
-    def ratio(self, other: "EdgeMatrix") -> Fraction | None:
-        """The t with self = t * other, or None when there is none (or other is 0)."""
-        if not other.edges:
-            return None
-        key = min(other.edges)
-        t = as_fraction(self.edges.get(key, 0)) / other.edges[key]
-        return t if self == other.scale(t) else None
-
     def _require_same_dim(self, other: "EdgeMatrix") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -251,17 +243,17 @@ class SpanSolver:
             if not self._echelon.add(mat.edges, {index: 1}):
                 raise ValueError(f"basis element {index} is linearly dependent")
 
-    def expand(self, mat: EdgeMatrix) -> list[Fraction]:
-        """Coefficients c with mat = sum c_k basis_k; raises if not in span."""
+    def expand(self, mat: EdgeMatrix) -> dict[int, Fraction]:
+        """The nonzero coefficients {k: c_k} with mat = sum c_k basis_k.
+
+        Raises ValueError if mat is not in the span.
+        """
         if mat.dim != self.dim:
             raise ValueError(f"dimension mismatch: {mat.dim} vs {self.dim}")
         combination: dict[int, Fraction] = {}
         if self._echelon.reduce(mat.edges, combination):
             raise ValueError("matrix does not lie in the span of the basis")
-        out = [Fraction(0)] * len(self.basis)
-        for index, value in combination.items():
-            out[index] = -value
-        return out
+        return {index: -value for index, value in combination.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""Root systems derived from the adjoint action of the Cartan subalgebra.
+"""Root systems read off the edges of the root vectors.
 
-Every non-Cartan basis vector of a canonical realization is a simultaneous
-eigenvector of ad(h); the engine asserts this (a failure means the basis is
-wrong) and reads off the root.  Coroots come from the normalized bracket of
-opposite root vectors, fundamental weights from the duality equations.
+The Cartan subalgebras are diagonal, so ad(h) scales each edge i -> j by
+its weight chi_i - chi_j (``AlgebraRealization.edge_weight``).  A non-Cartan
+basis vector is a simultaneous eigenvector of ad(h) exactly when all its
+edges carry one weight, and that weight is its root; the engine asserts
+this (a failure means the basis is wrong).  Each root a gets one sl2 triple
+(x_a, y_a, h_a), built once: h_a is the normalized bracket of opposite root
+vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
+Fundamental weights come from the duality equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -40,37 +44,20 @@ Inner = Callable[[Weight, Weight], Fraction]
 def weight_of(r: AlgebraRealization, m: EdgeMatrix) -> Weight:
     """The functional a with [h, m] = a(h) m for all Cartan h.
 
-    Raises InternalConsistencyError if m is not a simultaneous eigenvector.
+    For diagonal h, [h, E_ij] = (h_ii - h_jj) E_ij, so a is the common
+    weight of m's edges.  Raises InternalConsistencyError if the edges carry
+    more than one weight: m is then not a simultaneous eigenvector.
     """
     if m.is_zero():
         raise ValueError("zero matrix has no well-defined weight")
-    eigenvalues: list[Fraction] = []
-    for h in r.cartan_basis:
-        lam = mat_bracket(h, m).ratio(m)
-        if lam is None:
-            raise InternalConsistencyError(
-                "matrix is not a simultaneous eigenvector of the Cartan subalgebra"
-            )
-        eigenvalues.append(lam)
-    return _eigenvalues_to_coords(r.spec, eigenvalues)
-
-
-def _eigenvalues_to_coords(spec: AlgebraSpec, eigenvalues: Sequence[Fraction]) -> Weight:
-    """Convert eigenvalues on the Cartan basis to coordinates in a_1..a_n."""
-    if spec.family is not AlgebraFamily.SL:
-        return tuple(Fraction(v) for v in eigenvalues)
-    return tuple(_sum_zero_lift(spec.rank).solve([*eigenvalues, 0]))
-
-
-@lru_cache(maxsize=None)
-def _sum_zero_lift(n: int) -> LinearSolver:
-    """The sl system: the basis is h_k = E_kk - E_(k+1,k+1); pick the sum-zero lift.
-
-    One solver per n serves every root vector; ``solve`` leaves it unchanged.
-    """
-    rows = [[1 if i == k else -1 if i == k + 1 else 0 for i in range(n)] for k in range(n - 1)]
-    rows.append([1] * n)
-    return LinearSolver(rows)
+    if m.dim != r.spec.realization_dim:
+        raise ValueError(f"dimension mismatch: {r.spec.realization_dim} vs {m.dim}")
+    weights = {r.edge_weight(i, j) for i, j in m.edges}
+    if len(weights) != 1:
+        raise InternalConsistencyError(
+            "matrix is not a simultaneous eigenvector of the Cartan subalgebra"
+        )
+    return weights.pop()
 
 
 def is_positive(w: Weight) -> bool:
@@ -124,7 +111,11 @@ def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Roots, coroots, fundamental roots/coroots/weights of one realization."""
+    """Roots, sl2 triples, fundamental roots/coroots/weights of one realization.
+
+    The triple of a root a is (``root_vector(a)``, ``partners[a]``,
+    ``coroots[a]``): [x_a, y_a] = h_a and a(h_a) = 2.
+    """
 
     realization: AlgebraRealization
     roots: tuple[Weight, ...]
@@ -132,6 +123,7 @@ class RootDatum:
     positive_roots: tuple[Weight, ...]
     fundamental_roots: tuple[Weight, ...]
     coroots: dict[Weight, EdgeMatrix]
+    partners: dict[Weight, EdgeMatrix]
     fundamental_coroots: tuple[EdgeMatrix, ...]
     fundamental_weights: tuple[Weight, ...]
 
@@ -224,13 +216,18 @@ def _killing_metric(rd: RootDatum) -> KillingMetric:
 
 
 def cartan_decompose(r: AlgebraRealization) -> RootDatum:
-    """Read off the root system and derive coroots and fundamental weights."""
+    """Read off the root system and derive sl2 triples and fundamental weights."""
     spec = r.spec
     cartan_set = set(r.cartan_indices)
 
     root_vectors: dict[Weight, int] = {}
     for index, (label, mat) in enumerate(r.basis):
         if index in cartan_set:
+            # The edge rule of weight_of holds only for a diagonal Cartan.
+            try:
+                r.diag_coords(mat)
+            except ValueError as exc:
+                raise InternalConsistencyError(f"Cartan basis element {label}: {exc}") from exc
             continue
         root = weight_of(r, mat)
         if not any(root):
@@ -255,20 +252,19 @@ def cartan_decompose(r: AlgebraRealization) -> RootDatum:
     expand_in_fundamental(positive, fundamental)
 
     coroots: dict[Weight, EdgeMatrix] = {}
+    partners: dict[Weight, EdgeMatrix] = {}
     for root in roots:
         x_pos = r.basis[root_vectors[root]][1]
         x_neg = r.basis[root_vectors[negate(root)]][1]
         bracket = mat_bracket(x_pos, x_neg)
-        if bracket.is_zero():
-            raise InternalConsistencyError(
-                f"[x_a, x_-a] = 0 for a = {format_weight(root)}; realization degenerate"
-            )
+        # A zero bracket fails here too: a(0) = 0.
         value = dot(root, r.diag_coords(bracket))
         if not value:
             raise InternalConsistencyError(
                 f"a([x_a, x_-a]) = 0 for a = {format_weight(root)}"
             )
         coroots[root] = bracket.scale(Fraction(2) / value)
+        partners[root] = x_neg.scale(Fraction(2) / value)
 
     fundamental_coroots = tuple(coroots[a] for a in fundamental)
     weights = _solve_fundamental_weights(r, fundamental_coroots)
@@ -280,6 +276,7 @@ def cartan_decompose(r: AlgebraRealization) -> RootDatum:
         positive_roots=positive,
         fundamental_roots=fundamental,
         coroots=coroots,
+        partners=partners,
         fundamental_coroots=fundamental_coroots,
         fundamental_weights=weights,
     )
@@ -506,31 +503,18 @@ def verify_root_axioms(
 
 
 def verify_sl2_triple(rd: RootDatum, alpha: Weight) -> bool:
-    """Exact check of the normalized triple (x_a, y, h_a) for a root a.
+    """Exact check of the stored triple (x_a, y_a, h_a) for a root a.
 
-    The triple must satisfy [x_a, y] = h_a, [h_a, x_a] = 2 x_a,
-    [h_a, y] = -2 y, and a(h_a) = 2, with y the opposite root vector
-    rescaled so the first relation holds.
+    The triple must satisfy a(h_a) = 2, [x_a, y_a] = h_a, [h_a, x_a] = 2 x_a
+    and [h_a, y_a] = -2 y_a.
     """
     alpha = tuple(Fraction(c) for c in alpha)
-    if alpha not in rd.root_vectors:
-        raise ValueError(f"{format_weight(alpha)} is not a root of {rd.spec}")
-    r = rd.realization
     x = rd.root_vector(alpha)
-    x_neg = rd.root_vector(negate(alpha))
+    y = rd.partners[alpha]
     h = rd.coroot(alpha)
-
-    if dot(alpha, r.diag_coords(h)) != 2:
-        return False
-    bracket = mat_bracket(x, x_neg)
-    value = dot(alpha, r.diag_coords(bracket))
-    if not value:
-        return False
-    y = x_neg.scale(Fraction(2) / value)
-    if mat_bracket(x, y) != h:
-        return False
-    if mat_bracket(h, x) != x.scale(2):
-        return False
-    if mat_bracket(h, y) != y.scale(-2):
-        return False
-    return True
+    return (
+        dot(alpha, rd.realization.diag_coords(h)) == 2
+        and mat_bracket(x, y) == h
+        and mat_bracket(h, x) == x.scale(2)
+        and mat_bracket(h, y) == y.scale(-2)
+    )

@@ -80,7 +80,7 @@ def structure_constants(
                 raise InternalConsistencyError(
                     f"bracket of basis elements {i},{j} falls outside the span"
                 ) from exc
-            row.append(tuple(coeffs))
+            row.append(tuple(coeffs.get(k, Fraction(0)) for k in range(dim)))
         out.append(tuple(row))
     return tuple(out)
 

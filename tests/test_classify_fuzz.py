@@ -1,0 +1,106 @@
+"""classify on arbitrary JSON documents: an exit code of 0, 1 or 2, never an escape.
+
+Documents nest at random and mix every JSON type with rational strings and
+huge integers, including literals over Python's 4300-digit int-conversion
+limit (written into the text directly, since ``json.dumps`` cannot produce
+them).  Each run calls ``cli.main`` in-process: any exception fails the
+test.  Exactly one ``error:`` line goes to stderr exactly when the exit is 2.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from liealg import cli
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# A string leaf standing for an integer literal over the conversion limit.
+HUGE = "@huge-literal@"
+
+integers = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**40), 10**40),
+    st.integers(0, 4300).map(lambda k: 10**k - 1),
+    st.integers(0, 4300).map(lambda k: -(10**k) + 1),
+)
+rationals = st.builds(
+    "{}/{}".format, st.one_of(integers, st.integers(-9, 9)), st.one_of(st.integers(-9, 9), integers)
+)
+leaves = st.one_of(
+    integers,
+    integers.map(str),
+    rationals,
+    st.just(HUGE),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+)
+nested = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["vectors", "cartan", "x"]), inner, max_size=2),
+    max_leaves=12,
+)
+numbers = st.one_of(integers, integers.map(str), rationals)
+vectors = st.tuples(st.integers(1, 4), st.sampled_from([leaves, numbers])).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.one_of(shape[1], st.integers(-2, 2)), min_size=shape[0], max_size=shape[0]),
+        max_size=8,
+    )
+)
+# Vector sets closed under negation, so that some pass the axioms.
+symmetric = st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), max_size=4).map(
+    lambda half: half + [[-c for c in v] for v in half]
+)
+matrices = st.lists(st.lists(st.one_of(st.integers(-3, 2), leaves), max_size=4), max_size=4)
+documents = st.one_of(
+    st.fixed_dictionaries({"vectors": st.one_of(vectors, symmetric, nested)}),
+    st.fixed_dictionaries({"cartan": st.one_of(matrices, nested)}),
+    nested,
+)
+
+
+def run_classify(text: str) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["classify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(documents)
+def test_classify_ends_in_an_exit_code(document):
+    text = json.dumps(document).replace(json.dumps(HUGE), "9" * 4400)
+    code, out, err = run_classify(text)
+    assert code in (0, 1, 2)
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    if code == 2:
+        assert err == errors[0] + "\n" and len(errors) == 1
+        assert out == ""
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("key", ["vectors", "cartan"])
+def test_integer_literal_over_the_conversion_limit_is_a_usage_error(key):
+    code, out, err = run_classify('{"%s": [[%s, 0]]}' % (key, "9" * 4400))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "integer literal has over" in err
+
+
+def test_vector_over_the_digit_budget_is_a_usage_error():
+    big = "7" * 600
+    code, out, err = run_classify(json.dumps({"vectors": [[big, "1/" + big], ["1", "2"]]}))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"vector 1 has 1202 digits; at most {cli.MAX_VECTOR_DIGITS} are accepted\n")

@@ -129,6 +129,20 @@ class TestInfoContent:
         assert code == 2
         assert "--max-order: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["\uff13", "1_0", " 7", "7 ", "7\n", "0x7", "+", "", "9" * 5000])
+    @pytest.mark.parametrize("where", ["n", "--max-order"])
+    def test_integers_outside_the_grammar_are_usage_errors(self, text, where, capsys):
+        argv = ["info", "sl", "3", "--enumerate-weyl", "--max-order", "10"]
+        argv[2 if where == "n" else 5] = text
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert f"argument {where}: invalid int value: {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,cap", [("+3", "+6"), ("03", "006")])
+    def test_signed_and_zero_padded_integers_are_accepted(self, n, cap):
+        reference = run_cli(["info", "sl", "3", "--enumerate-weyl", "--max-order", "6"])
+        assert run_cli(["info", "sl", n, "--enumerate-weyl", "--max-order", cap]) == reference
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self):

@@ -249,7 +249,7 @@ class TestSerrePresentation:
     def test_verification_passes_with_pairing_matrix(self, family, n):
         rd = root_datum(family, n)
         p = serre_presentation(L.coroot_pairing_matrix(rd))
-        report = verify_serre(rd.realization, rd, p)
+        report = verify_serre(rd, p)
         assert report.all_passed, [c.name for c in report.failures()]
 
     def test_sp4_depth_three_nilpotency_is_sharp(self):
@@ -267,10 +267,10 @@ class TestSerrePresentation:
         rd = root_datum(AlgebraFamily.SL, 3)
         good = L.coroot_pairing_matrix(rd)
         flipped = CartanMatrix(((2, 0), (0, 2)))  # breaks the off-diagonal pairing
-        report = verify_serre(rd.realization, rd, serre_presentation(flipped))
+        report = verify_serre(rd, serre_presentation(flipped))
         assert not report.all_passed
 
     def test_rank_mismatch_rejected(self):
         rd = root_datum(AlgebraFamily.SL, 3)
         with pytest.raises(ValueError):
-            verify_serre(rd.realization, rd, serre_presentation(CartanMatrix(((2,),))))
+            verify_serre(rd, serre_presentation(CartanMatrix(((2,),))))

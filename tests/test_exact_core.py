@@ -144,7 +144,7 @@ class TestLinearKernel:
         basis = [E(2, 1, 1), E(2, 1, 2), E(2, 2, 2)]
         solver = SpanSolver(basis)
         target = E(2, 1, 1).scale(3) - E(2, 1, 2).scale(Fraction(1, 2))
-        assert solver.expand(target) == [Fraction(3), Fraction(-1, 2), Fraction(0)]
+        assert solver.expand(target) == {0: Fraction(3), 1: Fraction(-1, 2)}
         with pytest.raises(ValueError):
             solver.expand(E(2, 2, 1))
 

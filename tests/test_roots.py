@@ -1,5 +1,6 @@
 """Root systems, coroots, fundamental weights, and the root-system axioms."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from conftest import family_ranks, realization, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.matrices import dot
+from liealg.matrices import EdgeMatrix, dot
 from liealg.roots import (
     expand_in_fundamental,
     is_positive,
@@ -214,6 +215,14 @@ class TestSl2Triples:
 
 
 class TestWeightOf:
+    def test_decompose_rejects_a_non_diagonal_cartan(self):
+        # The edge rule reads roots correctly only when every Cartan element is diagonal.
+        r = realization(AlgebraFamily.SL, 3)
+        label, h = r.basis[0]
+        skewed = ((label, h + EdgeMatrix.unit(3, 1, 2)), *r.basis[1:])
+        with pytest.raises(L.InternalConsistencyError, match="Cartan basis element h1"):
+            L.cartan_decompose(replace(r, basis=skewed))
+
     def test_rejects_non_eigenvector(self):
         r = realization(AlgebraFamily.SL, 3)
         mixed = r.basis[1][1] + r.basis[2][1]  # two different root vectors
