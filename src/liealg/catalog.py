@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .digraph import opposite_antimorphism
+from .exact import format_rational
 from .families import AlgebraFamily, AlgebraSpec
-from .matrices import EdgeMatrix, SpanSolver, mat_bracket, sparse_rank
+from .matrices import EdgeMatrix, SpanSolver, mat_bracket
 
 Weight = tuple[Fraction, ...]
 
@@ -74,7 +76,7 @@ def format_weight(w: Sequence[Fraction]) -> str:
         elif c == -1:
             term = f"-a{i}"
         else:
-            term = f"{c}a{i}"
+            term = f"{format_rational(c)}a{i}"
         if parts and not term.startswith("-"):
             parts.append("+" + term)
         else:
@@ -101,6 +103,14 @@ class AlgebraRealization:
 
     def basis_matrices(self) -> tuple[EdgeMatrix, ...]:
         return tuple(mat for _, mat in self.basis)
+
+    @cached_property
+    def span(self) -> SpanSolver:
+        """The basis edges, eliminated once on first use.
+
+        ``build`` reads the rank from it and ``ad_matrix`` expands over it.
+        """
+        return SpanSolver(mat.edges for _, mat in self.basis)
 
     def diag_coords(self, h: EdgeMatrix) -> tuple[Fraction, ...]:
         """Coordinates x_1..x_n of a Cartan element; validates its shape.
@@ -217,7 +227,7 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
     for label, mat in realization.basis:
         if not check_membership(mat, spec):
             raise InternalConsistencyError(f"{spec}: basis element {label} not a member")
-    rank = sparse_rank(mat.edges for _, mat in realization.basis)
+    rank = len(realization.span.independent)
     if rank != spec.dimension:
         raise InternalConsistencyError(
             f"{spec}: basis has rank {rank}, expected {spec.dimension}"
@@ -239,19 +249,16 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     return (x.transpose() @ S + S @ x).is_zero()
 
 
-def span_solver(r: AlgebraRealization) -> SpanSolver:
-    return SpanSolver(r.basis_matrices())
+def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> list[dict[int, Fraction]]:
+    """ad(x) = [x, .] over the basis of r, as sparse columns {row: entry}.
 
-
-def ad_matrix(x: EdgeMatrix, solver: SpanSolver) -> list[dict[int, Fraction]]:
-    """ad(x) = [x, .] over the solver's basis, as sparse columns {row: entry}.
-
-    Column k holds the nonzero coefficients of [x, b_k] over the basis.
+    Column k holds the nonzero coefficients of [x, b_k] over the basis,
+    expanded over ``r.span``.
     """
     columns = []
-    for b in solver.basis:
+    for _, b in r.basis:
         try:
-            columns.append(solver.expand(mat_bracket(x, b)))
+            columns.append(r.span.expand(mat_bracket(x, b).edges))
         except ValueError as exc:
             raise InternalConsistencyError(
                 "adjoint image falls outside the span of the basis"

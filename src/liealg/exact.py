@@ -13,9 +13,6 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 
@@ -43,5 +40,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Scalar) -> str:
-    """Render an exact rational as "p/q", or "p" when the denominator is 1."""
-    return str(as_fraction(x))
+    """Render an exact rational as "p/q", or "p" when the denominator is 1.
+
+    A numerator or denominator over Python's integer-string limit, which
+    ``str`` refuses, is rendered by its length instead, as "<N digits>".
+    """
+    f = as_fraction(x)
+    parts = (f.numerator,) if f.denominator == 1 else (f.numerator, f.denominator)
+    return "/".join(map(_integer_text, parts))
+
+
+def _integer_text(k: int) -> str:
+    try:
+        return str(k)
+    except ValueError:
+        # 2**(b-1) <= |k| < 2**b: the length is this floor plus 1 or 2.
+        digits = (abs(k).bit_length() - 1) * 30102999566 // 10**11 + 1
+        digits += abs(k) >= 10**digits
+        return f"{'-' * (k < 0)}<{digits} digits>"

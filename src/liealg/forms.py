@@ -33,7 +33,6 @@ from .catalog import (
     Weight,
     ad_matrix,
     check_membership,
-    span_solver,
 )
 from .families import AlgebraFamily
 from .matrices import EdgeMatrix, dot
@@ -70,18 +69,16 @@ def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Frac
     for m in (x, y):
         if not check_membership(m, r.spec):
             raise ValueError(f"matrix is not a member of {r.spec}")
-    solver = span_solver(r)
-    return _trace_of_product(ad_matrix(x, solver), ad_matrix(y, solver))
+    return _trace_of_product(ad_matrix(r, x), ad_matrix(r, y))
 
 
 def cartan_killing_gram_ad(r: AlgebraRealization) -> list[list[Fraction]]:
     """``killing_form_ad`` on every pair of Cartan basis elements.
 
-    One span solver and one ad(h) per basis element serve all the pairs;
-    nothing is read from the roots.
+    One ad(h) per basis element, over the realization's one basis
+    elimination, serves all the pairs; nothing is read from the roots.
     """
-    solver = span_solver(r)
-    ads = [ad_matrix(h, solver) for h in r.cartan_basis]
+    ads = [ad_matrix(r, h) for h in r.cartan_basis]
     return [[_trace_of_product(ax, ay) for ay in ads] for ax in ads]
 
 

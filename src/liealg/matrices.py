@@ -5,10 +5,12 @@ only its nonzero entries, as a map from (row, column) edges to exact
 rationals (int or Fraction); it is immutable, and all operations are pure
 and cost time in proportion to the nonzeros they touch.
 
-Every linear computation (rank, span expansion, solve, determinant, the
-independence step of the root-axiom verifier) runs through one sparse
-echelon kernel with no pivot tolerance: a pivot is zero exactly or not at
-all.
+Every linear computation runs through one sparse echelon kernel with no
+pivot tolerance: a pivot is zero exactly or not at all.  ``SpanSolver`` is
+its one expansion front-end, for the rank and the ad coordinates of an
+algebra's basis, ``solve_linear``, the fundamental-root expansions and
+weights, and the independent roots of the root-axiom verifier;
+``determinant`` and ``is_positive_definite`` read the pivots directly.
 """
 
 from __future__ import annotations
@@ -214,93 +216,58 @@ class _Echelon:
         return residual
 
 
-def _sparse_vector(values: Iterable[Scalar]) -> dict[int, Fraction]:
+def sparse_vector(values: Iterable[Scalar]) -> dict[int, Fraction]:
+    """The nonzero entries {index: value} of a dense vector."""
     return {i: f for i, x in enumerate(values) if (f := as_fraction(x))}
 
 
-def sparse_rank(rows: Iterable[Mapping]) -> int:
-    """Rank of a family of sparse vectors (any hashable, orderable keys)."""
-    echelon = _Echelon()
-    return sum(1 for row in rows if echelon.add(row))
-
-
 class SpanSolver:
-    """Expand matrices exactly in the span of a fixed matrix family.
+    """Exact expansion over an ordered family of sparse vectors.
 
-    The family is reduced into echelon form once; each expansion then costs
-    one reduction and returns the exact coefficient vector.
+    A vector is a mapping from orderable keys (matrix edges, coordinate
+    indices) to exact rationals.  The family is eliminated once, in order:
+    ``independent`` holds the indices of the members that are not
+    combinations of earlier ones.  Each expansion then costs one reduction.
     """
 
-    def __init__(self, basis: Sequence[EdgeMatrix]):
-        if not basis:
-            raise ValueError("empty basis")
-        self.basis = list(basis)
-        self.dim = basis[0].dim
+    def __init__(self, family: Iterable[Mapping]):
         self._echelon = _Echelon()
-        for index, mat in enumerate(basis):
-            if mat.dim != self.dim:
-                raise ValueError("basis matrices must share one dimension")
-            if not self._echelon.add(mat.edges, {index: 1}):
-                raise ValueError(f"basis element {index} is linearly dependent")
-
-    def expand(self, mat: EdgeMatrix) -> dict[int, Fraction]:
-        """The nonzero coefficients {k: c_k} with mat = sum c_k basis_k.
-
-        Raises ValueError if mat is not in the span.
-        """
-        if mat.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {mat.dim} vs {self.dim}")
-        combination: dict[int, Fraction] = {}
-        if self._echelon.reduce(mat.edges, combination):
-            raise ValueError("matrix does not lie in the span of the basis")
-        return {index: -value for index, value in combination.items()}
-
-
-# ---------------------------------------------------------------------------
-# Dense entry points for small systems (simple roots, weights, Gram matrices).
-# ---------------------------------------------------------------------------
-
-
-class LinearSolver:
-    """One fixed exact linear system, eliminated once, solved for many right-hand sides.
-
-    A solution of ``matrix`` x = rhs is the expansion of rhs over the columns
-    of ``matrix``; the columns are reduced into echelon form once, and each
-    solve then costs one reduction of the right-hand side.
-    """
-
-    def __init__(self, matrix: Sequence[Sequence[Scalar]]):
-        self.nrows = len(matrix)
-        if self.nrows == 0 or any(len(row) != len(matrix[0]) for row in matrix):
-            raise ValueError("malformed linear system")
-        self.ncols = len(matrix[0])
-        self._echelon = _Echelon()
-        self.rank = sum(
-            1
-            for j in range(self.ncols)
-            if self._echelon.add(_sparse_vector(row[j] for row in matrix), {j: 1})
+        self.independent = tuple(
+            k for k, v in enumerate(family) if self._echelon.add(v, {k: 1})
         )
 
-    def solve(self, rhs: Sequence[Scalar]) -> list[Fraction]:
-        """The unique solution; raises on no solution or an ambiguous one."""
-        if len(rhs) != self.nrows:
-            raise ValueError("malformed linear system")
+    def expand(self, v: Mapping) -> dict[int, Fraction]:
+        """The nonzero coefficients {k: c_k}, k in ``independent``, with
+        v = sum c_k family_k.
+
+        Raises ValueError if v is not in the span.
+        """
         combination: dict[int, Fraction] = {}
-        if self._echelon.reduce(_sparse_vector(rhs), combination):
-            raise ValueError("inconsistent linear system")
-        if self.rank < self.ncols:
-            raise ValueError("underdetermined linear system")
-        solution = [Fraction(0)] * self.ncols
-        for j, value in combination.items():
-            solution[j] = -value
-        return solution
+        if self._echelon.reduce(v, combination):
+            raise ValueError("vector does not lie in the span of the family")
+        # The residual 0 = v + sum c_k family_k.
+        return {k: -c for k, c in combination.items()}
 
 
 def solve_linear(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction]:
-    """Solve a consistent linear system exactly; raises on no/ambiguous solution."""
-    return LinearSolver(matrix).solve(rhs)
+    """The unique exact x with ``matrix`` x = rhs: rhs expanded over the columns.
+
+    Raises ValueError on a malformed, inconsistent or underdetermined system,
+    checked in that order.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    if not matrix or len(rhs) != len(matrix) or any(len(row) != ncols for row in matrix):
+        raise ValueError("malformed linear system")
+    columns = SpanSolver(sparse_vector(column) for column in zip(*matrix))
+    try:
+        solution = columns.expand(sparse_vector(rhs))
+    except ValueError:
+        raise ValueError("inconsistent linear system") from None
+    if len(columns.independent) < ncols:
+        raise ValueError("underdetermined linear system")
+    return [solution.get(j, Fraction(0)) for j in range(ncols)]
 
 
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
@@ -316,7 +283,7 @@ def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     det = Fraction(1)
     columns: list[int] = []
     for row in matrix:
-        residual = echelon.add(_sparse_vector(row))
+        residual = echelon.add(sparse_vector(row))
         if not residual:
             return Fraction(0)
         columns.append(min(residual))
@@ -326,11 +293,18 @@ def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
 
 
 def is_positive_definite(matrix: Sequence[Sequence[Scalar]]) -> bool:
-    """Sylvester test: all leading principal minors strictly positive."""
+    """Sylvester test, all leading principal minors D_k > 0, in one elimination.
+
+    The rows are added in order.  Row k, reduced by the rows before it, must
+    keep its pivot in column k, and that pivot is D_k / D_(k-1).
+    """
     n = len(matrix)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in matrix[:k]]
-        if determinant(minor) <= 0:
+    if any(len(row) != n for row in matrix):
+        raise ValueError("positive definiteness requires a square matrix")
+    echelon = _Echelon()
+    for k, row in enumerate(matrix):
+        residual = echelon.add(sparse_vector(row))
+        if not residual or min(residual) != k or residual[k] <= 0:
             return False
     return True
 

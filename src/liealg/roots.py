@@ -7,7 +7,9 @@ edges carry one weight, and that weight is its root; the engine asserts
 this (a failure means the basis is wrong).  Each root a gets one sl2 triple
 (x_a, y_a, h_a), built once: h_a is the normalized bracket of opposite root
 vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
-Fundamental weights come from the duality equations.
+Fundamental weights come from the duality equations.  Every expansion here
+(over the fundamental roots, the duality equations' columns, or the axiom
+verifier's independent roots) is one ``matrices.SpanSolver``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from .catalog import (
     Weight,
     format_weight,
 )
-from .exact import as_fraction
+from .exact import as_fraction, format_rational
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import (
     EdgeMatrix,
-    LinearSolver,
-    _Echelon,
+    SpanSolver,
     dot,
     is_positive_definite,
     mat_bracket,
+    sparse_vector,
 )
 
 Inner = Callable[[Weight, Weight], Fraction]
@@ -291,15 +293,17 @@ def expand_in_fundamental(
     integers, all nonnegative or all nonpositive; anything else is an
     internal inconsistency.
     """
-    solver = LinearSolver(list(zip(*fundamental)))
+    solver = SpanSolver(map(sparse_vector, fundamental))
+    if len(solver.independent) < len(fundamental):
+        raise InternalConsistencyError("the fundamental roots are linearly dependent")
     expansions = []
     for root in roots:
-        coeffs = solver.solve(root)
-        if any(c.denominator != 1 for c in coeffs):
+        coeffs = solver.expand(sparse_vector(root))
+        if any(c.denominator != 1 for c in coeffs.values()):
             raise InternalConsistencyError(
                 f"root {format_weight(root)} is not an integer combination of the fundamental roots"
             )
-        ints = tuple(int(c) for c in coeffs)
+        ints = tuple(int(coeffs.get(k, 0)) for k in range(len(fundamental)))
         if not (all(c >= 0 for c in ints) or all(c <= 0 for c in ints)):
             raise InternalConsistencyError(
                 f"root {format_weight(root)} mixes signs over the fundamental roots"
@@ -311,18 +315,19 @@ def expand_in_fundamental(
 def _solve_fundamental_weights(
     r: AlgebraRealization, fundamental_coroots: Sequence[EdgeMatrix]
 ) -> tuple[Weight, ...]:
-    """Solve w_i(h_j) = delta_ij for the dual basis of the coroots."""
-    spec = r.spec
-    n = spec.rank
-    coroot_coords = [r.diag_coords(h) for h in fundamental_coroots]
-    rows = [list(c) for c in coroot_coords]
-    if spec.family is AlgebraFamily.SL:
-        rows = rows + [[Fraction(1)] * n]
-    solver = LinearSolver(rows)
-    return tuple(
-        tuple(solver.solve([1 if j == i else 0 for j in range(len(rows))]))
-        for i in range(len(fundamental_coroots))
-    )
+    """Solve w_i(h_j) = delta_ij for the dual basis of the coroots.
+
+    w_i is e_i expanded over the columns of the square system whose rows are
+    the coroot coordinates, and for sl the all-ones row (w_i sums to zero).
+    Dependent columns leave some e_i outside their span: expand raises.
+    """
+    n = r.spec.rank
+    rows = [r.diag_coords(h) for h in fundamental_coroots]
+    if r.spec.family is AlgebraFamily.SL:
+        rows.append((Fraction(1),) * n)
+    columns = SpanSolver(map(sparse_vector, zip(*rows)))
+    expansions = [columns.expand({i: 1}) for i in range(len(fundamental_coroots))]
+    return tuple(tuple(w.get(k, Fraction(0)) for k in range(n)) for w in expansions)
 
 
 def root_count(spec: AlgebraSpec) -> int:
@@ -345,26 +350,17 @@ def _integer_coordinates(
     them integers.  The map is one-to-one, since it is linear and injective
     on the span.
     """
-    echelon = _Echelon()
-    independent: list[int] = []
-    expansions: list[dict[int, Fraction]] = []
-    for k, w in enumerate(ordered):
-        combination = {k: 1}
-        if echelon.add({i: c for i, c in enumerate(w) if c}, combination):
-            independent.append(k)
-            expansions.append({k: 1})
-        else:
-            # The residual 0 = w + sum of c_j w_j, over independent w_j only.
-            expansions.append({j: -c for j, c in combination.items() if j != k})
-    column = {k: i for i, k in enumerate(independent)}
-    scale = lcm(*(as_fraction(c).denominator for e in expansions for c in e.values()))
+    span = SpanSolver(map(sparse_vector, ordered))
+    column = {k: i for i, k in enumerate(span.independent)}
+    expansions = [span.expand(sparse_vector(w)) for w in ordered]
+    scale = lcm(*(c.denominator for e in expansions for c in e.values()))
     coords = {}
     for w, expansion in zip(ordered, expansions):
-        x = [0] * len(independent)
-        for j, c in expansion.items():
-            x[column[j]] = int(c * scale)
+        x = [0] * len(column)
+        for k, c in expansion.items():
+            x[column[k]] = int(c * scale)
         coords[w] = tuple(x)
-    return [ordered[k] for k in independent], coords
+    return [ordered[k] for k in span.independent], coords
 
 
 def _direction(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -443,7 +439,9 @@ def verify_root_axioms(
         if parallel:
             b = next(w for w in root_set if w in parallel)
             i = next(i for i, c in enumerate(a) if c)
-            bad_multiple = f"{format_weight(b)} = {b[i] / a[i]} * ({format_weight(a)})"
+            bad_multiple = (
+                f"{format_weight(b)} = {format_rational(b[i] / a[i])} * ({format_weight(a)})"
+            )
             break
     checks.append(
         Check.of(
@@ -475,7 +473,9 @@ def verify_root_axioms(
             if remainder:
                 n = Fraction(pairing, norm)
                 if bad_integral is None:
-                    bad_integral = f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {n}"
+                    bad_integral = (
+                        f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {format_rational(n)}"
+                    )
             if bad_reflection is None:
                 image = tuple(y - n * x for x, y in zip(xa, xb))
                 if image not in coordinate_set:

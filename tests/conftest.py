@@ -12,7 +12,7 @@ from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.catalog import InternalConsistencyError, span_solver
+from liealg.catalog import InternalConsistencyError
 from liealg.exact import as_fraction
 from liealg.matrices import mat_bracket
 
@@ -64,7 +64,7 @@ def structure_constants(
 ) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k, solved exactly."""
     mats = r.basis_matrices()
-    solver = span_solver(r)
+    solver = r.span
     dim = len(mats)
     out = []
     for i in range(dim):
@@ -75,7 +75,7 @@ def structure_constants(
                 continue
             bracket = mat_bracket(mats[i], mats[j])
             try:
-                coeffs = solver.expand(bracket)
+                coeffs = solver.expand(bracket.edges)
             except ValueError as exc:
                 raise InternalConsistencyError(
                     f"bracket of basis elements {i},{j} falls outside the span"

@@ -8,7 +8,7 @@ from conftest import family_ranks, realization, structure_constants
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.matrices import EdgeMatrix, mat_bracket, sparse_rank
+from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket
 
 
 EXPECTED_DIMENSION = {
@@ -41,7 +41,7 @@ class TestBuild:
         r = realization(family, n)
         expected = EXPECTED_DIMENSION[family](n)
         assert r.dimension == expected
-        assert sparse_rank(m.edges for _, m in r.basis) == expected
+        assert len(SpanSolver(m.edges for _, m in r.basis).independent) == expected
 
     def test_sl2_shape(self):
         r = realization(AlgebraFamily.SL, 2)

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import root_datum, run_cli, src_env
 
-from liealg import AlgebraFamily, cli, forms, weyl
+from liealg import AlgebraFamily, AlgebraSpec, cli, forms, weyl
+from liealg.matrices import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -195,6 +196,21 @@ class TestVerifyCommand:
     def test_invalid_rank_is_usage_error(self):
         code, _ = run_cli(["info", "sl", "1"])
         assert code == 2
+
+    def test_all_suites_eliminate_the_basis_once(self, monkeypatch):
+        sizes = []
+        init = SpanSolver.__init__
+
+        def counted(self, family):
+            init(self, family)
+            sizes.append(len(self.independent))
+
+        monkeypatch.setattr(SpanSolver, "__init__", counted)
+        code, _ = run_cli(["verify", "sp", "4", "all"])
+        assert code == 0
+        # Every other elimination is over at most Lie-rank vectors.
+        spec = AlgebraSpec(AlgebraFamily.SP, 4)
+        assert [size for size in sizes if size > spec.lie_rank] == [spec.dimension]
 
     def test_json_payload_shape(self):
         code, out = run_cli(["verify", "sp", "2", "killing", "--format", "json"])

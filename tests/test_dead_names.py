@@ -1,0 +1,66 @@
+"""Every public module-level name in the package has a reader.
+
+A name bound at module level in ``src/liealg/*.py`` (a function, a class or
+an assignment) without a leading underscore must be read somewhere outside
+its own definition, in ``src/``, ``tests/``, ``demos/`` or ``bench/``, or
+be exported in ``liealg.__all__``.  A read is a NAME token, so a mention in
+a comment or a docstring does not count.
+"""
+
+import ast
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+import liealg
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liealg"
+SEARCHED = ("src", "tests", "demos", "bench")
+
+
+def definitions(path: Path):
+    """(name, first line, last line) of each public module-level binding."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def name_tokens() -> dict[str, set[tuple[Path, int]]]:
+    """Where each NAME token occurs: {name: {(file, line)}} over the searched trees."""
+    where = defaultdict(set)
+    for tree in SEARCHED:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            with path.open("rb") as f:
+                for token in tokenize.tokenize(f.readline):
+                    if token.type == tokenize.NAME:
+                        where[token.string].add((path, token.start[0]))
+    return where
+
+
+NAME_TOKENS = name_tokens()
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_public_name_is_read(module):
+    path = PACKAGE / module
+    unread = []
+    for name, first, last in definitions(path):
+        reads = {
+            (file, line)
+            for file, line in NAME_TOKENS.get(name, ())
+            if not (file == path and first <= line <= last)
+        }
+        if not reads and name not in liealg.__all__:
+            unread.append(name)
+    assert not unread, f"{module}: public names with no reader: {unread}"

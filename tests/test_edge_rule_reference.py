@@ -3,7 +3,9 @@
 ``weight_of`` (with its sl lift), ``SerreRelation``, ``serre_presentation``,
 ``verify_serre`` and ``_relation_holds`` are the package's previous
 implementations, kept verbatim as oracles, except that ``EdgeMatrix.ratio``,
-which no library code needs any more, is the module function ``ratio`` here.
+which no library code needs any more, is the module function ``ratio`` here,
+and that the sl lift expands over a ``SpanSolver`` instead of the deleted
+``LinearSolver``.
 The edge-rule ``roots.weight_of`` and the bracket-word Serre code must agree
 with them: the same weights, the same errors, the same relation texts and
 the same verdicts.
@@ -34,7 +36,7 @@ from liealg.catalog import (
 from liealg.digraph import opposite_antimorphism
 from liealg.exact import as_fraction
 from liealg.forms import CartanMatrix
-from liealg.matrices import EdgeMatrix, LinearSolver, mat_bracket
+from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket, sparse_vector
 from liealg.roots import RootDatum
 
 # ---------------------------------------------------------------------------
@@ -73,18 +75,20 @@ def _eigenvalues_to_coords(spec: AlgebraSpec, eigenvalues: Sequence[Fraction]) -
     """Convert eigenvalues on the Cartan basis to coordinates in a_1..a_n."""
     if spec.family is not AlgebraFamily.SL:
         return tuple(Fraction(v) for v in eigenvalues)
-    return tuple(_sum_zero_lift(spec.rank).solve([*eigenvalues, 0]))
+    lift = _sum_zero_lift(spec.rank).expand(sparse_vector([*eigenvalues, 0]))
+    return tuple(lift.get(k, Fraction(0)) for k in range(spec.rank))
 
 
 @lru_cache(maxsize=None)
-def _sum_zero_lift(n: int) -> LinearSolver:
+def _sum_zero_lift(n: int) -> SpanSolver:
     """The sl system: the basis is h_k = E_kk - E_(k+1,k+1); pick the sum-zero lift.
 
-    One solver per n serves every root vector; ``solve`` leaves it unchanged.
+    The solution is the right-hand side expanded over the system's columns.
+    One solver per n serves every root vector; ``expand`` leaves it unchanged.
     """
     rows = [[1 if i == k else -1 if i == k + 1 else 0 for i in range(n)] for k in range(n - 1)]
     rows.append([1] * n)
-    return LinearSolver(rows)
+    return SpanSolver(map(sparse_vector, zip(*rows)))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ import pytest
 from conftest import family_ranks, realization, reflect, root_datum
 
 import liealg as L
-from liealg import AlgebraFamily, forms
+from liealg import AlgebraFamily, AlgebraSpec, forms
 from liealg.forms import CartanMatrix, cartan_entries
-from liealg.matrices import dot, mat_bracket
+from liealg.matrices import SpanSolver, dot, mat_bracket
 
 
 SIGMA = {
@@ -65,11 +65,14 @@ class TestKillingForm:
 
     @pytest.mark.parametrize("family,n", family_ranks(3))
     def test_cartan_gram_ad_is_pairwise_route_with_one_solver(self, family, n, monkeypatch):
-        r = realization(family, n)
         builds = []
-        build = forms.span_solver
-        monkeypatch.setattr(forms, "span_solver", lambda r: builds.append(r) or build(r))
+        init = SpanSolver.__init__
+        monkeypatch.setattr(
+            SpanSolver, "__init__", lambda self, family: builds.append(1) or init(self, family)
+        )
+        r = L.build(AlgebraSpec(family, n))
         gram = forms.cartan_killing_gram_ad(r)
+        # The one elimination of the basis is the rank check in build.
         assert len(builds) == 1
         cartan = r.cartan_basis
         assert gram == [[L.killing_form_ad(r, x, y) for y in cartan] for x in cartan]

@@ -2,7 +2,10 @@
 
 Matrices are sparse rationals, some singular by construction (a product of
 thinner factors) and some permuted triangular, so pivots turn up in every
-column order and the determinant's sign rule is exercised.  The polynomial
+column order and the determinant's sign rule is exercised.  The span solver
+gets sparse families with dependent members, keyed by edges, and vectors
+inside and outside their span; the positive-definiteness test gets symmetric
+matrices, positive definite, semidefinite and indefinite.  The polynomial
 determinant gets matrices of sparse polynomials, some with a row that is a
 polynomial multiple of another.
 """
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from liealg.matrices import determinant, solve_linear, sparse_rank
+from liealg.matrices import SpanSolver, determinant, is_positive_definite, solve_linear
 from liealg.polynomials import MultiPoly, poly_det
 
 sympy = pytest.importorskip("sympy")
@@ -101,7 +104,97 @@ def test_determinant_matches_sympy():
 def test_rank_matches_sympy():
     for rows, _ in rectangular_cases():
         sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        assert sparse_rank(sparse_rows) == to_sympy(rows).rank(), rows
+        assert len(SpanSolver(sparse_rows).independent) == to_sympy(rows).rank(), rows
+
+
+def span_cases():
+    """Families of sparse vectors keyed by edges (i, j), with dependent members."""
+    rng = random.Random(20261019)
+    cases = []
+    for trial in range(60):
+        size, width = rng.randint(1, 7), rng.randint(1, 3)
+        keys = [(i, j) for i in range(width) for j in range(width)]
+        if trial % 2:
+            rows = random_matrix(rng, size, len(keys), rank=rng.randint(0, min(size, len(keys))))
+        else:
+            rows = random_matrix(rng, size, len(keys))
+            for k in range(1, size):
+                if rng.random() < 0.4:
+                    a, b = rational(rng), rational(rng)
+                    rows[k] = [a * x + b * y for x, y in zip(rows[rng.randrange(k)], rows[k - 1])]
+        targets = [[rational(rng) for _ in keys] for _ in range(3)]
+        for _ in range(3):
+            weights = [rational(rng) for _ in rows]
+            targets.append(
+                [sum((w * row[c] for w, row in zip(weights, rows)), Fraction(0))
+                 for c in range(len(keys))]
+            )
+        cases.append((keys, rows, targets))
+    return cases
+
+
+def test_span_solver_matches_sympy():
+    outcomes = set()
+    for keys, rows, targets in span_cases():
+        family = [{key: x for key, x in zip(keys, row) if x} for row in rows]
+        solver = SpanSolver(family)
+        ranks = [to_sympy(rows[:k]).rank() if k else 0 for k in range(len(rows) + 1)]
+        rank = ranks[-1]
+        assert len(solver.independent) == rank, rows
+        # Greedy in order: member k is kept exactly when it raises the rank.
+        assert solver.independent == tuple(k for k in range(len(rows)) if ranks[k + 1] > ranks[k])
+        for target in targets:
+            v = {key: x for key, x in zip(keys, target) if x}
+            inside = to_sympy(rows + [target]).rank() == rank
+            if not inside:
+                outcomes.add("outside")
+                with pytest.raises(ValueError):
+                    solver.expand(v)
+                continue
+            outcomes.add("inside")
+            coefficients = solver.expand(v)
+            assert set(coefficients) <= set(solver.independent)
+            assert all(coefficients.values())
+            rebuilt = {key: sum((c * family[k].get(key, 0) for k, c in coefficients.items()),
+                                Fraction(0)) for key in keys}
+            assert {key: x for key, x in rebuilt.items() if x} == v, (rows, target)
+        for k in solver.independent:
+            assert solver.expand(family[k]) == {k: 1}
+    assert outcomes == {"inside", "outside"}
+
+
+def symmetric_cases():
+    """Symmetric rational matrices: random, Gram (semidefinite), and shifted Gram."""
+    rng = random.Random(20261020)
+    cases = []
+    for trial in range(150):
+        n = rng.randint(1, 6)
+        kind = trial % 3
+        if kind == 0:
+            upper = random_matrix(rng, n, n)
+            rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        else:
+            factor = random_matrix(rng, rng.randint(1, n + 1), n)
+            rows = [
+                [sum((row[i] * row[j] for row in factor), Fraction(0)) for j in range(n)]
+                for i in range(n)
+            ]
+            if kind == 2:
+                shift = Fraction(rng.randint(-2, 3), rng.randint(1, 3))
+                rows = [[x + shift * (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(rows)]
+        cases.append(rows)
+    return cases
+
+
+def test_is_positive_definite_matches_sympy_leading_minors():
+    outcomes = set()
+    for rows in symmetric_cases():
+        matrix = to_sympy(rows)
+        expected = all(matrix[:k, :k].det() > 0 for k in range(1, len(rows) + 1))
+        assert is_positive_definite(rows) == expected, rows
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_solve_linear_matches_sympy():

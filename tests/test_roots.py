@@ -193,6 +193,18 @@ class TestAxioms:
         failed = {c.name for c in report.failures()}
         assert "euclidean" in failed
 
+    def test_numbers_over_the_str_limit_are_reported_by_length(self):
+        # 2<b,a>/<b,b> = 2/(N**2 + 1) has a 6000-digit denominator, over
+        # Python's 4300-digit str(int) limit; the report must still be built.
+        big = 10**3000 + 7
+        a = (Fraction(1, big), Fraction(0))
+        b = (Fraction(big), Fraction(1))
+        report = verify_root_axioms([a, negate(a), b, negate(b)], dot)
+        checks = {c.name: c for c in report.results}
+        assert checks["integrality"].status == "fail"
+        assert checks["integrality"].detail.endswith(">/<a,a> = 1/<6000 digits>")
+        assert checks["reflection"].status == "fail"
+
 
 class TestSl2Triples:
     def test_sl2_with_pictured_coroot(self):
