@@ -101,9 +101,6 @@ class AlgebraRealization:
     def cartan_basis(self) -> tuple[EdgeMatrix, ...]:
         return tuple(self.basis[i][1] for i in self.cartan_indices)
 
-    def basis_matrices(self) -> tuple[EdgeMatrix, ...]:
-        return tuple(mat for _, mat in self.basis)
-
     @cached_property
     def span(self) -> SpanSolver:
         """The basis edges, eliminated once on first use.

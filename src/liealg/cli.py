@@ -428,7 +428,7 @@ def cmd_classify(args) -> int:
     payload["classification"] = classification
     payload["diagram"] = dynkin.ascii_diagram(diagram)
     lines.append(f"classification: {classification}")
-    lines.extend(dynkin.ascii_diagram(diagram).splitlines())
+    lines.extend(payload["diagram"].splitlines())
     _emit(args, payload, lines)
     return 0 if dynkin.NOT_SIMPLE not in names else 1
 

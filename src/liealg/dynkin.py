@@ -1,5 +1,11 @@
 """Dynkin diagrams, their classification, and Serre presentations.
 
+Each connected component is walked once, into a layout: a main chain in
+drawing order plus at most one vertex hung under a fork.  Classification
+reads the type off that layout and the text rendering draws it, so the two
+always agree on a component's shape; a component with no layout is
+NotSimple and is drawn as its edge list.
+
 Positive definiteness of the diagram's quadratic form (whose Gram matrix has
 irrational off-diagonal entries -sqrt(n_ij)) is decided exactly: that matrix
 is congruent by a positive diagonal scaling to the rational symmetrization
@@ -149,70 +155,6 @@ def classify(d: DynkinDiagram) -> tuple[str, ...]:
     return tuple(_classify_component(d, comp) for comp in d.components())
 
 
-def _classify_component(d: DynkinDiagram, comp: list[int]) -> str:
-    m = len(comp)
-    if m == 1:
-        return "A1"
-    edges = [
-        (u, v)
-        for k, u in enumerate(comp)
-        for v in comp[k + 1 :]
-        if d.multiplicity(u, v)
-    ]
-    if len(edges) != m - 1:
-        return NOT_SIMPLE  # a cycle (or worse); simple diagrams are trees
-    degree = {v: len([u for u in comp if u != v and d.multiplicity(u, v)]) for v in comp}
-    triples = [e for e in edges if d.multiplicity(*e) == 3]
-    doubles = [e for e in edges if d.multiplicity(*e) == 2]
-
-    if triples:
-        return "G2" if m == 2 and not doubles else NOT_SIMPLE
-    if not doubles:
-        forks = [v for v in comp if degree[v] >= 3]
-        if not forks:
-            return f"A{m}"
-        if len(forks) > 1 or degree[forks[0]] > 3:
-            return NOT_SIMPLE
-        branches = sorted(_branch_sizes(d, comp, forks[0]))
-        if branches[0] == 1 and branches[1] == 1:
-            return f"D{m}"
-        if branches[0] == 1 and branches[1] == 2 and branches[2] in (2, 3, 4):
-            return f"E{branches[2] + 4}"
-        return NOT_SIMPLE
-    if len(doubles) > 1 or any(degree[v] > 2 for v in comp):
-        return NOT_SIMPLE
-    u, v = doubles[0]
-    if m == 2:
-        return "B2"
-    u_terminal = degree[u] == 1
-    v_terminal = degree[v] == 1
-    if not u_terminal and not v_terminal:
-        return "F4" if m == 4 else NOT_SIMPLE
-    if u_terminal and v_terminal:
-        return NOT_SIMPLE  # double edge as a separate path segment cannot occur here
-    terminal = u if u_terminal else v
-    arrow = next(a for a in d.arrows if set(a) == {u, v})
-    _, shorter = arrow
-    return f"B{m}" if shorter == terminal else f"C{m}"
-
-
-def _branch_sizes(d: DynkinDiagram, comp: list[int], fork: int) -> list[int]:
-    sizes = []
-    for start in d.neighbors(fork):
-        size = 0
-        prev, cur = fork, start
-        while True:
-            size += 1
-            nxt = [w for w in d.neighbors(cur) if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return [-1, -1, -1]  # nested fork; caller rejects
-            prev, cur = cur, nxt[0]
-        sizes.append(size)
-    return sizes
-
-
 def ascii_diagram(d: DynkinDiagram) -> str:
     """Deterministic text rendering.
 
@@ -223,81 +165,93 @@ def ascii_diagram(d: DynkinDiagram) -> str:
     diagrams render one component per line; diagrams outside these shapes
     fall back to an edge list.
     """
-    parts = [_render_component(d, comp) for comp in d.components()]
-    return "\n".join(parts)
+    return "\n".join(_render_component(d, comp) for comp in d.components())
+
+
+def _layout(d: DynkinDiagram, comp: list[int]) -> tuple[list[int], int | None] | None:
+    """The component as a main chain plus at most one tine, or None.
+
+    ``path`` runs from the lower-indexed end, taking the lowest unvisited
+    neighbour at each step.  ``below`` is the highest-indexed degree-1
+    neighbour of the one degree-3 fork, left off the chain, or None when
+    there is no fork.  Only trees with two ends and no fork, or three ends
+    around one fork with a length-1 arm, have a layout.
+    """
+    degree = {v: len(d.neighbors(v)) for v in comp}
+    forks = [v for v in comp if degree[v] > 2]
+    tree = sum(degree.values()) == 2 * len(comp) - 2
+    if not tree or len(forks) > 1 or max(degree.values()) > 3:
+        return None
+    below = None
+    if forks:
+        tines = [v for v in d.neighbors(forks[0]) if degree[v] == 1]
+        if not tines:
+            return None
+        below = max(tines)
+    path = [min(v for v in comp if degree[v] <= 1 and v != below)]  # an end, or a lone vertex
+    while len(path) < len(comp) - (below is not None):
+        path.append(next(w for w in d.neighbors(path[-1]) if w not in path and w != below))
+    return path, below
+
+
+def _shorter(d: DynkinDiagram, u: int, v: int) -> int:
+    return next(shorter for longer, shorter in d.arrows if {longer, shorter} == {u, v})
+
+
+def _classify_component(d: DynkinDiagram, comp: list[int]) -> str:
+    layout = _layout(d, comp)
+    if layout is None:
+        return NOT_SIMPLE
+    path, below = layout
+    m = len(comp)
+    mults = [d.multiplicity(u, v) for u, v in zip(path, path[1:])]
+    if below is not None:
+        i = path.index(d.neighbors(below)[0])
+        arms = sorted((1, i, len(path) - 1 - i))
+        if max(mults) > 1 or d.multiplicity(path[i], below) > 1:
+            return NOT_SIMPLE
+        if arms[1] == 1:
+            return f"D{m}"
+        return f"E{arms[2] + 4}" if arms[1] == 2 and arms[2] <= 4 else NOT_SIMPLE
+    if 3 in mults:
+        return "G2" if m == 2 else NOT_SIMPLE
+    doubles = [k for k, mult in enumerate(mults) if mult == 2]
+    if not doubles:
+        return f"A{m}"
+    if len(doubles) > 1:
+        return NOT_SIMPLE
+    if m == 2:
+        return "B2"
+    (k,) = doubles
+    if 0 < k < m - 2:
+        return "F4" if m == 4 else NOT_SIMPLE
+    terminal = path[0] if k == 0 else path[-1]
+    return f"B{m}" if _shorter(d, path[k], path[k + 1]) == terminal else f"C{m}"
+
+
+def _render_component(d: DynkinDiagram, comp: list[int]) -> str:
+    layout = _layout(d, comp)
+    if layout is None:
+        items = [
+            f"{u + 1}~{v + 1}x{d.multiplicity(u, v)}"
+            for k, u in enumerate(comp)
+            for v in comp[k + 1 :]
+            if d.multiplicity(u, v)
+        ]
+        return "edges(" + ",".join(items) + ")"
+    path, below = layout
+    line = "o" + "".join(_edge_text(d, u, v) + "o" for u, v in zip(path, path[1:]))
+    if below is None:
+        return line
+    return line + "\n" + " " * (2 * path.index(d.neighbors(below)[0]) + 1) + "\\-o"
 
 
 def _edge_text(d: DynkinDiagram, left: int, right: int) -> str:
     mult = d.multiplicity(left, right)
     if mult == 1:
         return "-"
-    arrow = next(a for a in d.arrows if set(a) == {left, right})
-    _, shorter = arrow
-    if mult == 2:
-        return "=>" if shorter == right else "<="
-    return "==>" if shorter == right else "<=="
-
-
-def _render_component(d: DynkinDiagram, comp: list[int]) -> str:
-    if len(comp) == 1:
-        return "o"
-    degree = {v: len([u for u in comp if u != v and d.multiplicity(u, v)]) for v in comp}
-    forks = [v for v in comp if degree[v] == 3]
-    if any(degree[v] > 3 for v in comp) or len(forks) > 1:
-        return _render_edge_list(d, comp)
-
-    if not forks:
-        ends = sorted(v for v in comp if degree[v] == 1)
-        if len(ends) != 2:
-            return _render_edge_list(d, comp)
-        return _render_path(d, _walk_path(d, ends[0], None))
-
-    fork = forks[0]
-    tines = sorted(
-        (v for v in d.neighbors(fork) if degree[v] == 1), reverse=True
-    )
-    if not tines:
-        return _render_edge_list(d, comp)
-    below = tines[0]
-    remaining_ends = [v for v in comp if degree[v] == 1 and v != below]
-    if len(remaining_ends) != 2:
-        return _render_edge_list(d, comp)
-    start = min(remaining_ends)
-    path = _walk_path(d, start, below)
-    line1 = _render_path(d, path)
-    column = 2 * path.index(fork)
-    line2 = " " * (column + 1) + "\\-o"
-    return line1 + "\n" + line2
-
-
-def _walk_path(d: DynkinDiagram, start: int, skip: int | None) -> list[int]:
-    path = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in d.neighbors(cur) if w != prev and w != skip]
-        if not nxt:
-            return path
-        prev, cur = cur, min(nxt)
-        path.append(cur)
-
-
-def _render_path(d: DynkinDiagram, path: list[int]) -> str:
-    out = ["o"]
-    for left, right in zip(path, path[1:]):
-        out.append(_edge_text(d, left, right))
-        out.append("o")
-    return "".join(out)
-
-
-def _render_edge_list(d: DynkinDiagram, comp: list[int]) -> str:
-    items = []
-    for k, u in enumerate(comp):
-        for v in comp[k + 1 :]:
-            mult = d.multiplicity(u, v)
-            if mult:
-                items.append(f"{u + 1}~{v + 1}x{mult}")
-    return "edges(" + ",".join(items) + ")"
+    bars = "=" * (mult - 1)
+    return bars + ">" if _shorter(d, left, right) == right else "<" + bars
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .catalog import (
     AlgebraRealization,
@@ -164,20 +164,23 @@ def cartan_entries(
     fundamental: Sequence[Weight], inner: Inner
 ) -> tuple[tuple[int, ...], ...]:
     """Entries 2<a_i,a_j>/<a_j,a_j>; a non-integer one is an internal inconsistency."""
-    size = len(fundamental)
     norms = [inner(a, a) for a in fundamental]
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            value = 2 * inner(fundamental[i], fundamental[j]) / norms[j]
+    return _integer_rows(
+        "Cartan entry",
+        ((2 * inner(a, b) / norm for b, norm in zip(fundamental, norms)) for a in fundamental),
+    )
+
+
+def _integer_rows(what: str, rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """The rows as ints, checked in order; a non-integer entry is an internal inconsistency."""
+    out = []
+    for i, row in enumerate(rows, 1):
+        out.append([])
+        for j, value in enumerate(row, 1):
             if value.denominator != 1:
-                raise InternalConsistencyError(
-                    f"Cartan entry ({i + 1},{j + 1}) = {value} is not an integer"
-                )
-            row.append(int(value))
-        rows.append(tuple(row))
-    return tuple(rows)
+                raise InternalConsistencyError(f"{what} ({i},{j}) = {value} is not an integer")
+            out[-1].append(int(value))
+    return tuple(map(tuple, out))
 
 
 def cartan_matrix(rd: RootDatum) -> CartanMatrix:
@@ -195,20 +198,12 @@ def coroot_pairing_matrix(rd: RootDatum) -> CartanMatrix:
     This is the transpose of ``cartan_matrix`` and is the matrix under which
     the Serre relations hold verbatim in the realization.
     """
-    r = rd.realization
-    coords = [r.diag_coords(h) for h in rd.fundamental_coroots]
-    rows = []
-    for i in range(len(coords)):
-        row = []
-        for j, root in enumerate(rd.fundamental_roots):
-            value = dot(root, coords[i])
-            if value.denominator != 1:
-                raise InternalConsistencyError(
-                    f"coroot pairing ({i + 1},{j + 1}) = {value} is not an integer"
-                )
-            row.append(int(value))
-        rows.append(tuple(row))
-    return CartanMatrix(tuple(rows))
+    coords = [rd.realization.diag_coords(h) for h in rd.fundamental_coroots]
+    return CartanMatrix(
+        _integer_rows(
+            "coroot pairing", ((dot(a, c) for a in rd.fundamental_roots) for c in coords)
+        )
+    )
 
 
 def root_lengths(rd: RootDatum) -> tuple[Fraction, ...]:

@@ -14,7 +14,7 @@ import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.catalog import InternalConsistencyError
 from liealg.exact import as_fraction
-from liealg.matrices import mat_bracket
+from liealg.matrices import EdgeMatrix, mat_bracket
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
 _ROOT_DATA: dict[tuple[AlgebraFamily, int], L.RootDatum] = {}
@@ -59,11 +59,16 @@ def reflect(inner, alpha, beta):
     return tuple(b - factor * a for a, b in zip(alpha, beta))
 
 
+def basis_of(r: L.AlgebraRealization) -> tuple[EdgeMatrix, ...]:
+    """The basis elements of a realization, without their labels."""
+    return tuple(m for _, m in r.basis)
+
+
 def structure_constants(
     r: L.AlgebraRealization,
 ) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k, solved exactly."""
-    mats = r.basis_matrices()
+    mats = basis_of(r)
     solver = r.span
     dim = len(mats)
     out = []

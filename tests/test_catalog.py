@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, realization, structure_constants
+from conftest import basis_of, family_ranks, realization, structure_constants
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
@@ -61,7 +61,7 @@ class TestBuild:
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_bracket_closure(self, family, n):
         r = realization(family, n)
-        mats = r.basis_matrices()
+        mats = basis_of(r)
         for a in mats:
             for b in mats:
                 assert L.check_membership(mat_bracket(a, b), r.spec)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import family_ranks, realization, root_datum
+from conftest import basis_of, family_ranks, realization, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily
@@ -43,7 +43,7 @@ class TestOppositeAntimorphism:
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_antimorphism_on_canonical_basis(self, family, n):
         r = realization(family, n)
-        mats = r.basis_matrices()
+        mats = basis_of(r)
         for a in mats:
             for b in mats:
                 assert opposite_antimorphism(a @ b, family) == opposite_antimorphism(

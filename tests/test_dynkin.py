@@ -47,6 +47,49 @@ def fork_cartan(branches):
     return CartanMatrix(tuple(tuple(r) for r in rows))
 
 
+def edges_cartan(size, edges):
+    """Cartan matrix with the given (i, j, A_ij, A_ji) off-diagonal pairs."""
+    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    for i, j, aij, aji in edges:
+        rows[i][j], rows[j][i] = aij, aji
+    return CartanMatrix(tuple(tuple(r) for r in rows))
+
+
+def simple_edges(*pairs):
+    return [(i, j, -1, -1) for i, j in pairs]
+
+
+# Shapes outside the simple list, each with its Cartan matrix and drawing.
+# A shape that is neither a path nor one fork with a length-1 arm is drawn
+# as its edge list.
+NOT_SIMPLE_SHAPES = {
+    "triangle": (
+        edges_cartan(3, simple_edges((0, 1), (1, 2), (0, 2))),
+        "edges(1~2x1,1~3x1,2~3x1)",
+    ),
+    "degree_four_star": (fork_cartan((1, 1, 1, 1)), "edges(1~2x1,1~3x1,1~4x1,1~5x1)"),
+    "fork_arms_2_2_2": (
+        fork_cartan((2, 2, 2)),
+        "edges(1~2x1,1~4x1,1~6x1,2~3x1,4~5x1,6~7x1)",
+    ),
+    "two_forks": (
+        edges_cartan(6, simple_edges((0, 1), (0, 2), (0, 3), (3, 4), (3, 5))),
+        "edges(1~2x1,1~3x1,1~4x1,4~5x1,4~6x1)",
+    ),
+    "fork_with_double_edge": (
+        edges_cartan(5, simple_edges((0, 1), (0, 2), (0, 3)) + [(3, 4, -2, -1)]),
+        "o-o-o=>o\n   \\-o",
+    ),
+    "path_two_doubles": (edges_cartan(3, [(0, 1, -2, -1), (1, 2, -1, -2)]), "o=>o<=o"),
+    "triple_on_three": (edges_cartan(3, [(0, 1, -1, -1), (1, 2, -3, -1)]), "o-o==>o"),
+}
+
+
+def shape_diagram(name):
+    A, _ = NOT_SIMPLE_SHAPES[name]
+    return build_diagram(A, lengths_from_cartan(A))
+
+
 class TestBuildDiagram:
     def test_a_chain_no_arrows(self):
         d, _, _ = diagram_for(AlgebraFamily.SL, 4)
@@ -178,6 +221,10 @@ class TestClassify:
         d = build_diagram(A, lengths_from_cartan(A))
         assert classify(d) == ("NotSimple",)
 
+    @pytest.mark.parametrize("name", sorted(NOT_SIMPLE_SHAPES))
+    def test_unlisted_shapes_not_simple(self, name):
+        assert classify(shape_diagram(name)) == ("NotSimple",)
+
     @pytest.mark.parametrize("family,n", family_ranks(8))
     def test_round_trip_names_expected_family(self, family, n):
         d, _, _ = diagram_for(family, n)
@@ -210,6 +257,10 @@ class TestAscii:
     def test_d5_fork(self):
         d, _, _ = diagram_for(AlgebraFamily.SO_EVEN, 5)
         assert ascii_diagram(d) == "o-o-o-o\n     \\-o"
+
+    @pytest.mark.parametrize("name", sorted(NOT_SIMPLE_SHAPES))
+    def test_unlisted_shapes(self, name):
+        assert ascii_diagram(shape_diagram(name)) == NOT_SIMPLE_SHAPES[name][1]
 
 
 class TestLengthsFromCartan:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import family_ranks, realization, root_datum
+from conftest import basis_of, family_ranks, realization, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, dynkin, roots
@@ -257,7 +257,7 @@ def outcome(fn, *args):
 def test_weight_of_agrees_on_basis_vectors_and_cartan_elements(family, n):
     r = realization(family, n)
     rd = root_datum(family, n)
-    for m in (*r.basis_matrices(), *rd.coroots.values()):
+    for m in (*basis_of(r), *rd.coroots.values()):
         assert roots.weight_of(r, m) == weight_of(r, m)
     zero = EdgeMatrix.zero(r.spec.realization_dim)
     assert outcome(roots.weight_of, r, zero) is outcome(weight_of, r, zero) is ValueError
@@ -266,7 +266,7 @@ def test_weight_of_agrees_on_basis_vectors_and_cartan_elements(family, n):
 @pytest.mark.parametrize("family,n", lie_ranks(5))
 def test_weight_of_raises_on_the_same_mixed_sums(family, n):
     r = realization(family, n)
-    for a, b in combinations(r.basis_matrices(), 2):
+    for a, b in combinations(basis_of(r), 2):
         got = outcome(roots.weight_of, r, a + b)
         assert got == outcome(weight_of, r, a + b)
         assert (got is InternalConsistencyError) == (weight_of(r, a) != weight_of(r, b))

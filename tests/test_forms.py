@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import family_ranks, realization, reflect, root_datum
+from conftest import basis_of, family_ranks, realization, reflect, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, forms
@@ -36,7 +37,7 @@ class TestKillingForm:
     def test_symmetry_on_sampled_pairs(self):
         r = realization(AlgebraFamily.SO_ODD, 2)
         rng = random.Random(7)
-        mats = r.basis_matrices()
+        mats = basis_of(r)
         for _ in range(10):
             x = rng.choice(mats)
             y = rng.choice(mats)
@@ -92,7 +93,7 @@ class TestKillingForm:
         rng = random.Random(41)
         for family, n in ((AlgebraFamily.SL, 3), (AlgebraFamily.SP, 2)):
             r = realization(family, n)
-            mats = r.basis_matrices()
+            mats = basis_of(r)
             for _ in range(6):
                 x, y, z = (rng.choice(mats) for _ in range(3))
                 lhs = L.killing_form_ad(r, mat_bracket(x, y), z)
@@ -191,8 +192,21 @@ class TestCartanMatrices:
             return dot(u, v) + Fraction(1, 3) * u[0] * v[1]
 
         fundamental = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        with pytest.raises(L.InternalConsistencyError):
+        with pytest.raises(
+            L.InternalConsistencyError, match=r"^Cartan entry \(1,2\) = 2/3 is not an integer$"
+        ):
             cartan_entries(fundamental, skew)
+
+    def test_non_integral_coroot_pairing_aborts(self):
+        rd = SimpleNamespace(
+            realization=SimpleNamespace(diag_coords=lambda h: h),
+            fundamental_coroots=((1, 0), (0, 1)),
+            fundamental_roots=((2, -1), (Fraction(1, 2), 2)),
+        )
+        with pytest.raises(
+            L.InternalConsistencyError, match=r"^coroot pairing \(1,2\) = 1/2 is not an integer$"
+        ):
+            forms.coroot_pairing_matrix(rd)
 
 
 class TestReflect:

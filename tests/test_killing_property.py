@@ -10,7 +10,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import family_ranks, realization
+from conftest import basis_of, family_ranks, realization
 
 import liealg as L
 from liealg import AlgebraSpec
@@ -31,7 +31,7 @@ def combinations(dim):
 @pytest.mark.parametrize("family,n", CASES)
 def test_killing_form_is_ad_invariant(family, n):
     r = realization(family, n)
-    mats = r.basis_matrices()
+    mats = basis_of(r)
     terms = combinations(len(mats))
 
     @settings(derandomize=True, max_examples=8, deadline=None, database=None)
