@@ -86,12 +86,11 @@ def format_weight(w: Sequence[Fraction]) -> str:
 
 @dataclass(frozen=True)
 class AlgebraRealization:
-    """A concrete algebra: labelled basis, Cartan choice, defining form."""
+    """A concrete algebra: labelled basis and Cartan choice."""
 
     spec: AlgebraSpec
     basis: tuple[tuple[str, EdgeMatrix], ...]
     cartan_indices: tuple[int, ...]
-    structure_form: EdgeMatrix | None
 
     @property
     def dimension(self) -> int:
@@ -209,12 +208,7 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
             (f"x({format_weight(neg)})", opposite_antimorphism(mat, spec.family))
         )
 
-    realization = AlgebraRealization(
-        spec=spec,
-        basis=tuple(basis),
-        cartan_indices=cartan_indices,
-        structure_form=structure_form(spec),
-    )
+    realization = AlgebraRealization(spec=spec, basis=tuple(basis), cartan_indices=cartan_indices)
 
     if realization.dimension != spec.dimension:
         raise InternalConsistencyError(

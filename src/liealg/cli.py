@@ -122,7 +122,7 @@ def cmd_info(args) -> int:
     diagram = dynkin.build_diagram(A, lengths)
     classification = "+".join(dynkin.classify(diagram))
     art = dynkin.ascii_diagram(diagram)
-    coeffs = forms.killing_coefficients(rd)
+    metric = forms.killing_coefficients(rd)
     order_formula = weyl.weyl_order_formula(spec)
 
     enumerated: int | None = None
@@ -152,8 +152,8 @@ def cmd_info(args) -> int:
         "dynkin": {"classification": classification, "diagram": art},
         "weyl_order_formula": order_formula,
         "killing": {
-            "sum_coefficient": format_rational(coeffs.sigma),
-            "trace_coefficient": format_rational(coeffs.trace),
+            "sum_coefficient": format_rational(metric.sigma),
+            "trace_coefficient": format_rational(metric.trace),
         },
     }
     if args.enumerate_weyl:
@@ -180,8 +180,8 @@ def cmd_info(args) -> int:
         f"dynkin diagram: {classification}",
         *art.splitlines(),
         f"weyl order (formula): {order_formula}",
-        f"killing form on cartan: {format_rational(coeffs.sigma)}*sum(x_i*y_i)"
-        f" = {format_rational(coeffs.trace)}*tr(xy)",
+        f"killing form on cartan: {format_rational(metric.sigma)}*sum(x_i*y_i)"
+        f" = {format_rational(metric.trace)}*tr(xy)",
     ]
     if args.enumerate_weyl:
         if enumerated is not None:
@@ -217,12 +217,12 @@ def _checks_serre(rd: roots.RootDatum, pairing: forms.CartanMatrix) -> Sequence[
 
 def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
     spec = rd.spec
-    coeffs = forms.killing_coefficients(rd)
+    metric = forms.killing_coefficients(rd)
     expected = FAMILY_SIGMA_COEFFICIENT[spec.family](spec.rank)
-    agree = forms.cartan_killing_gram_ad(rd.realization) == forms.cartan_killing_gram(rd)
+    agree = forms.cartan_killing_gram_ad(rd.realization) == metric.gram
     return [
-        Check.of("killing", "sum coefficient", coeffs.sigma == expected,
-                 f"got {format_rational(coeffs.sigma)}, expected {expected}"),
+        Check.of("killing", "sum coefficient", metric.sigma == expected,
+                 f"got {format_rational(metric.sigma)}, expected {expected}"),
         Check.of("killing", "ad-trace route equals root-sum route", agree,
                  "entrywise on the Cartan basis"),
     ]
@@ -414,7 +414,7 @@ def cmd_classify(args) -> int:
         lines.append("cartan matrix:")
         lines.extend("  " + row for row in _format_matrix(A.entries))
         diagram = dynkin.build_diagram(A, lengths)
-        if not dynkin.check_positive_definite(diagram, A, lengths):
+        if not dynkin.check_positive_definite(A, lengths):
             raise ValueError("positive definiteness fails")
     except ValueError as exc:
         lines.append(f"classification: {dynkin.NOT_SIMPLE}: {exc}")

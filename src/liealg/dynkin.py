@@ -126,13 +126,11 @@ def lengths_from_cartan(A: CartanMatrix) -> list[Fraction]:
     return [x for x in lengths if x is not None]
 
 
-def check_positive_definite(
-    d: DynkinDiagram, A: CartanMatrix, lengths: Sequence[Scalar]
-) -> bool:
-    """Exact positive-definiteness of the diagram's quadratic form."""
+def check_positive_definite(A: CartanMatrix, lengths: Sequence[Scalar]) -> bool:
+    """Exact positive-definiteness of the quadratic form of A and the root lengths."""
     n = A.rank
-    if d.nvertices != n or len(lengths) != n:
-        raise ValueError("diagram, Cartan matrix, and lengths must agree in size")
+    if len(lengths) != n:
+        raise ValueError("Cartan matrix and lengths must agree in size")
     lens = [as_fraction(x) for x in lengths]
     sym = [[A[i, j] * lens[j] for j in range(n)] for i in range(n)]
     for i in range(n):

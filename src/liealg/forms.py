@@ -6,9 +6,10 @@ subalgebra the two agree identically, which the test suite pins down.
 
 The root-sum Gram on the Cartan basis is summed once per root datum, in
 integers, and certified there to be sigma times the coordinate sum form
-sum_i x_i y_i (``RootDatum.killing_metric``).  The induced inner product on
-weights is therefore <u, v> = u.v / sigma, taken on the sum-zero lifts for
-sl; no Gram matrix is inverted.
+sum_i x_i y_i: ``RootDatum.killing_metric``, the one Killing record
+``roots.KillingMetric`` (``gram``, ``sigma``, ``trace``).  The induced inner
+product on weights is therefore <u, v> = u.v / sigma, taken on the sum-zero
+lifts for sl; no Gram matrix is inverted.
 
 Two transposed Cartan matrix conventions are in circulation.  This package
 exposes both:
@@ -36,21 +37,7 @@ from .catalog import (
 )
 from .families import AlgebraFamily
 from .matrices import EdgeMatrix, dot
-from .roots import Inner, KillingCoefficients, RootDatum
-
-__all__ = [
-    "CartanMatrix",
-    "killing_form_ad",
-    "killing_form_roots",
-    "cartan_killing_gram",
-    "cartan_killing_gram_ad",
-    "weight_inner",
-    "cartan_entries",
-    "cartan_matrix",
-    "coroot_pairing_matrix",
-    "root_lengths",
-    "killing_coefficients",
-]
+from .roots import Inner, KillingMetric, RootDatum
 
 
 def _trace_of_product(ax: list[dict[int, Fraction]], ay: list[dict[int, Fraction]]) -> Fraction:
@@ -72,16 +59,17 @@ def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Frac
     return _trace_of_product(ad_matrix(r, x), ad_matrix(r, y))
 
 
-def cartan_killing_gram_ad(r: AlgebraRealization) -> list[list[Fraction]]:
+def cartan_killing_gram_ad(r: AlgebraRealization) -> tuple[tuple[Fraction, ...], ...]:
     """``killing_form_ad`` on every pair of Cartan basis elements.
 
     One ad(h) per basis element, over the realization's one basis
     elimination, serves all the pairs; nothing is read from the roots.
     """
     ads = [ad_matrix(r, h) for h in r.cartan_basis]
-    return [[_trace_of_product(ax, ay) for ay in ads] for ax in ads]
+    return tuple(tuple(_trace_of_product(ax, ay) for ay in ads) for ax in ads)
 
 
+# No caller in src/; kept because bench/traced.py spans it by name.
 def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:
     """Sum over all roots of a(x) a(y); x and y must be Cartan elements."""
     r = rd.realization
@@ -91,16 +79,6 @@ def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:
     for root in rd.roots:
         total += dot(root, cx) * dot(root, cy)
     return total
-
-
-def cartan_killing_gram(rd: RootDatum) -> list[list[Fraction]]:
-    """Gram matrix of the Killing form on the Cartan basis, by the root-sum route.
-
-    A fresh copy of ``rd.killing_metric.gram``: ad(h) is diagonal in the
-    canonical basis with the root values as eigenvalues, so tr(ad(h) ad(h'))
-    is summed directly from those eigenvalues.
-    """
-    return [list(row) for row in rd.killing_metric.gram]
 
 
 def weight_inner(rd: RootDatum) -> Inner:
@@ -113,7 +91,7 @@ def weight_inner(rd: RootDatum) -> Inner:
     are first projected onto it: <u, v> = (u.v - (sum u)(sum v)/n) / sigma,
     which equals the inverse-Gram value on every input.
     """
-    sigma = rd.killing_metric.coefficients.sigma
+    sigma = rd.killing_metric.sigma
     if rd.spec.family is not AlgebraFamily.SL:
         return lambda u, v: dot(u, v) / sigma
     n = rd.spec.rank
@@ -212,6 +190,6 @@ def root_lengths(rd: RootDatum) -> tuple[Fraction, ...]:
     return tuple(inner(a, a) for a in rd.fundamental_roots)
 
 
-def killing_coefficients(rd: RootDatum) -> KillingCoefficients:
-    """Exact fit of the Cartan Killing form against both reference forms."""
-    return rd.killing_metric.coefficients
+def killing_coefficients(rd: RootDatum) -> KillingMetric:
+    """The root datum's certified Killing metric: its Gram, ``sigma`` and ``trace``."""
+    return rd.killing_metric

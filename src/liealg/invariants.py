@@ -25,10 +25,12 @@ class InvariantSuite:
     """An ordered generating set for one family's invariant ring."""
 
     family: AlgebraFamily
-    rank: int  # subscript of the Weyl group type (Lie rank)
     nvars: int
     polys: tuple[MultiPoly, ...]
-    degrees: tuple[int, ...]
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(p.degree() for p in self.polys)
 
     def degree_product(self) -> int:
         return prod(self.degrees)
@@ -64,8 +66,7 @@ def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
         polys = tuple(_power_sum(nvars, 2 * k) for k in range(1, n)) + (product,)
     else:
         raise ValueError(f"unknown family {family}")
-    degrees = tuple(p.degree() for p in polys)
-    return InvariantSuite(family=family, rank=n, nvars=nvars, polys=polys, degrees=degrees)
+    return InvariantSuite(family=family, nvars=nvars, polys=polys)
 
 
 def check_invariance(s: InvariantSuite, gens: Sequence[Window]) -> bool:

@@ -249,6 +249,7 @@ class SpanSolver:
         return {k: -c for k, c in combination.items()}
 
 
+# No caller in src/; kept because bench/traced.py counts its calls by name.
 def solve_linear(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction]:
@@ -270,6 +271,7 @@ def solve_linear(
     return [solution.get(j, Fraction(0)) for j in range(ncols)]
 
 
+# No caller in src/; kept because bench/traced.py spans it by name.
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant by echelon reduction of the rows.
 

@@ -10,6 +10,9 @@ vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
 Fundamental weights come from the duality equations.  Every expansion here
 (over the fundamental roots, the duality equations' columns, or the axiom
 verifier's independent roots) is one ``matrices.SpanSolver``.
+
+``KillingMetric`` is the one Killing record: the Cartan Gram and its certified
+coefficients ``sigma`` and ``trace``, built once as ``RootDatum.killing_metric``.
 """
 
 from __future__ import annotations
@@ -150,31 +153,19 @@ class RootDatum:
 
 
 @dataclass(frozen=True)
-class KillingCoefficients:
-    """Killing form on the Cartan as multiples of two reference forms.
-
-    ``sigma`` is the coefficient against sum_i x_i y_i in the diagonal
-    coordinates; ``trace`` is the coefficient against tr(xy) of the matrices
-    themselves.  For the doubled realizations (sp, so) tr(xy) is twice the
-    coordinate sum, so the two coefficients differ by a factor 2.
-    """
-
-    sigma: Fraction
-    trace: Fraction
-
-
-@dataclass(frozen=True)
 class KillingMetric:
     """The Killing form on the Cartan basis h_1..h_r of one root datum.
 
     ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace
     form, since ad(h) is diagonal in the canonical basis with the root values
-    as eigenvalues.  ``coefficients`` certifies that the Gram is exactly
-    sigma (x_i . x_j) and trace tr(h_i h_j), with sigma nonzero.
+    as eigenvalues.  It is certified to be exactly ``sigma`` (x_i . x_j) and
+    ``trace`` tr(h_i h_j), with sigma nonzero; for the doubled realizations
+    (sp, so) tr(xy) is twice the coordinate sum, so trace = sigma / 2.
     """
 
     gram: tuple[tuple[Fraction, ...], ...]
-    coefficients: KillingCoefficients
+    sigma: Fraction
+    trace: Fraction
 
 
 def _killing_metric(rd: RootDatum) -> KillingMetric:
@@ -195,26 +186,24 @@ def _killing_metric(rd: RootDatum) -> KillingMetric:
     gram = tuple(
         tuple(Fraction(sum(map(mul, ei, ej)), unit) for ej in eigen) for ei in eigen
     )
+    sigma = _proportion(gram, [[dot(x, y) for y in coords] for x in coords], "coordinate sum form")
+    trace = _proportion(gram, [[(x @ y).trace() for y in cartan] for x in cartan], "trace form")
+    return KillingMetric(gram, sigma, trace)
 
-    pairs = [(i, j) for i in range(len(cartan)) for j in range(len(cartan))]
-    ref_sigma = {(i, j): dot(coords[i], coords[j]) for i, j in pairs}
-    ref_trace = {(i, j): (cartan[i] @ cartan[j]).trace() for i, j in pairs}
-    sigma = next((gram[i][j] / ref_sigma[i, j] for i, j in pairs if ref_sigma[i, j]), None)
-    trace = next((gram[i][j] / ref_trace[i, j] for i, j in pairs if ref_trace[i, j]), None)
-    if sigma is None or trace is None:
+
+def _proportion(
+    gram: Sequence[Sequence[Fraction]], reference: Sequence[Sequence[Fraction]], form: str
+) -> Fraction:
+    """The nonzero c with gram = c * reference entrywise; raises if there is none."""
+    pairs = [(i, j) for i in range(len(gram)) for j in range(len(gram))]
+    c = next((gram[i][j] / reference[i][j] for i, j in pairs if reference[i][j]), None)
+    if c is None:
         raise InternalConsistencyError("degenerate reference forms on the Cartan")
-    if not sigma:
+    if not c:
         raise InternalConsistencyError("Killing form vanishes on the Cartan")
-    for i, j in pairs:
-        if gram[i][j] != sigma * ref_sigma[i, j]:
-            raise InternalConsistencyError(
-                "Killing form is not proportional to the coordinate sum form"
-            )
-        if gram[i][j] != trace * ref_trace[i, j]:
-            raise InternalConsistencyError(
-                "Killing form is not proportional to the trace form"
-            )
-    return KillingMetric(gram, KillingCoefficients(sigma=sigma, trace=trace))
+    if any(gram[i][j] != c * reference[i][j] for i, j in pairs):
+        raise InternalConsistencyError(f"Killing form is not proportional to the {form}")
+    return c
 
 
 def cartan_decompose(r: AlgebraRealization) -> RootDatum:

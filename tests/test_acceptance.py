@@ -192,7 +192,7 @@ def test_criterion_7_dynkin_round_trip():
         A = L.cartan_matrix(rd)
         lengths = L.root_lengths(rd)
         d = build_diagram(A, lengths)
-        assert check_positive_definite(d, A, lengths), (family, n)
+        assert check_positive_definite(A, lengths), (family, n)
         name = "+".join(classify(d))
         canonical = f"{letter[family]}{rd.spec.lie_rank}"
         assert name == coincidences.get(canonical, canonical), (family, n, name)
@@ -217,9 +217,7 @@ def test_criterion_7_dynkin_round_trip():
     ]
     affine_controls.append(CartanMatrix(tuple(tuple(r) for r in star)))  # D fork + 1
     for A in affine_controls:
-        lengths = lengths_from_cartan(A)
-        d = build_diagram(A, lengths)
-        assert not check_positive_definite(d, A, lengths)
+        assert not check_positive_definite(A, lengths_from_cartan(A))
     print("criterion 7 (Dynkin round trip; B/C arrows opposite; affine controls rejected): PASS")
 
 

@@ -3,14 +3,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import root_datum, run_cli, src_env
 
-from liealg import AlgebraFamily, AlgebraSpec, cli, forms, weyl
+from liealg import AlgebraFamily, AlgebraSpec, cli, forms, invariants, roots, weyl
 from liealg.matrices import SpanSolver
+from liealg.polynomials import MultiPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -145,6 +147,65 @@ class TestInfoContent:
         assert run_cli(["info", "sl", n, "--enumerate-weyl", "--max-order", cap]) == reference
 
 
+def _scale_a_partner(monkeypatch):
+    decompose = roots.cartan_decompose
+
+    def broken(r):
+        rd = decompose(r)
+        return replace(rd, partners={**rd.partners, (2, 0): rd.partners[(2, 0)].scale(2)})
+
+    monkeypatch.setattr(roots, "cartan_decompose", broken)
+
+
+def _wrong_sigma_entry(monkeypatch):
+    monkeypatch.setitem(cli.FAMILY_SIGMA_COEFFICIENT, AlgebraFamily.SP, lambda n: 4 * n)
+
+
+def _send_a_root_off(monkeypatch):
+    apply = weyl.apply
+    monkeypatch.setattr(
+        weyl, "apply",
+        lambda g, x: tuple(2 * c for c in apply(g, x)) if tuple(x) == (2, 0) else apply(g, x),
+    )
+
+
+def _suite_with(change):
+    """A breaker under which ``build_suite`` returns its suite with ``change(polys)``."""
+
+    def breaker(monkeypatch):
+        build = invariants.build_suite
+
+        def broken(family, n):
+            suite = build(family, n)
+            return replace(suite, polys=change(suite.polys))
+
+        monkeypatch.setattr(invariants, "build_suite", broken)
+
+    return breaker
+
+
+# (suite, breaker, the FAIL line of `verify sp 2 <suite>` under the breaker)
+BROKEN_VERDICTS = [
+    pytest.param("sl2", _scale_a_partner,
+                 "sl2: triple 2a1: FAIL (x, y, h relations and a(h)=2)", id="sl2-triple"),
+    pytest.param("killing", _wrong_sigma_entry,
+                 "killing: sum coefficient: FAIL (got 12, expected 8)", id="killing-sum"),
+    pytest.param("weyl", _send_a_root_off,
+                 "weyl: root system is permuted: FAIL"
+                 " (each generator maps the root set onto itself)", id="weyl-permuted"),
+    pytest.param("invariants", _suite_with(lambda p: (p[0] * p[0], p[1])),
+                 "invariants: degree product equals weyl order: FAIL"
+                 " (degrees [4, 4] multiply to 16, |W| = 8)", id="invariants-degrees"),
+    pytest.param("invariants",
+                 _suite_with(lambda p: (p[0] + MultiPoly.monomial(2, (2, 0)), p[1])),
+                 "invariants: invariance under simple reflections: FAIL"
+                 " (symbolic equality after substitution)", id="invariants-invariance"),
+    pytest.param("invariants", _suite_with(lambda p: (p[0], p[0])),
+                 "invariants: jacobian criterion: FAIL"
+                 " (exact Jacobian determinant is nonzero)", id="invariants-jacobian"),
+]
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self):
         code, out = run_cli(["verify", "sl", "3", "all"])
@@ -176,14 +237,21 @@ class TestVerifyCommand:
         ad_gram = forms.cartan_killing_gram_ad
 
         def perturbed(r):
-            gram = ad_gram(r)
+            gram = [list(row) for row in ad_gram(r)]
             gram[0][-1] += 1
-            return gram
+            return tuple(map(tuple, gram))
 
         monkeypatch.setattr(forms, "cartan_killing_gram_ad", perturbed)
         code, out = run_cli(["verify", "sp", "2", "killing"])
         assert code == 1
         assert "killing: ad-trace route equals root-sum route: FAIL" in out
+
+    @pytest.mark.parametrize("suite,breaker,line", BROKEN_VERDICTS)
+    def test_broken_input_fails_its_verdict(self, suite, breaker, line, monkeypatch):
+        breaker(monkeypatch)
+        code, out = run_cli(["verify", "sp", "2", suite])
+        assert code == 1
+        assert line in out.splitlines()
 
     def test_unknown_suite_is_usage_error(self):
         code, _ = run_cli(["verify", "sl", "3", "nonsense"])

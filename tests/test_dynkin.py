@@ -135,34 +135,37 @@ class TestBuildDiagram:
 class TestPositiveDefinite:
     @pytest.mark.parametrize("family,n", family_ranks(8))
     def test_families_pass(self, family, n):
-        d, A, lengths = diagram_for(family, n)
-        assert check_positive_definite(d, A, lengths)
+        _, A, lengths = diagram_for(family, n)
+        assert check_positive_definite(A, lengths)
 
     def test_affine_cycle_fails(self):
         A = CartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
         lengths = lengths_from_cartan(A)
-        d = build_diagram(A, lengths)
-        assert not check_positive_definite(d, A, lengths)
+        assert not check_positive_definite(A, lengths)
 
     def test_affine_double_ended_chain_fails(self):
         # two double edges pointing inward (long, short, long)
         A = CartanMatrix(((2, -2, 0), (-1, 2, -1), (0, -2, 2)))
         lengths = lengths_from_cartan(A)
         assert lengths[0] == lengths[2] > lengths[1]
-        d = build_diagram(A, lengths)
-        assert not check_positive_definite(d, A, lengths)
+        assert not check_positive_definite(A, lengths)
 
     def test_affine_extended_fork_fails(self):
         # star with four simple branches around one center
         A = fork_cartan((1, 1, 1, 1))
         lengths = lengths_from_cartan(A)
-        d = build_diagram(A, lengths)
-        assert not check_positive_definite(d, A, lengths)
+        assert not check_positive_definite(A, lengths)
 
     def test_single_vertex_passes(self):
         A = CartanMatrix(((2,),))
-        d = build_diagram(A, [Fraction(2)])
-        assert check_positive_definite(d, A, [Fraction(2)])
+        assert check_positive_definite(A, [Fraction(2)])
+
+    def test_lengths_must_fit_the_matrix(self):
+        A = CartanMatrix(((2, -2), (-1, 2)))
+        with pytest.raises(ValueError, match="must agree in size"):
+            check_positive_definite(A, [Fraction(2)])
+        with pytest.raises(ValueError, match="inconsistent with the Cartan matrix"):
+            check_positive_definite(A, [Fraction(2), Fraction(2)])
 
 
 CLASSIFICATION_EXPECTED = {

@@ -76,7 +76,7 @@ class TestKillingForm:
         # The one elimination of the basis is the rank check in build.
         assert len(builds) == 1
         cartan = r.cartan_basis
-        assert gram == [[L.killing_form_ad(r, x, y) for y in cartan] for x in cartan]
+        assert gram == tuple(tuple(L.killing_form_ad(r, x, y) for y in cartan) for x in cartan)
 
     @pytest.mark.parametrize("family,n", family_ranks(6))
     def test_sigma_and_trace_coefficients(self, family, n):

@@ -29,10 +29,7 @@ from liealg.weyl import simple_reflections
 
 def hand_suite(polys):
     """A non-sl suite holding exactly ``polys``, so ``jacobian`` takes them as given."""
-    return InvariantSuite(
-        AlgebraFamily.SP, len(polys), polys[0].nvars, tuple(polys),
-        tuple(p.degree() for p in polys),
-    )
+    return InvariantSuite(AlgebraFamily.SP, polys[0].nvars, tuple(polys))
 
 
 class TestSuites:
