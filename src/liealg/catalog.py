@@ -12,15 +12,15 @@ Adjoint matrices are sparse columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .digraph import opposite_antimorphism
 from .exact import format_rational
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import EdgeMatrix, SpanSolver, mat_bracket
+from .records import Record
 
 Weight = tuple[Fraction, ...]
 
@@ -29,30 +29,33 @@ class InternalConsistencyError(RuntimeError):
     """A structural fact that must hold by construction failed to hold."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One verdict: which suite ran it, what was checked, and the outcome.
 
     ``status`` is "pass", "fail" or "skip"; a skip is never a pass, but it
     does not fail a report either.
     """
 
+    __slots__ = ("suite", "name", "status", "detail")
     suite: str
     name: str
     status: str
     detail: str
 
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "fail", "skip"):
-            raise ValueError(f"check status must be pass, fail or skip, got {self.status!r}")
+    def __init__(self, suite: str, name: str, status: str, detail: str) -> None:
+        if status not in ("pass", "fail", "skip"):
+            raise ValueError(f"check status must be pass, fail or skip, got {status!r}")
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
     @staticmethod
     def of(suite: str, name: str, ok: bool, detail: str) -> "Check":
         return Check(suite, name, "pass" if ok else "fail", detail)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """An ordered run of checks; it passes when none of them failed."""
 
     results: tuple[Check, ...]
@@ -84,13 +87,23 @@ def format_weight(w: Sequence[Fraction]) -> str:
     return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class AlgebraRealization:
+class AlgebraRealization(Record):
     """A concrete algebra: labelled basis and Cartan choice."""
 
+    __slots__ = ("spec", "basis", "cartan_indices", "__dict__")
     spec: AlgebraSpec
     basis: tuple[tuple[str, EdgeMatrix], ...]
     cartan_indices: tuple[int, ...]
+
+    def __init__(
+        self,
+        spec: AlgebraSpec,
+        basis: tuple[tuple[str, EdgeMatrix], ...],
+        cartan_indices: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "cartan_indices", cartan_indices)
 
     @property
     def dimension(self) -> int:

@@ -40,6 +40,9 @@ RELATION_FIELDS = (("relation", "name"), ("status", "status"))
 # Digits per classify vector, numerators and denominators summed: a printed Cartan integer
 # has at most about four times as many, which stays under Python's 4300-digit str(int) limit.
 MAX_VECTOR_DIGITS = 1000
+# Vectors per classify file: the reflection axiom checks every ordered pair, so the count
+# bounds the work.  It is checked before any entry is parsed.
+MAX_VECTORS = 1000
 
 
 class InputError(Exception):
@@ -330,6 +333,10 @@ def _load_json(path: str) -> Any:
 def _parse_vectors(data: Any, path: str) -> list[tuple[Fraction, ...]]:
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: \"vectors\" must be a nonempty list of vectors")
+    if len(data) > MAX_VECTORS:
+        raise InputError(
+            f"{path}: \"vectors\" holds {len(data)} vectors; at most {MAX_VECTORS} are accepted"
+        )
     vectors = []
     width = None
     for row_index, row in enumerate(data, start=1):

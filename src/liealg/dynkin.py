@@ -17,9 +17,8 @@ generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import Check, CheckReport
 from .exact import Scalar, as_fraction
@@ -28,8 +27,7 @@ from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
 from .roots import RootDatum
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """Vertices with edge multiplicities 0..3 and arrows toward shorter roots."""
 
     nvertices: int
@@ -257,8 +255,7 @@ def _edge_text(d: DynkinDiagram, left: int, right: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SerreRelation:
+class SerreRelation(NamedTuple):
     """One defining relation: a bracket word equal to a multiple of a generator, or 0.
 
     A generator is a letter "H", "X" or "Y" and a 0-based index.  ``word``
@@ -294,8 +291,7 @@ class SerreRelation:
         return value == (target if self.coefficient is None else target.scale(self.coefficient))
 
 
-@dataclass(frozen=True)
-class SerrePresentation:
+class SerrePresentation(NamedTuple):
     """Generators H_i, X_i, Y_i and the full relation list."""
 
     cartan: CartanMatrix

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .records import Record
 
 
 class AlgebraFamily(enum.Enum):
@@ -26,8 +27,7 @@ class AlgebraFamily(enum.Enum):
         raise ValueError(f"unknown family {name!r} (expected sl, sp, so-even, so-odd)")
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """One algebra: a family plus its defining parameter n.
 
     The parameter n follows the classical naming: sl_n, sp_2n, so_2n,
@@ -35,15 +35,16 @@ class AlgebraSpec:
     equals n.  The two are kept distinct throughout.
     """
 
+    __slots__ = ("family", "rank")
     family: AlgebraFamily
     rank: int
 
-    def __post_init__(self) -> None:
-        minimum = 2 if self.family in (AlgebraFamily.SL, AlgebraFamily.SO_EVEN) else 1
-        if self.rank < minimum:
-            raise ValueError(
-                f"{self.family.cli_name} requires n >= {minimum}, got {self.rank}"
-            )
+    def __init__(self, family: AlgebraFamily, rank: int) -> None:
+        minimum = 2 if family in (AlgebraFamily.SL, AlgebraFamily.SO_EVEN) else 1
+        if rank < minimum:
+            raise ValueError(f"{family.cli_name} requires n >= {minimum}, got {rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def realization_dim(self) -> int:

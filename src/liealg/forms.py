@@ -24,7 +24,6 @@ exposes both:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,6 +36,7 @@ from .catalog import (
 )
 from .families import AlgebraFamily
 from .matrices import EdgeMatrix, dot
+from .records import Record
 from .roots import Inner, KillingMetric, RootDatum
 
 
@@ -102,29 +102,28 @@ def weight_inner(rd: RootDatum) -> Inner:
     return inner
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Record):
     """Integer matrix with diagonal 2 and nonpositive off-diagonal entries."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
             raise ValueError("Cartan matrix must be square and nonempty")
         for i in range(n):
-            if self.entries[i][i] != 2:
+            if entries[i][i] != 2:
                 raise ValueError("Cartan matrix diagonal entries must equal 2")
             for j in range(n):
                 if i == j:
                     continue
-                a = self.entries[i][j]
+                a = entries[i][j]
                 if a not in (0, -1, -2, -3):
-                    raise ValueError(
-                        f"off-diagonal Cartan entry {a} outside {{0,-1,-2,-3}}"
-                    )
-                if (a == 0) != (self.entries[j][i] == 0):
+                    raise ValueError(f"off-diagonal Cartan entry {a} outside {{0,-1,-2,-3}}")
+                if (a == 0) != (entries[j][i] == 0):
                     raise ValueError("Cartan entries A_ij and A_ji must vanish together")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def rank(self) -> int:

@@ -10,18 +10,16 @@ Jacobian criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .families import AlgebraFamily
 from .polynomials import MultiPoly, poly_det
 from .weyl import Window
 
 
-@dataclass(frozen=True)
-class InvariantSuite:
+class InvariantSuite(NamedTuple):
     """An ordered generating set for one family's invariant ring."""
 
     family: AlgebraFamily

@@ -15,11 +15,11 @@ weights, and the independent roots of the root-axiom verifier;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact import Scalar, as_fraction, is_scalar
+from .records import Record
 
 Position = tuple[int, int]  # (row, column), 0-indexed
 
@@ -34,8 +34,7 @@ def _add_multiple(acc: dict, row: Mapping, factor: Scalar) -> None:
             acc.pop(key, None)
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeMatrix:
+class EdgeMatrix(Record):
     """Immutable square matrix over exact rationals, stored by its edges.
 
     The name records the reading: the elementary matrix with a 1 in row i,
@@ -45,8 +44,13 @@ class EdgeMatrix:
     operation keeps explicit zeros out, so equal matrices have equal maps.
     """
 
+    __slots__ = ("dim", "edges")
     dim: int
     edges: dict[Position, Scalar]
+
+    def __init__(self, dim: int, edges: dict[Position, Scalar]) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "EdgeMatrix":

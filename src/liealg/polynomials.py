@@ -6,30 +6,31 @@ coefficients, so equal polynomials have identical term maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exact import Scalar, as_fraction
+from .records import Record
 
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class MultiPoly:
+class MultiPoly(Record):
+    __slots__ = ("nvars", "terms")
     nvars: int
-    terms: dict[Exponent, Fraction] = field(default_factory=dict)
+    terms: dict[Exponent, Fraction]
 
-    def __post_init__(self) -> None:
-        if self.nvars <= 0:
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar]) -> None:
+        if nvars <= 0:
             raise ValueError("polynomial needs a positive number of variables")
         clean: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            if len(expo) != self.nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo} for {self.nvars} variables")
+        for expo, coeff in terms.items():
+            if len(expo) != nvars or any(e < 0 for e in expo):
+                raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
             c = as_fraction(coeff)
             if c:
                 clean[tuple(expo)] = c
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
     # -- constructors ------------------------------------------------------

@@ -17,12 +17,11 @@ coefficients ``sigma`` and ``trace``, built once as ``RootDatum.killing_metric``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .catalog import (
     AlgebraRealization,
@@ -42,6 +41,7 @@ from .matrices import (
     mat_bracket,
     sparse_vector,
 )
+from .records import Record
 
 Inner = Callable[[Weight, Weight], Fraction]
 
@@ -114,14 +114,17 @@ def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Roots, sl2 triples, fundamental roots/coroots/weights of one realization.
 
     The triple of a root a is (``root_vector(a)``, ``partners[a]``,
     ``coroots[a]``): [x_a, y_a] = h_a and a(h_a) = 2.
     """
 
+    __slots__ = (
+        "realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",
+        "coroots", "partners", "fundamental_coroots", "fundamental_weights", "__dict__",
+    )
     realization: AlgebraRealization
     roots: tuple[Weight, ...]
     root_vectors: dict[Weight, int]
@@ -131,6 +134,28 @@ class RootDatum:
     partners: dict[Weight, EdgeMatrix]
     fundamental_coroots: tuple[EdgeMatrix, ...]
     fundamental_weights: tuple[Weight, ...]
+
+    def __init__(
+        self,
+        realization: AlgebraRealization,
+        roots: tuple[Weight, ...],
+        root_vectors: dict[Weight, int],
+        positive_roots: tuple[Weight, ...],
+        fundamental_roots: tuple[Weight, ...],
+        coroots: dict[Weight, EdgeMatrix],
+        partners: dict[Weight, EdgeMatrix],
+        fundamental_coroots: tuple[EdgeMatrix, ...],
+        fundamental_weights: tuple[Weight, ...],
+    ) -> None:
+        object.__setattr__(self, "realization", realization)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "root_vectors", root_vectors)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "fundamental_roots", fundamental_roots)
+        object.__setattr__(self, "coroots", coroots)
+        object.__setattr__(self, "partners", partners)
+        object.__setattr__(self, "fundamental_coroots", fundamental_coroots)
+        object.__setattr__(self, "fundamental_weights", fundamental_weights)
 
     @property
     def spec(self) -> AlgebraSpec:
@@ -152,8 +177,7 @@ class RootDatum:
         return _killing_metric(self)
 
 
-@dataclass(frozen=True)
-class KillingMetric:
+class KillingMetric(NamedTuple):
     """The Killing form on the Cartan basis h_1..h_r of one root datum.
 
     ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace

@@ -1,6 +1,7 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
-reference reflection used by the reflection and root-axiom tests, and the
-dense structure-constant table used by the catalog tests."""
+reference reflection used by the reflection and root-axiom tests, the dense
+structure-constant table used by the catalog tests, and a field-replacing
+copy of a record."""
 
 from __future__ import annotations
 
@@ -48,6 +49,16 @@ def weyl_group(family: AlgebraFamily, n: int, cap: int = 100_000):
         gens = L.simple_reflections(root_datum(family, n))
         _WEYL_GROUPS[key] = L.generate(gens, cap=cap)
     return _WEYL_GROUPS[key]
+
+
+def replace(record, **changes):
+    """A new record of the same type, with the named fields changed.
+
+    It goes through the constructor, so validation runs again and no cached
+    value is carried over.
+    """
+    fields = {name: getattr(record, name) for name in record.__slots__ if name != "__dict__"}
+    return type(record)(**{**fields, **changes})
 
 
 def reflect(inner, alpha, beta):

@@ -104,3 +104,22 @@ def test_vector_over_the_digit_budget_is_a_usage_error():
     code, out, err = run_classify(json.dumps({"vectors": [[big, "1/" + big], ["1", "2"]]}))
     assert (code, out) == (2, "")
     assert err.endswith(f"vector 1 has 1202 digits; at most {cli.MAX_VECTOR_DIGITS} are accepted\n")
+
+
+def test_too_many_vectors_is_a_usage_error_before_parsing():
+    # The first entry is not a number: the count is checked before any entry is read.
+    count = cli.MAX_VECTORS + 1
+    code, out, err = run_classify(json.dumps({"vectors": [["x"]] + [[1]] * (count - 1)}))
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f'"vectors" holds {count} vectors; at most {cli.MAX_VECTORS} are accepted\n'
+    )
+    assert err.count("\n") == 1
+
+
+def test_the_vector_bound_admits_its_own_count():
+    # At the bound the count passes and the file is read on, up to the bad last vector.
+    vectors = [[1]] * (cli.MAX_VECTORS - 1) + [[1, 0]]
+    code, out, err = run_classify(json.dumps({"vectors": vectors}))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"vector {cli.MAX_VECTORS} has length 2, expected 1\n")

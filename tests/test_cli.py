@@ -3,12 +3,11 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import root_datum, run_cli, src_env
+from conftest import replace, root_datum, run_cli, src_env
 
 from liealg import AlgebraFamily, AlgebraSpec, cli, forms, invariants, roots, weyl
 from liealg.matrices import SpanSolver
@@ -177,7 +176,7 @@ def _suite_with(change):
 
         def broken(family, n):
             suite = build(family, n)
-            return replace(suite, polys=change(suite.polys))
+            return suite._replace(polys=change(suite.polys))
 
         monkeypatch.setattr(invariants, "build_suite", broken)
 

@@ -7,7 +7,8 @@ be exported in ``liealg.__all__``.  Such a read is a NAME token, so a
 mention in a comment or a docstring does not count.
 
 A public member of a public class (a method, a property or an annotated
-field such as a dataclass field; dunders excluded) must likewise be read
+field, such as a NamedTuple field or the bare annotation that names a slot
+of a ``__slots__`` record; dunders excluded) must likewise be read
 outside its own definition.  A member read is an attribute load ``.name``,
 or a string ``"name"`` in ``bench/``, whose tracer looks functions up with
 ``getattr``; a bare NAME token of the same spelling (a local variable, a

@@ -10,12 +10,11 @@ included.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, root_datum, run_cli
+from conftest import family_ranks, replace, root_datum, run_cli
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, forms, roots

@@ -1,11 +1,10 @@
 """Root systems, coroots, fundamental weights, and the root-system axioms."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, realization, root_datum
+from conftest import family_ranks, realization, replace, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
