@@ -5,7 +5,14 @@ symmetric group (acting on one extra variable, restricted to the sum-zero
 hyperplane where the action is effective), even power sums for the signed
 permutation groups, and even power sums plus the full product for the
 even-sign subgroup.  Algebraic independence is certified exactly through the
-Jacobian criterion.
+Jacobian criterion: the determinant of the partial-derivative matrix is not
+the zero polynomial.  A nonzero exact value of that determinant at one
+rational point proves it (Schwartz 1980, Zippel 1979).  The classical suites
+have one at (1, ..., m): their Jacobians are constant multiples of products
+of x_i, x_j - x_i, x_j + x_i and sums of coordinates with positive
+coefficients (see the closed forms below), none of which vanishes there.  A
+zero value proves nothing, so only then is the determinant expanded
+symbolically.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .families import AlgebraFamily
+from .matrices import determinant
 from .polynomials import MultiPoly, poly_det
 from .weyl import Window
 
@@ -106,9 +114,41 @@ def jacobian(s: InvariantSuite) -> MultiPoly:
     return poly_det(matrix)
 
 
+def _jacobian_at_point(s: InvariantSuite) -> Fraction:
+    """The Jacobian determinant of the suite at the point (1, ..., m).
+
+    m is the effective variable count.  For the A family the point is
+    (1, ..., m, -(1 + ... + m)) on the sum-zero hyperplane, and column j of
+    the restricted matrix is d_j f - d_(m+1) f there (the chain rule), so
+    the polynomials are never restricted symbolically.
+    """
+    if s.family is AlgebraFamily.SL:
+        nv = s.nvars
+        m = nv - 1
+    else:
+        nv = s.polys[0].nvars
+        m = nv
+    if m < 1 or len(s.polys) != m:
+        raise ValueError("suite size must match the effective variable count")
+    point = list(range(1, m + 1))
+    if m < nv:
+        point.append(-sum(point))
+    rows = []
+    for p in s.polys:
+        gradient = [p.derivative(j).eval(point) for j in range(nv)]
+        rows.append([d - gradient[-1] for d in gradient[:m]] if m < nv else gradient)
+    return determinant(rows)
+
+
 def jacobian_criterion(s: InvariantSuite) -> bool:
-    """Algebraic independence: the Jacobian is not the zero polynomial."""
-    return not jacobian(s).is_zero()
+    """Algebraic independence: the Jacobian is not the zero polynomial.
+
+    A nonzero value at the point of ``_jacobian_at_point`` proves it without
+    expanding the determinant.  A zero value proves nothing, since a nonzero
+    polynomial can vanish at one point, so the verdict then comes from the
+    symbolic ``jacobian``; the answer is the symbolic one for every suite.
+    """
+    return bool(_jacobian_at_point(s)) or not jacobian(s).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,6 @@ def solve_linear(
     return [solution.get(j, Fraction(0)) for j in range(ncols)]
 
 
-# No caller in src/; kept because bench/traced.py spans it by name.
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant by echelon reduction of the rows.
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .catalog import InternalConsistencyError
 from .exact import Scalar, as_fraction
@@ -67,12 +68,29 @@ def simple_reflections(rd: RootDatum) -> list[Window]:
     return out
 
 
+def _source(positions: Sequence[int]) -> Callable[[Window], Window]:
+    """The map w -> (w[p] for p in positions), always returning a tuple.
+
+    ``itemgetter`` with one index returns the item itself, so a single
+    position (a carrier of size 1) reads a one-entry slice instead.
+    """
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
 def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     """Breadth-first closure of the generators under composition.
 
     Raises ValueError unless the generators are windows of one length n,
     each a signed permutation of 1..n, and WeylOverflowError as soon as the
     group would exceed ``cap``; truncation is never silent.
+
+    Each step forms ``compose(element, g)`` without calling it: the entries
+    of ``element`` at the positions |g_k| - 1 are read by one precomputed
+    ``itemgetter``, mapped over the whole frontier for one generator at a
+    time, and only the positions k with g_k < 0 (at most two for a simple
+    reflection) are then negated.
     """
     if not gens:
         raise ValueError("at least one generator required")
@@ -84,14 +102,22 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     for g in gens:
         if sorted(abs(v) for v in g) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation of 1..{n}: {g}")
+    steps = [
+        (_source([abs(v) - 1 for v in g]), [k for k, v in enumerate(g) if v < 0])
+        for g in gens
+    ]
     identity = tuple(range(1, n + 1))
     seen = {identity}
     frontier = [identity]
     while frontier:
         next_frontier = []
-        for element in frontier:
-            for g in gens:
-                candidate = compose(element, g)
+        for source, flips in steps:
+            for candidate in map(source, frontier):
+                if flips:
+                    entries = list(candidate)
+                    for k in flips:
+                        entries[k] = -entries[k]
+                    candidate = tuple(entries)
                 if candidate not in seen:
                     seen.add(candidate)
                     if len(seen) > cap:

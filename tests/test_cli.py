@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import replace, root_datum, run_cli, src_env
+from conftest import family_ranks, replace, root_datum, run_cli, src_env
 
 from liealg import AlgebraFamily, AlgebraSpec, cli, forms, invariants, roots, weyl
 from liealg.matrices import SpanSolver
@@ -391,6 +391,27 @@ class TestInvariantsCommand:
         assert code == 0
         assert "degrees: 2, 4, 6" in out
         assert "degree product: 48" in out
+
+    @pytest.mark.parametrize("family,n", [
+        (family.cli_name, str(n)) for family, n in family_ranks(5)
+        if AlgebraSpec(family, n).lie_rank <= 4
+    ])
+    def test_jacobian_stays_off_the_symbolic_route(self, family, n, monkeypatch):
+        # The classical suites are certified at one point, so the symbolic
+        # determinant is never reached from the CLI.
+        commands = [["invariants", family, n], ["verify", family, n, "invariants"],
+                    ["verify", family, n, "all"]]
+        expected = [run_cli(argv) for argv in commands]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic Jacobian called")
+
+        monkeypatch.setattr(invariants, "jacobian", refuse)
+        monkeypatch.setattr(invariants, "poly_det", refuse)
+        for argv, before in zip(commands, expected):
+            assert before[0] == 0
+            assert "jacobian criterion: PASS" in before[1]
+            assert run_cli(argv) == before
 
 
 class TestConsoleEntryPoint:

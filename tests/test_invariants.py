@@ -9,9 +9,10 @@ import pytest
 from conftest import family_ranks, root_datum, weyl_group
 
 import liealg as L
-from liealg import AlgebraFamily
+from liealg import AlgebraFamily, AlgebraSpec, invariants
 from liealg.invariants import (
     InvariantSuite,
+    _jacobian_at_point,
     build_suite,
     check_invariance,
     constant_ratio,
@@ -168,6 +169,73 @@ class TestJacobians:
                 ]
                 rows = [[p.derivative(j).eval(point) for j in range(nv)] for p in polys]
                 assert J.eval(point) == determinant(rows)
+
+
+def lie_ranks(max_lie_rank):
+    """(family, Lie rank) for every family up to ``max_lie_rank``."""
+    return [
+        (family, AlgebraSpec(family, n).lie_rank)
+        for family, n in family_ranks(max_lie_rank + 1)
+        if AlgebraSpec(family, n).lie_rank <= max_lie_rank
+    ]
+
+
+@pytest.fixture
+def no_symbolic_jacobian(monkeypatch):
+    """Make the symbolic determinant raise, so only the point route can answer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic Jacobian called")
+
+    monkeypatch.setattr(invariants, "jacobian", refuse)
+    monkeypatch.setattr(invariants, "poly_det", refuse)
+
+
+class TestPointCertificate:
+    @pytest.mark.parametrize("family,lie_rank", lie_ranks(4))
+    def test_point_value_is_the_symbolic_jacobian_at_the_point(self, family, lie_rank):
+        # For sl, jacobian() is already restricted to the sum-zero
+        # hyperplane, so it is evaluated at (1, ..., m) in the m effective
+        # variables, which is the point (1, ..., m, -(1 + ... + m)).
+        s = build_suite(family, lie_rank)
+        value = _jacobian_at_point(s)
+        assert value != 0
+        assert value == jacobian(s).eval(list(range(1, lie_rank + 1)))
+
+    @pytest.mark.parametrize("family,lie_rank", lie_ranks(8))
+    def test_nonzero_without_the_symbolic_route(self, family, lie_rank, no_symbolic_jacobian):
+        s = build_suite(family, lie_rank)
+        assert _jacobian_at_point(s) != 0
+        assert jacobian_criterion(s) is True
+
+    def test_dependent_suites_fall_back_and_fail(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p2 = x * x + y * y
+        for polys in ([p2, p2 * p2], [x, x]):
+            s = hand_suite(polys)
+            assert _jacobian_at_point(s) == 0
+            assert jacobian_criterion(s) is False
+
+    def test_zero_at_the_point_is_not_zero_everywhere(self, monkeypatch):
+        # d/dy (y - 2)^2 vanishes at y = 2, so the value at (1, 2) is 0; the
+        # symbolic Jacobian 2(y - 2) is nonzero and decides.
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        s = hand_suite([x, (y - MultiPoly.constant(2, 2)) ** 2])
+        assert _jacobian_at_point(s) == 0
+        calls = []
+        symbolic = invariants.jacobian
+        monkeypatch.setattr(invariants, "jacobian", lambda t: calls.append(t) or symbolic(t))
+        assert jacobian_criterion(s) is True
+        assert calls == [s]
+
+    def test_suite_size_must_match_the_effective_variables(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        with pytest.raises(ValueError, match="effective variable count"):
+            jacobian_criterion(hand_suite([x, y, x * y]))
+        with pytest.raises(ValueError, match="effective variable count"):
+            jacobian_criterion(InvariantSuite(AlgebraFamily.SL, 2, (x, y)))
+        with pytest.raises(ValueError):
+            jacobian_criterion(InvariantSuite(AlgebraFamily.SL, 1, ()))
 
 
 class TestDegreeProductsAgainstEnumeration:

@@ -1,0 +1,113 @@
+"""The Weyl closure against a reference breadth-first search built on ``compose``.
+
+``generate`` forms each product from precomputed index maps instead of
+calling ``compose``.  The reference below is the plain closure, one
+``compose(element, g)`` per candidate; both must give the same frozenset,
+and ``generate`` must overflow exactly when the group is larger than the cap.
+The generators are the simple reflections of every family with |W| <= 10^5,
+then shuffled lists and random words in them, and arbitrary signed
+permutations, so that the negated positions fall anywhere in the window.
+"""
+
+import random
+
+import pytest
+
+from conftest import root_datum
+
+import liealg as L
+from liealg import AlgebraFamily, AlgebraSpec, WeylOverflowError
+from liealg.weyl import compose, generate, simple_reflections
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+FAMILY_SIZES = (
+    [(AlgebraFamily.SL, n) for n in range(2, 9)]
+    + [(AlgebraFamily.SP, n) for n in range(1, 6)]
+    + [(AlgebraFamily.SO_ODD, n) for n in range(1, 6)]
+    + [(AlgebraFamily.SO_EVEN, n) for n in range(2, 7)]
+)
+SMALL = [(family, n) for family, n in FAMILY_SIZES
+         if L.weyl_order_formula(AlgebraSpec(family, n)) <= 4000]
+
+
+def reference_generate(gens, cap=100_000):
+    """Breadth-first closure with one ``compose`` call per candidate."""
+    n = len(gens[0])
+    identity = tuple(range(1, n + 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for element in frontier:
+            for g in gens:
+                candidate = compose(element, g)
+                if candidate not in seen:
+                    seen.add(candidate)
+                    if len(seen) > cap:
+                        raise WeylOverflowError(f"group order exceeds cap {cap}")
+                    next_frontier.append(candidate)
+        frontier = next_frontier
+    return frozenset(seen)
+
+
+def word(gens, letters, n):
+    element = tuple(range(1, n + 1))
+    for i in letters:
+        element = compose(element, gens[i])
+    return element
+
+
+@pytest.mark.parametrize("family,n", FAMILY_SIZES)
+def test_simple_reflections_close_to_the_reference_group(family, n):
+    gens = simple_reflections(root_datum(family, n))
+    order = L.weyl_order_formula(AlgebraSpec(family, n))
+    assert order <= 100_000
+    group = generate(gens)
+    assert group == reference_generate(gens)
+    assert len(group) == order
+    assert all(isinstance(w, tuple) and len(w) == n for w in group)
+    assert generate(gens, cap=order) == group
+    with pytest.raises(WeylOverflowError, match=f"cap {order - 1}$"):
+        generate(gens, cap=order - 1)
+
+
+@pytest.mark.parametrize("family,n", SMALL)
+def test_shuffled_generators_give_the_same_group(family, n):
+    gens = simple_reflections(root_datum(family, n))
+    rng = random.Random(f"{family.value}-{n}")
+    for _ in range(3):
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        assert generate(shuffled) == reference_generate(gens)
+
+
+@st.composite
+def generator_sets(draw):
+    """Random words in the simple reflections, or arbitrary signed permutations."""
+    if draw(st.booleans()):
+        family, n = draw(st.sampled_from(SMALL))
+        simple = simple_reflections(root_datum(family, n))
+        letters = st.lists(st.integers(0, len(simple) - 1), max_size=8)
+        gens = [word(simple, draw(letters), n) for _ in range(draw(st.integers(1, 4)))]
+    else:
+        n = draw(st.integers(1, 4))
+        signed = st.tuples(st.permutations(range(1, n + 1)),
+                           st.lists(st.booleans(), min_size=n, max_size=n))
+        gens = [tuple(-v if flip else v for v, flip in zip(perm, flips))
+                for perm, flips in draw(st.lists(signed, min_size=1, max_size=3))]
+    return gens, draw(st.integers(1, 400))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(generator_sets())
+def test_random_generators_match_the_reference_under_every_cap(case):
+    gens, cap = case
+    try:
+        expected = reference_generate(gens, cap)
+    except WeylOverflowError:
+        with pytest.raises(WeylOverflowError, match=f"cap {cap}$"):
+            generate(gens, cap)
+    else:
+        assert generate(gens, cap) == expected
