@@ -12,17 +12,18 @@ Adjoint matrices are sparse columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .digraph import opposite_antimorphism
-from .exact import format_rational
+from .exact import Scalar, format_rational
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import EdgeMatrix, SpanSolver, mat_bracket
 from .records import Record
 
-Weight = tuple[Fraction, ...]
+# A functional on the Cartan, by its coordinates: each an int when integral,
+# else a Fraction (``exact.canonical``).  Roots and edge weights are all ints.
+Weight = tuple[Scalar, ...]
 
 
 class InternalConsistencyError(RuntimeError):
@@ -68,7 +69,7 @@ class CheckReport(NamedTuple):
         return tuple(c for c in self.results if c.status == "fail")
 
 
-def format_weight(w: Sequence[Fraction]) -> str:
+def format_weight(w: Sequence[Scalar]) -> str:
     """Render a functional as a combination of the coordinate symbols a_i."""
     parts: list[str] = []
     for i, c in enumerate(w, start=1):
@@ -121,11 +122,13 @@ class AlgebraRealization(Record):
         """
         return SpanSolver(mat.edges for _, mat in self.basis)
 
-    def diag_coords(self, h: EdgeMatrix) -> tuple[Fraction, ...]:
+    def diag_coords(self, h: EdgeMatrix) -> tuple[Scalar, ...]:
         """Coordinates x_1..x_n of a Cartan element; validates its shape.
 
         The Cartan subalgebras are diagonal: diag(x) for sl (sum zero),
-        diag(x, -x) for sp and even so, diag(x, -x, 0) for odd so.
+        diag(x, -x) for sp and even so, diag(x, -x, 0) for odd so.  The
+        coordinates are h's diagonal entries, so they are canonical scalars:
+        ints for every coroot of the classical families.
         """
         n = self.spec.rank
         if h.dim != self.spec.realization_dim:
@@ -155,7 +158,7 @@ class AlgebraRealization(Record):
 
 def _edge_weight(n: int, i: int, j: int) -> Weight:
     chi = lambda k: [(k == s) - (k == s + n) for s in range(n)]
-    return tuple(Fraction(a - b) for a, b in zip(chi(i), chi(j)))
+    return tuple(a - b for a, b in zip(chi(i), chi(j)))
 
 
 def _positive_root_table(spec: AlgebraSpec) -> list[tuple[Weight, EdgeMatrix]]:
@@ -253,7 +256,7 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     return (x.transpose() @ S + S @ x).is_zero()
 
 
-def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> list[dict[int, Fraction]]:
+def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> list[dict[int, Scalar]]:
     """ad(x) = [x, .] over the basis of r, as sparse columns {row: entry}.
 
     Column k holds the nonzero coefficients of [x, b_k] over the basis,

@@ -3,6 +3,13 @@
 Every quantity in this package is an exact rational number: a Python int or a
 ``fractions.Fraction`` (always stored in lowest terms with positive
 denominator).  Floats are rejected everywhere; no rounding ever occurs.
+
+One rule fixes the form of a value: it is an int whenever it is an integer,
+and a Fraction only when it is not (``canonical``).  The matrix entries,
+roots, coroot coordinates and fundamental weights follow it, so the integral
+work of the classical families runs in int arithmetic.  A function
+documented to return a Fraction (``dot``, ``trace``, ``determinant``, the
+Killing values) still does.
 """
 
 from __future__ import annotations
@@ -25,8 +32,14 @@ def as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
-def is_scalar(x: object) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+def canonical(x: Scalar) -> Scalar:
+    """An exact scalar in its one form: an int when the value is an integer,
+    else a Fraction.  Floats and bools raise TypeError."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -45,7 +58,7 @@ def format_rational(x: Scalar) -> str:
     A numerator or denominator over Python's integer-string limit, which
     ``str`` refuses, is rendered by its length instead, as "<N digits>".
     """
-    f = as_fraction(x)
+    f = canonical(x)
     parts = (f.numerator,) if f.denominator == 1 else (f.numerator, f.denominator)
     return "/".join(map(_integer_text, parts))
 

@@ -34,13 +34,14 @@ from .catalog import (
     ad_matrix,
     check_membership,
 )
+from .exact import Scalar
 from .families import AlgebraFamily
 from .matrices import EdgeMatrix, dot
 from .records import Record
 from .roots import Inner, KillingMetric, RootDatum
 
 
-def _trace_of_product(ax: list[dict[int, Fraction]], ay: list[dict[int, Fraction]]) -> Fraction:
+def _trace_of_product(ax: list[dict[int, Scalar]], ay: list[dict[int, Scalar]]) -> Fraction:
     """tr(ax ay) = sum of ax[i][k] ay[k][i] over the nonzeros of sparse columns {row: entry}."""
     total = Fraction(0)
     for k, column in enumerate(ax):

@@ -2,11 +2,14 @@
 
 The matrix type is the workhorse for every algebra realization.  It stores
 only its nonzero entries, as a map from (row, column) edges to exact
-rationals (int or Fraction); it is immutable, and all operations are pure
-and cost time in proportion to the nonzeros they touch.
+rationals, each in the form of ``exact.canonical`` (an int when integral);
+it is immutable, and all operations are pure and cost time in proportion to
+the nonzeros they touch.
 
 Every linear computation runs through one sparse echelon kernel with no
-pivot tolerance: a pivot is zero exactly or not at all.  ``SpanSolver`` is
+pivot tolerance: a pivot is zero exactly or not at all.  Its rows and
+combinations keep the canonical form too, so integral inputs with pivots
++-1 are eliminated in int arithmetic throughout.  ``SpanSolver`` is
 its one expansion front-end, for the rank and the ad coordinates of an
 algebra's basis, ``solve_linear``, the fundamental-root expansions and
 weights, and the independent roots of the root-axiom verifier;
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import Scalar, as_fraction, is_scalar
+from .exact import Scalar, as_fraction, canonical
 from .records import Record
 
 Position = tuple[int, int]  # (row, column), 0-indexed
@@ -29,7 +32,7 @@ def _add_multiple(acc: dict, row: Mapping, factor: Scalar) -> None:
     for key, value in row.items():
         new = acc.get(key, 0) + factor * value
         if new:
-            acc[key] = new
+            acc[key] = canonical(new)
         else:
             acc.pop(key, None)
 
@@ -41,7 +44,9 @@ class EdgeMatrix(Record):
     column j is the directed edge i -> j, and a general matrix is a rational
     linear combination of such edges.  ``edges`` maps (row, column),
     0-indexed, to the nonzero entries only and must not be mutated; every
-    operation keeps explicit zeros out, so equal matrices have equal maps.
+    operation keeps explicit zeros out, so equal matrices have equal maps,
+    and returns each entry in canonical form: an int when it is an integer,
+    a Fraction otherwise.
     """
 
     __slots__ = ("dim", "edges")
@@ -62,9 +67,7 @@ class EdgeMatrix(Record):
             if len(row) != dim:
                 raise ValueError("matrix must be square")
             for c, x in enumerate(row):
-                if not is_scalar(x):
-                    raise TypeError(f"exact scalar expected, got {type(x).__name__}")
-                if x:
+                if x := canonical(x):
                     edges[(r, c)] = x
         return EdgeMatrix(dim, edges)
 
@@ -122,11 +125,9 @@ class EdgeMatrix(Record):
         return EdgeMatrix(self.dim, {rc: -x for rc, x in self.edges.items()})
 
     def scale(self, c: Scalar) -> "EdgeMatrix":
-        if not is_scalar(c):
-            raise TypeError(f"exact scalar expected, got {type(c).__name__}")
-        if not c:
+        if not (c := canonical(c)):
             return EdgeMatrix(self.dim, {})
-        return EdgeMatrix(self.dim, {rc: c * x for rc, x in self.edges.items()})
+        return EdgeMatrix(self.dim, {rc: canonical(c * x) for rc, x in self.edges.items()})
 
     def __matmul__(self, other: "EdgeMatrix") -> "EdgeMatrix":
         """Product; on edges, (i->k)(k->j) = (i->j), and 0 when the ends differ."""
@@ -138,7 +139,7 @@ class EdgeMatrix(Record):
         for (i, k), a in self.edges.items():
             for j, b in out_of.get(k, ()):
                 acc[(i, j)] = acc.get((i, j), 0) + a * b
-        return EdgeMatrix(self.dim, {rc: x for rc, x in acc.items() if x})
+        return EdgeMatrix(self.dim, {rc: canonical(x) for rc, x in acc.items() if x})
 
     def transpose(self) -> "EdgeMatrix":
         return EdgeMatrix(self.dim, {(c, r): x for (r, c), x in self.edges.items()})
@@ -156,8 +157,9 @@ class EdgeMatrix(Record):
         """Sum of diagonal entries; an edge i->j contributes iff i = j."""
         return as_fraction(sum(x for (r, c), x in self.edges.items() if r == c))
 
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(as_fraction(self.edges.get((i, i), 0)) for i in range(self.dim))
+    def diagonal(self) -> tuple[Scalar, ...]:
+        """The diagonal entries, in canonical form (ints when integral)."""
+        return tuple(self.edges.get((i, i), 0) for i in range(self.dim))
 
     def is_zero(self) -> bool:
         return not self.edges
@@ -180,11 +182,13 @@ def mat_bracket(a: EdgeMatrix, b: EdgeMatrix) -> EdgeMatrix:
 class _Echelon:
     """Sparse rows in echelon form, each stored under its pivot (least key).
 
-    A stored row is scaled so its pivot entry is 1.  A row may carry a
-    combination {input index: coefficient}; reducing the row adds the same
-    multiples of the stored rows' combinations to it, so a caller that
-    starts from {k: 1} for input k can read every row as a combination of
-    the inputs.
+    A stored row is scaled so its pivot entry is 1; a pivot of +-1 is its
+    own inverse, so an int row stays an int row.  Stored rows are read only
+    through ``_add_multiple``, which returns canonical values.  A row may
+    carry a combination {input index: coefficient}; reducing the row adds
+    the same multiples of the stored rows' combinations to it, so a caller
+    that starts from {k: 1} for input k can read every row as a combination
+    of the inputs.
     """
 
     def __init__(self) -> None:
@@ -212,7 +216,8 @@ class _Echelon:
         residual = self.reduce(row, combination)
         if residual:
             pivot = min(residual)
-            inverse = 1 / as_fraction(residual[pivot])
+            value = residual[pivot]
+            inverse = value if value in (1, -1) else 1 / Fraction(value)
             self.rows[pivot] = (
                 {key: inverse * x for key, x in residual.items()},
                 {key: inverse * x for key, x in (combination or {}).items()},
@@ -220,9 +225,9 @@ class _Echelon:
         return residual
 
 
-def sparse_vector(values: Iterable[Scalar]) -> dict[int, Fraction]:
-    """The nonzero entries {index: value} of a dense vector."""
-    return {i: f for i, x in enumerate(values) if (f := as_fraction(x))}
+def sparse_vector(values: Iterable[Scalar]) -> dict[int, Scalar]:
+    """The nonzero entries {index: value} of a dense vector, in canonical form."""
+    return {i: f for i, x in enumerate(values) if (f := canonical(x))}
 
 
 class SpanSolver:
@@ -240,13 +245,13 @@ class SpanSolver:
             k for k, v in enumerate(family) if self._echelon.add(v, {k: 1})
         )
 
-    def expand(self, v: Mapping) -> dict[int, Fraction]:
+    def expand(self, v: Mapping) -> dict[int, Scalar]:
         """The nonzero coefficients {k: c_k}, k in ``independent``, with
         v = sum c_k family_k.
 
         Raises ValueError if v is not in the span.
         """
-        combination: dict[int, Fraction] = {}
+        combination: dict[int, Scalar] = {}
         if self._echelon.reduce(v, combination):
             raise ValueError("vector does not lie in the span of the family")
         # The residual 0 = v + sum c_k family_k.
@@ -256,7 +261,7 @@ class SpanSolver:
 # No caller in src/; kept because bench/traced.py counts its calls by name.
 def solve_linear(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
-) -> list[Fraction]:
+) -> list[Scalar]:
     """The unique exact x with ``matrix`` x = rhs: rhs expanded over the columns.
 
     Raises ValueError on a malformed, inconsistent or underdetermined system,
@@ -272,7 +277,7 @@ def solve_linear(
         raise ValueError("inconsistent linear system") from None
     if len(columns.independent) < ncols:
         raise ValueError("underdetermined linear system")
-    return [solution.get(j, Fraction(0)) for j in range(ncols)]
+    return [solution.get(j, 0) for j in range(ncols)]
 
 
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:

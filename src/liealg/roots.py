@@ -31,7 +31,7 @@ from .catalog import (
     Weight,
     format_weight,
 )
-from .exact import as_fraction, format_rational
+from .exact import as_fraction, canonical, format_rational
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import (
     EdgeMatrix,
@@ -98,9 +98,9 @@ def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
     out: list[Weight] = []
 
     def vec(pairs: dict[int, int]) -> Weight:
-        base = [Fraction(0)] * n
+        base = [0] * n
         for idx, val in pairs.items():
-            base[idx - 1] = Fraction(val)
+            base[idx - 1] = val
         return tuple(base)
 
     for i in range(1, n):
@@ -278,8 +278,9 @@ def cartan_decompose(r: AlgebraRealization) -> RootDatum:
             raise InternalConsistencyError(
                 f"a([x_a, x_-a]) = 0 for a = {format_weight(root)}"
             )
-        coroots[root] = bracket.scale(Fraction(2) / value)
-        partners[root] = x_neg.scale(Fraction(2) / value)
+        factor = 2 / value
+        coroots[root] = bracket.scale(factor)
+        partners[root] = x_neg.scale(factor)
 
     fundamental_coroots = tuple(coroots[a] for a in fundamental)
     weights = _solve_fundamental_weights(r, fundamental_coroots)
@@ -337,10 +338,10 @@ def _solve_fundamental_weights(
     n = r.spec.rank
     rows = [r.diag_coords(h) for h in fundamental_coroots]
     if r.spec.family is AlgebraFamily.SL:
-        rows.append((Fraction(1),) * n)
+        rows.append((1,) * n)
     columns = SpanSolver(map(sparse_vector, zip(*rows)))
     expansions = [columns.expand({i: 1}) for i in range(len(fundamental_coroots))]
-    return tuple(tuple(w.get(k, Fraction(0)) for k in range(n)) for w in expansions)
+    return tuple(tuple(w.get(k, 0) for k in range(n)) for w in expansions)
 
 
 def root_count(spec: AlgebraSpec) -> int:
@@ -401,8 +402,11 @@ def verify_root_axioms(
     pairs of independent roots, d * d calls for a span of dimension d: every
     other inner product is read from that Gram matrix and the roots'
     coordinates over the independent roots, in exact integers.
+
+    Coordinates are read through ``exact.canonical``: a float or a bool
+    raises TypeError.
     """
-    root_set = {tuple(Fraction(c) for c in w) for w in roots}
+    root_set = {tuple(map(canonical, w)) for w in roots}
     checks: list[Check] = []
 
     ordered = sorted(root_set, reverse=True)
@@ -452,9 +456,8 @@ def verify_root_axioms(
         if parallel:
             b = next(w for w in root_set if w in parallel)
             i = next(i for i, c in enumerate(a) if c)
-            bad_multiple = (
-                f"{format_weight(b)} = {format_rational(b[i] / a[i])} * ({format_weight(a)})"
-            )
+            ratio = format_rational(Fraction(b[i], a[i]))
+            bad_multiple = f"{format_weight(b)} = {ratio} * ({format_weight(a)})"
             break
     checks.append(
         Check.of(
@@ -519,9 +522,9 @@ def verify_sl2_triple(rd: RootDatum, alpha: Weight) -> bool:
     """Exact check of the stored triple (x_a, y_a, h_a) for a root a.
 
     The triple must satisfy a(h_a) = 2, [x_a, y_a] = h_a, [h_a, x_a] = 2 x_a
-    and [h_a, y_a] = -2 y_a.
+    and [h_a, y_a] = -2 y_a.  A float or a bool coordinate raises TypeError.
     """
-    alpha = tuple(Fraction(c) for c in alpha)
+    alpha = tuple(map(canonical, alpha))
     x = rd.root_vector(alpha)
     y = rd.partners[alpha]
     h = rd.coroot(alpha)

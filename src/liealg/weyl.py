@@ -57,7 +57,7 @@ def simple_reflections(rd: RootDatum) -> list[Window]:
         h_coords = r.diag_coords(coroot)
         window = []
         for k in range(n):
-            column = [Fraction(int(i == k)) - alpha[k] * h_coords[i] for i in range(n)]
+            column = [(i == k) - alpha[k] * h_coords[i] for i in range(n)]
             support = [i for i, v in enumerate(column) if v]
             if len(support) != 1 or column[support[0]] not in (1, -1):
                 raise InternalConsistencyError(

@@ -11,6 +11,8 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -123,3 +125,55 @@ def test_the_vector_bound_admits_its_own_count():
     code, out, err = run_classify(json.dumps({"vectors": vectors}))
     assert (code, out) == (2, "")
     assert err.endswith(f"vector {cli.MAX_VECTORS} has length 2, expected 1\n")
+
+
+# Small entries, so that every parsed integer stays small: an integer or "p/q".
+small_entries = st.one_of(
+    st.integers(-20, 20), st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 9))
+)
+
+
+def digits(entry) -> int:
+    """The digits of an entry in lowest terms, as the budget counts them."""
+    f = Fraction(str(entry))
+    return len(str(f.numerator)) + len(str(f.denominator))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.booleans(), st.integers(0, 3), st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+def test_vector_count_on_both_sides_of_the_bound(over, offset, pattern):
+    if over:
+        # The first entry is not a number: the count is checked before any entry is read.
+        count = cli.MAX_VECTORS + 1 + offset
+        vectors = [["x"]] + [[pattern[k % len(pattern)]] for k in range(count - 1)]
+        want = f'"vectors" holds {count} vectors; at most {cli.MAX_VECTORS} are accepted'
+    else:
+        # An admitted count is read on, up to the bad last vector.
+        count = cli.MAX_VECTORS - offset
+        vectors = [[pattern[k % len(pattern)]] for k in range(count - 1)] + [[1, 0]]
+        want = f"vector {count} has length 2, expected 1"
+    code, out, err = run_classify(json.dumps({"vectors": vectors}))
+    assert (code, out) == (2, "")
+    assert err.endswith(want + "\n") and err.count("\n") == 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.booleans(), st.integers(0, 3), st.lists(small_entries, min_size=1, max_size=4))
+def test_vector_digits_on_both_sides_of_the_bound(over, offset, pattern):
+    # Each entry has at least two digits, so the cycle is longer than any vector drawn.
+    cycle = [pattern[k % len(pattern)] for k in range(cli.MAX_VECTOR_DIGITS)]
+    totals = list(accumulate(map(digits, cycle)))
+    fits = sum(t <= cli.MAX_VECTOR_DIGITS for t in totals)  # the widest vector within budget
+    width = fits + 1 + offset if over else max(1, fits - offset)
+    vector, total = cycle[:width], totals[width - 1]
+    assert (total > cli.MAX_VECTOR_DIGITS) == over
+    if over:
+        # The next vector is never parsed: the budget stops the file at vector 1.
+        code, out, err = run_classify(json.dumps({"vectors": [vector, ["x"]]}))
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"vector 1 has {total} digits; at most {cli.MAX_VECTOR_DIGITS} are accepted\n"
+        )
+    else:
+        code, out, err = run_classify(json.dumps({"vectors": [vector]}))
+        assert code in (0, 1) and err == ""

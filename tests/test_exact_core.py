@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liealg.exact import format_rational, parse_rational
+from liealg.exact import canonical, format_rational, parse_rational
 from liealg.matrices import (
     EdgeMatrix,
     SpanSolver,
@@ -52,6 +52,14 @@ class TestScalars:
             with pytest.raises(ValueError):
                 parse_rational(text)
 
+    def test_canonical_is_int_exactly_when_integral(self):
+        for x, want in ((3, 3), (Fraction(6, 3), 2), (Fraction(-4, 1), -4), (Fraction(0), 0)):
+            assert type(canonical(x)) is int and canonical(x) == want
+        assert type(canonical(Fraction(1, 2))) is Fraction
+        for bad in (0.5, 2.0, True, "1", None):
+            with pytest.raises(TypeError, match="exact scalar expected"):
+                canonical(bad)
+
     def test_format_is_str_within_the_limit_and_a_length_beyond(self):
         limit = sys.get_int_max_str_digits()
         widest = 10**limit - 1  # the longest integer str renders
@@ -88,6 +96,9 @@ class TestMatrixProduct:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             EdgeMatrix.from_rows([[0.5, 0], [0, 0]])
+        for c in (0.5, True):
+            with pytest.raises(TypeError):
+                EdgeMatrix.zero(2).scale(c)
 
 
 class TestBracket:

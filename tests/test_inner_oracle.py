@@ -114,7 +114,7 @@ def test_gram_scales_exactly_on_fractional_roots(family, n):
     # Real roots have integer coordinates; halved ones exercise the common
     # denominator of the integer sums.
     rd = root_datum(family, n)
-    halved = replace(rd, roots=tuple(tuple(c / 2 for c in w) for w in rd.roots))
+    halved = replace(rd, roots=tuple(tuple(Fraction(c, 2) for c in w) for w in rd.roots))
     assert list(map(list, halved.killing_metric.gram)) == cartan_killing_gram(halved)
     assert forms.killing_coefficients(halved).sigma == forms.killing_coefficients(rd).sigma / 4
 

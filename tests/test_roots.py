@@ -204,6 +204,12 @@ class TestAxioms:
         assert checks["integrality"].detail.endswith(">/<a,a> = 1/<6000 digits>")
         assert checks["reflection"].status == "fail"
 
+    @pytest.mark.parametrize("half", [0.5, True])
+    def test_float_and_bool_coordinates_are_rejected(self, half):
+        # Fraction(0.5) would pass all five checks; the verifier takes exact scalars only.
+        with pytest.raises(TypeError, match="exact scalar expected"):
+            verify_root_axioms([(half, 0), (-half, 0)], dot)
+
 
 class TestSl2Triples:
     def test_sl2_with_pictured_coroot(self):
@@ -223,6 +229,11 @@ class TestSl2Triples:
         rd = root_datum(AlgebraFamily.SP, 2)
         with pytest.raises(ValueError):
             verify_sl2_triple(rd, (Fraction(3), Fraction(0)))
+
+    @pytest.mark.parametrize("alpha", [(1.0, -1.0), (True, -1)])
+    def test_float_and_bool_coordinates_are_rejected(self, alpha):
+        with pytest.raises(TypeError, match="exact scalar expected"):
+            verify_sl2_triple(root_datum(AlgebraFamily.SL, 2), alpha)
 
 
 class TestWeightOf:

@@ -1,0 +1,99 @@
+"""The scalar rule on the derivation path: an integral value is a Python int.
+
+Every basis entry, root coordinate, coroot coordinate and Cartan integer of
+the four families is an integer, so each must be typed ``int``; a
+fundamental weight coordinate is an int or a Fraction that is not integral.
+A ``Fraction(...)`` wrapper brought back anywhere on the path fails here,
+not only as a slower benchmark.
+
+On matrices whose entries mix ints, proper Fractions and integral Fractions,
+``+``, ``-``, ``@``, ``scale`` and ``mat_bracket`` must store each entry as
+an int when it is integral and as a Fraction otherwise, and must agree with
+the same operation computed densely on all-Fraction rows in the test.
+"""
+
+from fractions import Fraction
+from operator import add, sub
+
+import pytest
+
+from conftest import family_ranks, realization, root_datum
+
+from liealg import AlgebraSpec, forms
+from liealg.matrices import EdgeMatrix, mat_bracket
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# Every family at Lie rank up to 8.
+CASES = [(family, n) for family, n in family_ranks(9) if AlgebraSpec(family, n).lie_rank <= 8]
+
+
+def is_canonical(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_integral_values_are_ints(family, n):
+    r = realization(family, n)
+    rd = root_datum(family, n)
+    entries = [x for _, m in r.basis for x in m.edges.values()]
+    roots = [c for a in (*rd.roots, *rd.fundamental_roots) for c in a]
+    coroots = [c for h in rd.coroots.values() for c in r.diag_coords(h)]
+    cartan = [a for row in forms.cartan_matrix(rd).entries for a in row]
+    # Every pivot of the basis elimination is +-1, so its stored rows stay ints.
+    eliminated = [x for row, combination in r.span._echelon.rows.values()
+                  for x in (*row.values(), *combination.values())]
+    for what, values in (("basis entry", entries), ("root coordinate", roots),
+                         ("coroot coordinate", coroots), ("Cartan entry", cartan),
+                         ("eliminated basis entry", eliminated)):
+        bad = [x for x in values if type(x) is not int]
+        assert not bad, f"{what} not an int: {bad[:3]}"
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_fundamental_weights_are_canonical(family, n):
+    weights = [c for w in root_datum(family, n).fundamental_weights for c in w]
+    assert all(map(is_canonical, weights)), weights
+
+
+# Fraction(k, d) is integral whenever d divides k.
+scalars = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def matrix_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(scalars, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    return draw(rows), draw(rows), draw(scalars)
+
+
+def dense_product(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def entrywise(op, a, b):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(matrix_pairs())
+def test_operations_return_canonical_exact_values(case):
+    rows_a, rows_b, c = case
+    a, b = EdgeMatrix.from_rows(rows_a), EdgeMatrix.from_rows(rows_b)
+    fa = [[Fraction(x) for x in row] for row in rows_a]
+    fb = [[Fraction(x) for x in row] for row in rows_b]
+    ab, ba = dense_product(fa, fb), dense_product(fb, fa)
+    expected = [
+        (a, fa),
+        (a + b, entrywise(add, fa, fb)),
+        (a - b, entrywise(sub, fa, fb)),
+        (a @ b, ab),
+        (a.scale(c), [[Fraction(c) * x for x in row] for row in fa]),
+        (mat_bracket(a, b), entrywise(sub, ab, ba)),
+    ]
+    for result, reference in expected:
+        assert all(map(is_canonical, result.edges.values())), result.edges
+        assert [list(row) for row in result.rows] == reference
