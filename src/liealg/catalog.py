@@ -12,7 +12,7 @@ Adjoint matrices are sparse columns.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 from .digraph import opposite_antimorphism
@@ -185,8 +185,9 @@ def _positive_root_table(spec: AlgebraSpec) -> list[tuple[Weight, EdgeMatrix]]:
     return table
 
 
+@cache
 def structure_form(spec: AlgebraSpec) -> EdgeMatrix | None:
-    """The defining bilinear form S (none for sl)."""
+    """The defining bilinear form S (none for sl), built once per spec."""
     n = spec.rank
     if spec.family is AlgebraFamily.SL:
         return None

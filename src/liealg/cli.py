@@ -12,13 +12,12 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from math import prod
 from typing import Any, Callable, Sequence
 
 from . import catalog, dynkin, forms, invariants, roots, weyl
 from .catalog import Check, CheckReport
-from .exact import format_rational, parse_rational
+from .exact import Scalar, format_rational, parse_rational
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import dot
 
@@ -49,11 +48,11 @@ class InputError(Exception):
     """Bad user input (usage or file parsing); maps to exit code 2."""
 
 
-def _vector_strings(vec: Sequence[Fraction]) -> list[str]:
+def _vector_strings(vec: Sequence[Scalar]) -> list[str]:
     return [format_rational(c) for c in vec]
 
 
-def _format_vector(vec: Sequence[Fraction]) -> str:
+def _format_vector(vec: Sequence[Scalar]) -> str:
     return "(" + ", ".join(format_rational(c) for c in vec) + ")"
 
 
@@ -330,7 +329,7 @@ def _load_json(path: str) -> Any:
         ) from exc
 
 
-def _parse_vectors(data: Any, path: str) -> list[tuple[Fraction, ...]]:
+def _parse_vectors(data: Any, path: str) -> list[tuple[Scalar, ...]]:
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: \"vectors\" must be a nonempty list of vectors")
     if len(data) > MAX_VECTORS:
@@ -387,15 +386,17 @@ def _parse_cartan(data: Any, path: str) -> forms.CartanMatrix:
 
 def cmd_classify(args) -> int:
     data = _load_json(args.path)
-    if not isinstance(data, dict) or not ({"vectors", "cartan"} & set(data)):
+    keys = list(data) if isinstance(data, dict) else []
+    if keys not in (["vectors"], ["cartan"]):
         raise InputError(
-            f"{args.path}: expected a JSON object with a \"vectors\" or \"cartan\" key"
+            f"{args.path}: expected a JSON object with exactly one key, \"vectors\" or"
+            f" \"cartan\"; got keys: {', '.join(map(json.dumps, keys)) or 'none'}"
         )
-    kind = "vectors" if "vectors" in data else "cartan"
+    (kind,) = keys
     payload: dict[str, Any] = {"schema": SCHEMA, "command": "classify", "input": kind}
     lines: list[str] = []
     vectors = None
-    if "vectors" in data:
+    if kind == "vectors":
         vectors = _parse_vectors(data["vectors"], args.path)
         report = roots.verify_root_axioms(vectors, dot)
         payload["axioms"], lines = _render(

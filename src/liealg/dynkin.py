@@ -17,11 +17,10 @@ generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .catalog import Check, CheckReport
-from .exact import Scalar, as_fraction
+from .exact import Scalar, canonical, ratio
 from .forms import CartanMatrix
 from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
 from .roots import RootDatum
@@ -69,7 +68,7 @@ def build_diagram(A: CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
     n = A.rank
     if len(lengths) != n:
         raise ValueError("lengths must match the Cartan matrix rank")
-    lens = [as_fraction(x) for x in lengths]
+    lens = [canonical(x) for x in lengths]
     if any(x <= 0 for x in lens):
         raise ValueError("root lengths must be positive")
     mult = [[0] * n for _ in range(n)]
@@ -96,7 +95,7 @@ def build_diagram(A: CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
     )
 
 
-def lengths_from_cartan(A: CartanMatrix) -> list[Fraction]:
+def lengths_from_cartan(A: CartanMatrix) -> list[Scalar]:
     """Relative squared lengths implied by a Cartan matrix.
 
     A_ij / A_ji equals the length ratio of roots i and j, which pins every
@@ -104,18 +103,18 @@ def lengths_from_cartan(A: CartanMatrix) -> list[Fraction]:
     cycle are rejected.
     """
     n = A.rank
-    lengths: list[Fraction | None] = [None] * n
+    lengths: list[Scalar | None] = [None] * n
     for start in range(n):
         if lengths[start] is not None:
             continue
-        lengths[start] = Fraction(2)
+        lengths[start] = 2
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if j == i or not A[i, j]:
                     continue
-                implied = lengths[i] * Fraction(A[j, i], A[i, j])
+                implied = ratio(lengths[i] * A[j, i], A[i, j])
                 if lengths[j] is None:
                     lengths[j] = implied
                     stack.append(j)
@@ -129,7 +128,7 @@ def check_positive_definite(A: CartanMatrix, lengths: Sequence[Scalar]) -> bool:
     n = A.rank
     if len(lengths) != n:
         raise ValueError("Cartan matrix and lengths must agree in size")
-    lens = [as_fraction(x) for x in lengths]
+    lens = [canonical(x) for x in lengths]
     sym = [[A[i, j] * lens[j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):

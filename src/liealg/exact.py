@@ -5,11 +5,10 @@ Every quantity in this package is an exact rational number: a Python int or a
 denominator).  Floats are rejected everywhere; no rounding ever occurs.
 
 One rule fixes the form of a value: it is an int whenever it is an integer,
-and a Fraction only when it is not (``canonical``).  The matrix entries,
-roots, coroot coordinates and fundamental weights follow it, so the integral
-work of the classical families runs in int arithmetic.  A function
-documented to return a Fraction (``dot``, ``trace``, ``determinant``, the
-Killing values) still does.
+and a Fraction only when it is not (``canonical``).  Every value the package
+returns follows it, so the integral work of the classical families runs in
+int arithmetic.  Sums and products of canonical values are exact in either
+form; the one quotient is ``ratio``, since ``/`` on two ints gives a float.
 """
 
 from __future__ import annotations
@@ -23,15 +22,6 @@ Scalar = Union[int, Fraction]
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 
-def as_fraction(x: Scalar) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting floats."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact scalar expected, got {type(x).__name__}")
-
-
 def canonical(x: Scalar) -> Scalar:
     """An exact scalar in its one form: an int when the value is an integer,
     else a Fraction.  Floats and bools raise TypeError."""
@@ -42,12 +32,18 @@ def canonical(x: Scalar) -> Scalar:
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
-def parse_rational(text: str) -> Fraction:
+def ratio(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b in canonical form.  Floats and bools raise
+    TypeError, and a zero b raises ZeroDivisionError."""
+    return canonical(Fraction(canonical(a), canonical(b)))
+
+
+def parse_rational(text: str) -> Scalar:
     """Parse "p/q" or plain integer strings into an exact rational."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
     try:
-        return Fraction(text.strip())
+        return canonical(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 

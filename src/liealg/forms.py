@@ -24,7 +24,6 @@ exposes both:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .catalog import (
@@ -34,25 +33,25 @@ from .catalog import (
     ad_matrix,
     check_membership,
 )
-from .exact import Scalar
+from .exact import Scalar, canonical, ratio
 from .families import AlgebraFamily
 from .matrices import EdgeMatrix, dot
 from .records import Record
 from .roots import Inner, KillingMetric, RootDatum
 
 
-def _trace_of_product(ax: list[dict[int, Scalar]], ay: list[dict[int, Scalar]]) -> Fraction:
+def _trace_of_product(ax: list[dict[int, Scalar]], ay: list[dict[int, Scalar]]) -> Scalar:
     """tr(ax ay) = sum of ax[i][k] ay[k][i] over the nonzeros of sparse columns {row: entry}."""
-    total = Fraction(0)
+    total = 0
     for k, column in enumerate(ax):
         for i, value in column.items():
             other = ay[i].get(k)
             if other is not None:
                 total += value * other
-    return total
+    return canonical(total)
 
 
-def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:
+def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
     """Trace of ad(x) composed with ad(y) in the canonical basis."""
     for m in (x, y):
         if not check_membership(m, r.spec):
@@ -60,7 +59,7 @@ def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Frac
     return _trace_of_product(ad_matrix(r, x), ad_matrix(r, y))
 
 
-def cartan_killing_gram_ad(r: AlgebraRealization) -> tuple[tuple[Fraction, ...], ...]:
+def cartan_killing_gram_ad(r: AlgebraRealization) -> tuple[tuple[Scalar, ...], ...]:
     """``killing_form_ad`` on every pair of Cartan basis elements.
 
     One ad(h) per basis element, over the realization's one basis
@@ -71,15 +70,12 @@ def cartan_killing_gram_ad(r: AlgebraRealization) -> tuple[tuple[Fraction, ...],
 
 
 # No caller in src/; kept because bench/traced.py spans it by name.
-def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Fraction:
+def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
     """Sum over all roots of a(x) a(y); x and y must be Cartan elements."""
     r = rd.realization
     cx = r.diag_coords(x)
     cy = r.diag_coords(y)
-    total = Fraction(0)
-    for root in rd.roots:
-        total += dot(root, cx) * dot(root, cy)
-    return total
+    return canonical(sum(dot(root, cx) * dot(root, cy) for root in rd.roots))
 
 
 def weight_inner(rd: RootDatum) -> Inner:
@@ -94,11 +90,11 @@ def weight_inner(rd: RootDatum) -> Inner:
     """
     sigma = rd.killing_metric.sigma
     if rd.spec.family is not AlgebraFamily.SL:
-        return lambda u, v: dot(u, v) / sigma
+        return lambda u, v: ratio(dot(u, v), sigma)
     n = rd.spec.rank
 
-    def inner(u: Weight, v: Weight) -> Fraction:
-        return (dot(u, v) - Fraction(sum(u) * sum(v), n)) / sigma
+    def inner(u: Weight, v: Weight) -> Scalar:
+        return ratio(dot(u, v) * n - sum(u) * sum(v), n * sigma)
 
     return inner
 
@@ -145,19 +141,20 @@ def cartan_entries(
     norms = [inner(a, a) for a in fundamental]
     return _integer_rows(
         "Cartan entry",
-        ((2 * inner(a, b) / norm for b, norm in zip(fundamental, norms)) for a in fundamental),
+        ((ratio(2 * inner(a, b), norm) for b, norm in zip(fundamental, norms)) for a in fundamental),
     )
 
 
-def _integer_rows(what: str, rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[int, ...], ...]:
-    """The rows as ints, checked in order; a non-integer entry is an internal inconsistency."""
+def _integer_rows(what: str, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of canonical values, checked in order to be ints; a non-integer
+    entry is an internal inconsistency."""
     out = []
     for i, row in enumerate(rows, 1):
         out.append([])
         for j, value in enumerate(row, 1):
-            if value.denominator != 1:
+            if type(value) is not int:
                 raise InternalConsistencyError(f"{what} ({i},{j}) = {value} is not an integer")
-            out[-1].append(int(value))
+            out[-1].append(value)
     return tuple(map(tuple, out))
 
 
@@ -184,7 +181,7 @@ def coroot_pairing_matrix(rd: RootDatum) -> CartanMatrix:
     )
 
 
-def root_lengths(rd: RootDatum) -> tuple[Fraction, ...]:
+def root_lengths(rd: RootDatum) -> tuple[Scalar, ...]:
     """Squared lengths <a_i, a_i> of the fundamental roots."""
     inner = weight_inner(rd)
     return tuple(inner(a, a) for a in rd.fundamental_roots)

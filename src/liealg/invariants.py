@@ -17,10 +17,10 @@ symbolically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
 
+from .exact import Scalar, ratio
 from .families import AlgebraFamily
 from .matrices import determinant
 from .polynomials import MultiPoly, poly_det
@@ -114,7 +114,7 @@ def jacobian(s: InvariantSuite) -> MultiPoly:
     return poly_det(matrix)
 
 
-def _jacobian_at_point(s: InvariantSuite) -> Fraction:
+def _jacobian_at_point(s: InvariantSuite) -> Scalar:
     """The Jacobian determinant of the suite at the point (1, ..., m).
 
     m is the effective variable count.  For the A family the point is
@@ -192,10 +192,10 @@ def doubled_coordinate_forms(nvars: int) -> MultiPoly:
     return out
 
 
-def constant_ratio(p: MultiPoly, q: MultiPoly) -> Fraction | None:
+def constant_ratio(p: MultiPoly, q: MultiPoly) -> Scalar | None:
     """The scalar c with p = c q, or None when no such constant exists."""
     if q.is_zero():
         return None
     expo, coeff = next(iter(q.terms.items()))
-    c = p.terms.get(expo, Fraction(0)) / coeff
+    c = ratio(p.terms.get(expo, 0), coeff)
     return c if p == q.scale(c) else None

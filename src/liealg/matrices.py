@@ -18,10 +18,9 @@ weights, and the independent roots of the root-axiom verifier;
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import Scalar, as_fraction, canonical
+from .exact import Scalar, canonical, ratio
 from .records import Record
 
 Position = tuple[int, int]  # (row, column), 0-indexed
@@ -153,9 +152,9 @@ class EdgeMatrix(Record):
             {(c, r): signs[r] * signs[c] * x for (r, c), x in self.edges.items()},
         )
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Scalar:
         """Sum of diagonal entries; an edge i->j contributes iff i = j."""
-        return as_fraction(sum(x for (r, c), x in self.edges.items() if r == c))
+        return canonical(sum(x for (r, c), x in self.edges.items() if r == c))
 
     def diagonal(self) -> tuple[Scalar, ...]:
         """The diagonal entries, in canonical form (ints when integral)."""
@@ -217,7 +216,7 @@ class _Echelon:
         if residual:
             pivot = min(residual)
             value = residual[pivot]
-            inverse = value if value in (1, -1) else 1 / Fraction(value)
+            inverse = value if value in (1, -1) else ratio(1, value)
             self.rows[pivot] = (
                 {key: inverse * x for key, x in residual.items()},
                 {key: inverse * x for key, x in (combination or {}).items()},
@@ -280,7 +279,7 @@ def solve_linear(
     return [solution.get(j, 0) for j in range(ncols)]
 
 
-def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
+def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     """Exact determinant by echelon reduction of the rows.
 
     It is the product of the pivots times the sign of the order in which
@@ -290,14 +289,14 @@ def determinant(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
     echelon = _Echelon()
-    det = Fraction(1)
+    det = 1
     columns: list[int] = []
     for row in matrix:
         residual = echelon.add(sparse_vector(row))
         if not residual:
-            return Fraction(0)
+            return 0
         columns.append(min(residual))
-        det *= residual[columns[-1]]
+        det = canonical(det * residual[columns[-1]])
     inversions = sum(a > b for i, a in enumerate(columns) for b in columns[i + 1 :])
     return -det if inversions % 2 else det
 
@@ -319,7 +318,7 @@ def is_positive_definite(matrix: Sequence[Sequence[Scalar]]) -> bool:
     return True
 
 
-def dot(x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
+def dot(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return as_fraction(sum(a * b for a, b in zip(x, y)))
+    return canonical(sum(a * b for a, b in zip(x, y)))

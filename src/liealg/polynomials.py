@@ -1,15 +1,15 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms are stored canonically: a map from exponent vectors to nonzero Fraction
-coefficients, so equal polynomials have identical term maps.
+Terms are stored canonically: a map from exponent vectors to nonzero
+coefficients, each in the form of ``exact.canonical``, so equal polynomials
+have identical term maps.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import Scalar, as_fraction
+from .exact import Scalar, canonical
 from .records import Record
 
 Exponent = tuple[int, ...]
@@ -18,17 +18,16 @@ Exponent = tuple[int, ...]
 class MultiPoly(Record):
     __slots__ = ("nvars", "terms")
     nvars: int
-    terms: dict[Exponent, Fraction]
+    terms: dict[Exponent, Scalar]
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar]) -> None:
         if nvars <= 0:
             raise ValueError("polynomial needs a positive number of variables")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         for expo, coeff in terms.items():
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
-            c = as_fraction(coeff)
-            if c:
+            if c := canonical(coeff):
                 clean[tuple(expo)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -41,7 +40,7 @@ class MultiPoly(Record):
 
     @staticmethod
     def constant(nvars: int, c: Scalar) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: as_fraction(c)})
+        return MultiPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "MultiPoly":
@@ -49,11 +48,11 @@ class MultiPoly(Record):
         if not (0 <= index < nvars):
             raise ValueError(f"variable index {index} out of range")
         expo = tuple(1 if k == index else 0 for k in range(nvars))
-        return MultiPoly(nvars, {expo: Fraction(1)})
+        return MultiPoly(nvars, {expo: 1})
 
     @staticmethod
     def monomial(nvars: int, expo: Sequence[int], coeff: Scalar = 1) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(expo): as_fraction(coeff)})
+        return MultiPoly(nvars, {tuple(expo): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -84,7 +83,7 @@ class MultiPoly(Record):
         self._require_same_vars(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            new = terms.get(expo, Fraction(0)) + coeff
+            new = terms.get(expo, 0) + coeff
             if new:
                 terms[expo] = new
             else:
@@ -99,11 +98,11 @@ class MultiPoly(Record):
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._require_same_vars(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(expo, Fraction(0)) + c1 * c2
+                new = terms.get(expo, 0) + c1 * c2
                 if new:
                     terms[expo] = new
                 else:
@@ -111,7 +110,7 @@ class MultiPoly(Record):
         return MultiPoly(self.nvars, terms)
 
     def scale(self, c: Scalar) -> "MultiPoly":
-        c = as_fraction(c)
+        c = canonical(c)
         return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, power: int) -> "MultiPoly":
@@ -131,30 +130,30 @@ class MultiPoly(Record):
         """Exact partial derivative with respect to x_index (0-indexed)."""
         if not (0 <= index < self.nvars):
             raise ValueError(f"variable index {index} out of range")
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Scalar] = {}
         for expo, coeff in self.terms.items():
             e = expo[index]
             if e == 0:
                 continue
             new_expo = expo[:index] + (e - 1,) + expo[index + 1 :]
-            terms[new_expo] = terms.get(new_expo, Fraction(0)) + coeff * e
+            terms[new_expo] = terms.get(new_expo, 0) + coeff * e
         return MultiPoly(self.nvars, terms)
 
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
+    def eval(self, point: Sequence[Scalar]) -> Scalar:
         """Exact evaluation at a rational point."""
         if len(point) != self.nvars:
             raise ValueError(
                 f"point length {len(point)} does not match {self.nvars} variables"
             )
-        values = [as_fraction(x) for x in point]
-        total = Fraction(0)
+        values = [canonical(x) for x in point]
+        total = 0
         for expo, coeff in self.terms.items():
             term = coeff
             for x, e in zip(values, expo):
                 if e:
                     term *= x**e
             total += term
-        return total
+        return canonical(total)
 
     def eliminate_last(self, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute the last variable by a polynomial in the remaining ones."""
@@ -181,11 +180,11 @@ class MultiPoly(Record):
         """
         if len(window) != self.nvars:
             raise ValueError("carrier size does not match variable count")
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Scalar] = {}
         for expo, coeff in self.terms.items():
             new_expo = tuple(expo[abs(v) - 1] for v in window)
             odd_flips = sum(e % 2 for e, v in zip(new_expo, window) if v < 0)
-            new = terms.get(new_expo, Fraction(0)) + (-1) ** odd_flips * coeff
+            new = terms.get(new_expo, 0) + (-1) ** odd_flips * coeff
             if new:
                 terms[new_expo] = new
             else:

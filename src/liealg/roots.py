@@ -17,7 +17,6 @@ coefficients ``sigma`` and ``trace``, built once as ``RootDatum.killing_metric``
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -31,7 +30,7 @@ from .catalog import (
     Weight,
     format_weight,
 )
-from .exact import as_fraction, canonical, format_rational
+from .exact import Scalar, canonical, format_rational, ratio
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import (
     EdgeMatrix,
@@ -43,7 +42,7 @@ from .matrices import (
 )
 from .records import Record
 
-Inner = Callable[[Weight, Weight], Fraction]
+Inner = Callable[[Weight, Weight], Scalar]
 
 
 def weight_of(r: AlgebraRealization, m: EdgeMatrix) -> Weight:
@@ -187,9 +186,9 @@ class KillingMetric(NamedTuple):
     (sp, so) tr(xy) is twice the coordinate sum, so trace = sigma / 2.
     """
 
-    gram: tuple[tuple[Fraction, ...], ...]
-    sigma: Fraction
-    trace: Fraction
+    gram: tuple[tuple[Scalar, ...], ...]
+    sigma: Scalar
+    trace: Scalar
 
 
 def _killing_metric(rd: RootDatum) -> KillingMetric:
@@ -197,30 +196,19 @@ def _killing_metric(rd: RootDatum) -> KillingMetric:
     r = rd.realization
     cartan = r.cartan_basis
     coords = [r.diag_coords(h) for h in cartan]
-    # One common denominator makes every coordinate, and so every eigenvalue
-    # a(h_i) and every Gram sum, a Python int.
-    scale = lcm(*(c.denominator for w in (*rd.roots, *coords) for c in w))
-
-    def scaled(w: Weight) -> list[int]:
-        return [c.numerator * (scale // c.denominator) for c in w]
-
-    root_ints = [scaled(a) for a in rd.roots]
-    eigen = [[sum(map(mul, scaled(x), a)) for a in root_ints] for x in coords]
-    unit = scale**4
-    gram = tuple(
-        tuple(Fraction(sum(map(mul, ei, ej)), unit) for ej in eigen) for ei in eigen
-    )
+    eigen = [[dot(a, x) for a in rd.roots] for x in coords]
+    gram = tuple(tuple(dot(ei, ej) for ej in eigen) for ei in eigen)
     sigma = _proportion(gram, [[dot(x, y) for y in coords] for x in coords], "coordinate sum form")
     trace = _proportion(gram, [[(x @ y).trace() for y in cartan] for x in cartan], "trace form")
     return KillingMetric(gram, sigma, trace)
 
 
 def _proportion(
-    gram: Sequence[Sequence[Fraction]], reference: Sequence[Sequence[Fraction]], form: str
-) -> Fraction:
+    gram: Sequence[Sequence[Scalar]], reference: Sequence[Sequence[Scalar]], form: str
+) -> Scalar:
     """The nonzero c with gram = c * reference entrywise; raises if there is none."""
     pairs = [(i, j) for i in range(len(gram)) for j in range(len(gram))]
-    c = next((gram[i][j] / reference[i][j] for i, j in pairs if reference[i][j]), None)
+    c = next((ratio(gram[i][j], reference[i][j]) for i, j in pairs if reference[i][j]), None)
     if c is None:
         raise InternalConsistencyError("degenerate reference forms on the Cartan")
     if not c:
@@ -278,7 +266,7 @@ def cartan_decompose(r: AlgebraRealization) -> RootDatum:
             raise InternalConsistencyError(
                 f"a([x_a, x_-a]) = 0 for a = {format_weight(root)}"
             )
-        factor = 2 / value
+        factor = ratio(2, value)
         coroots[root] = bracket.scale(factor)
         partners[root] = x_neg.scale(factor)
 
@@ -313,11 +301,11 @@ def expand_in_fundamental(
     expansions = []
     for root in roots:
         coeffs = solver.expand(sparse_vector(root))
-        if any(c.denominator != 1 for c in coeffs.values()):
+        if any(type(c) is not int for c in coeffs.values()):
             raise InternalConsistencyError(
                 f"root {format_weight(root)} is not an integer combination of the fundamental roots"
             )
-        ints = tuple(int(coeffs.get(k, 0)) for k in range(len(fundamental)))
+        ints = tuple(coeffs.get(k, 0) for k in range(len(fundamental)))
         if not (all(c >= 0 for c in ints) or all(c <= 0 for c in ints)):
             raise InternalConsistencyError(
                 f"root {format_weight(root)} mixes signs over the fundamental roots"
@@ -425,7 +413,7 @@ def verify_root_axioms(
         )
     )
 
-    gram = [[as_fraction(inner(u, v)) for v in independent] for u in independent]
+    gram = [[canonical(inner(u, v)) for v in independent] for u in independent]
     euclidean = not gram or is_positive_definite(gram)
     checks.append(
         Check.of(
@@ -456,8 +444,8 @@ def verify_root_axioms(
         if parallel:
             b = next(w for w in root_set if w in parallel)
             i = next(i for i, c in enumerate(a) if c)
-            ratio = format_rational(Fraction(b[i], a[i]))
-            bad_multiple = f"{format_weight(b)} = {ratio} * ({format_weight(a)})"
+            multiple = format_rational(ratio(b[i], a[i]))
+            bad_multiple = f"{format_weight(b)} = {multiple} * ({format_weight(a)})"
             break
     checks.append(
         Check.of(
@@ -487,7 +475,7 @@ def verify_root_axioms(
             pairing = sum(map(mul, twice, xb))
             n, remainder = divmod(pairing, norm)
             if remainder:
-                n = Fraction(pairing, norm)
+                n = ratio(pairing, norm)
                 if bad_integral is None:
                     bad_integral = (
                         f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {format_rational(n)}"

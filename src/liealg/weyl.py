@@ -9,13 +9,12 @@ reflections and the generators of a closure); composition keeps them valid.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .catalog import InternalConsistencyError
-from .exact import Scalar, as_fraction
+from .exact import Scalar, canonical
 from .families import AlgebraFamily, AlgebraSpec
 from .roots import RootDatum
 
@@ -33,13 +32,13 @@ def compose(g: Window, h: Window) -> Window:
     return tuple(g[v - 1] if v > 0 else -g[-v - 1] for v in h)
 
 
-def apply(g: Window, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
+def apply(g: Window, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Signed-permutation action on an exact coordinate vector."""
     if len(x) != len(g):
         raise ValueError(f"length mismatch: vector {len(x)}, carrier {len(g)}")
-    out = [Fraction(0)] * len(g)
-    for v, a in zip(g, x):
-        out[abs(v) - 1] = as_fraction(a) if v > 0 else -as_fraction(a)
+    out = [0] * len(g)
+    for v, a in zip(g, map(canonical, x)):
+        out[abs(v) - 1] = a if v > 0 else -a
     return tuple(out)
 
 
@@ -57,13 +56,13 @@ def simple_reflections(rd: RootDatum) -> list[Window]:
         h_coords = r.diag_coords(coroot)
         window = []
         for k in range(n):
-            column = [(i == k) - alpha[k] * h_coords[i] for i in range(n)]
+            column = [canonical((i == k) - alpha[k] * h_coords[i]) for i in range(n)]
             support = [i for i, v in enumerate(column) if v]
             if len(support) != 1 or column[support[0]] not in (1, -1):
                 raise InternalConsistencyError(
                     "reflection is not a signed permutation of the coordinates"
                 )
-            window.append(int(column[support[0]]) * (support[0] + 1))
+            window.append(column[support[0]] * (support[0] + 1))
         out.append(tuple(window))
     return out
 

@@ -14,7 +14,6 @@ from pathlib import Path
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.catalog import InternalConsistencyError
-from liealg.exact import as_fraction
 from liealg.matrices import EdgeMatrix, mat_bracket
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
@@ -63,10 +62,10 @@ def replace(record, **changes):
 
 def reflect(inner, alpha, beta):
     """Reflection of beta in the hyperplane orthogonal to alpha."""
-    norm = as_fraction(inner(alpha, alpha))
+    norm = Fraction(inner(alpha, alpha))
     if not norm:
         raise ValueError("cannot reflect in an isotropic or zero vector")
-    factor = 2 * as_fraction(inner(alpha, beta)) / norm
+    factor = 2 * Fraction(inner(alpha, beta)) / norm
     return tuple(b - factor * a for a, b in zip(alpha, beta))
 
 

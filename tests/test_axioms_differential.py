@@ -19,7 +19,6 @@ from conftest import family_ranks, reflect, root_datum
 
 import liealg as L
 from liealg.catalog import Check, CheckReport, format_weight
-from liealg.exact import as_fraction
 from liealg.matrices import _Echelon, dot, is_positive_definite
 from liealg.roots import negate, verify_root_axioms
 
@@ -98,7 +97,7 @@ def reference_verify_root_axioms(roots, inner, expected_dim=None):
     bad_reflection = None
     bad_integral = None
     for a in ordered:
-        norm = as_fraction(inner(a, a))
+        norm = Fraction(inner(a, a))
         if not norm:
             bad_reflection = f"{format_weight(a)} has zero norm"
             break
@@ -106,7 +105,7 @@ def reference_verify_root_axioms(roots, inner, expected_dim=None):
             image = reflect(inner, a, b)
             if image not in root_set and bad_reflection is None:
                 bad_reflection = f"S_{{{format_weight(a)}}}({format_weight(b)}) leaves the set"
-            cartan_integer = 2 * as_fraction(inner(a, b)) / norm
+            cartan_integer = 2 * Fraction(inner(a, b)) / norm
             if cartan_integer.denominator != 1 and bad_integral is None:
                 bad_integral = f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {cartan_integer}"
     checks.append(

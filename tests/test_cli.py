@@ -377,6 +377,22 @@ class TestClassifyCommand:
         code, _ = run_cli(["classify", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("payload,keys", [
+        ({"vectors": [["1", "-1"], ["-1", "1"]], "cartan": [[2]]}, '"vectors", "cartan"'),
+        ({"cartan": [[2]], "note": "A1"}, '"cartan", "note"'),
+        ({}, "none"),
+        ([[2]], "none"),
+    ])
+    def test_document_outside_the_grammar_exits_two(self, tmp_path, capsys, payload, keys):
+        # Exactly one of "vectors" and "cartan", and no other key.
+        path = self.write(tmp_path, "mixed.json", payload)
+        code, out = run_cli(["classify", path])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f'error: {path}: expected a JSON object with exactly one key, "vectors" or'
+            f' "cartan"; got keys: {keys}\n'
+        )
+
 
 class TestSerreCommand:
     def test_pass_and_exit_zero(self):

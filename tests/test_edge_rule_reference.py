@@ -34,7 +34,6 @@ from liealg.catalog import (
     Weight,
 )
 from liealg.digraph import opposite_antimorphism
-from liealg.exact import as_fraction
 from liealg.forms import CartanMatrix
 from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket, sparse_vector
 from liealg.roots import RootDatum
@@ -49,7 +48,7 @@ def ratio(self: EdgeMatrix, other: EdgeMatrix) -> Fraction | None:
     if not other.edges:
         return None
     key = min(other.edges)
-    t = as_fraction(self.edges.get(key, 0)) / other.edges[key]
+    t = Fraction(self.edges.get(key, 0)) / other.edges[key]
     return t if self == other.scale(t) else None
 
 

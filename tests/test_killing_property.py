@@ -41,7 +41,7 @@ def test_killing_form_is_ad_invariant(family, n):
                    for t in (tx, ty, tz))
         lhs = L.killing_form_ad(r, mat_bracket(z, x), y)
         rhs = L.killing_form_ad(r, x, mat_bracket(z, y))
-        assert isinstance(lhs, Fraction)
+        assert type(lhs) is int or (type(lhs) is Fraction and lhs.denominator > 1)
         assert lhs == -rhs
 
     check()

@@ -1,10 +1,13 @@
-"""The scalar rule on the derivation path: an integral value is a Python int.
+"""The scalar rule: an integral value is a Python int, everywhere.
 
 Every basis entry, root coordinate, coroot coordinate and Cartan integer of
 the four families is an integer, so each must be typed ``int``; a
 fundamental weight coordinate is an int or a Fraction that is not integral.
 A ``Fraction(...)`` wrapper brought back anywhere on the path fails here,
-not only as a slower benchmark.
+not only as a slower benchmark.  The derived values (Killing metric, weight
+inner products, root lengths, determinants, Weyl images, invariant
+polynomials and parsed rationals) must be canonical in the same sense, and
+every entry point that reads a scalar must reject a float or a bool.
 
 On matrices whose entries mix ints, proper Fractions and integral Fractions,
 ``+``, ``-``, ``@``, ``scale`` and ``mat_bracket`` must store each entry as
@@ -19,8 +22,12 @@ import pytest
 
 from conftest import family_ranks, realization, root_datum
 
-from liealg import AlgebraSpec, forms
-from liealg.matrices import EdgeMatrix, mat_bracket
+from liealg import AlgebraSpec, forms, invariants
+from liealg.dynkin import build_diagram, check_positive_definite
+from liealg.exact import parse_rational, ratio
+from liealg.matrices import EdgeMatrix, determinant, mat_bracket
+from liealg.polynomials import MultiPoly
+from liealg.weyl import apply, simple_reflections
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -97,3 +104,59 @@ def test_operations_return_canonical_exact_values(case):
     for result, reference in expected:
         assert all(map(is_canonical, result.edges.values())), result.edges
         assert [list(row) for row in result.rows] == reference
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_derived_values_are_canonical(family, n):
+    rd = root_datum(family, n)
+    metric = forms.killing_coefficients(rd)
+    inner = forms.weight_inner(rd)
+    vectors = (*rd.roots, *rd.fundamental_weights)
+    cartan = forms.cartan_matrix(rd).entries
+    images = [c for g in simple_reflections(rd) for a in rd.roots for c in apply(g, a)]
+    suite = invariants.build_suite(family, AlgebraSpec(family, n).lie_rank)
+    for what, values in (
+        ("Killing gram", [x for row in metric.gram for x in row]),
+        ("Killing sigma and trace", [metric.sigma, metric.trace]),
+        ("weight inner product", [inner(u, v) for u in vectors for v in vectors]),
+        ("root length", forms.root_lengths(rd)),
+        ("Cartan determinant", [determinant(cartan)]),
+        ("Weyl image", images),
+        ("Jacobian point value", [invariants._jacobian_at_point(suite)]),
+        ("invariant coefficient", [c for p in suite.polys for c in p.terms.values()]),
+    ):
+        bad = [x for x in values if not is_canonical(x)]
+        assert not bad, f"{what} not canonical: {bad[:3]}"
+
+
+def test_parsed_rationals_are_canonical():
+    assert type(parse_rational("6/3")) is int and parse_rational("6/3") == 2
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+
+
+def test_ratio_is_the_canonical_quotient():
+    assert type(ratio(6, 3)) is int and ratio(6, 3) == 2
+    assert ratio(Fraction(3, 2), Fraction(1, 2)) == 3 and type(ratio(Fraction(3, 2), Fraction(1, 2))) is int
+    assert ratio(1, -2) == Fraction(-1, 2)
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
+
+
+A2 = forms.CartanMatrix(((2, -1), (-1, 2)))
+SCALAR_READERS = {
+    "ratio numerator": lambda x: ratio(x, 1),
+    "ratio denominator": lambda x: ratio(1, x),
+    "weyl.apply": lambda x: apply((2, 1), (x, 1)),
+    "MultiPoly": lambda x: MultiPoly(1, {(1,): x}),
+    "MultiPoly.scale": lambda x: MultiPoly.variable(1, 0).scale(x),
+    "MultiPoly.eval": lambda x: MultiPoly.variable(1, 0).eval([x]),
+    "build_diagram": lambda x: build_diagram(A2, [x, 2]),
+    "check_positive_definite": lambda x: check_positive_definite(A2, [x, 2]),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("reader", SCALAR_READERS)
+def test_float_and_bool_scalars_raise(reader, bad):
+    with pytest.raises(TypeError):
+        SCALAR_READERS[reader](bad)
