@@ -12,8 +12,9 @@ Adjoint matrices are sparse columns.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cache, cached_property
-from typing import NamedTuple, Sequence
 
 from .digraph import opposite_antimorphism
 from .exact import Scalar, format_rational
@@ -56,9 +57,10 @@ class Check(Record):
         return Check(suite, name, "pass" if ok else "fail", detail)
 
 
-class CheckReport(NamedTuple):
+class CheckReport(namedtuple("CheckReport", "results")):
     """An ordered run of checks; it passes when none of them failed."""
 
+    __slots__ = ()
     results: tuple[Check, ...]
 
     @property

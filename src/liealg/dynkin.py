@@ -17,7 +17,8 @@ generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .catalog import Check, CheckReport
 from .exact import Scalar, canonical, ratio
@@ -26,9 +27,10 @@ from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
 from .roots import RootDatum
 
 
-class DynkinDiagram(NamedTuple):
+class DynkinDiagram(namedtuple("DynkinDiagram", "nvertices multiplicities arrows")):
     """Vertices with edge multiplicities 0..3 and arrows toward shorter roots."""
 
+    __slots__ = ()
     nvertices: int
     multiplicities: tuple[tuple[int, ...], ...]
     arrows: tuple[tuple[int, int], ...]  # (longer, shorter), 0-indexed
@@ -254,18 +256,22 @@ def _edge_text(d: DynkinDiagram, left: int, right: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SerreRelation(NamedTuple):
+class SerreRelation(
+    namedtuple("SerreRelation", "word target coefficient", defaults=(None, None))
+):
     """One defining relation: a bracket word equal to a multiple of a generator, or 0.
 
     A generator is a letter "H", "X" or "Y" and a 0-based index.  ``word``
     (g_1, ..., g_k) is the right-nested bracket [g_1,[g_2,[...,g_k]]].  The
     relation states word = coefficient * target; it states word = 0 when
-    ``target`` is None, and word = target when ``coefficient`` is None.
+    ``target`` is None, and word = target when ``coefficient`` is None.  Both
+    default to None.
     """
 
+    __slots__ = ()
     word: tuple[tuple[str, int], ...]
-    target: tuple[str, int] | None = None
-    coefficient: int | None = None
+    target: tuple[str, int] | None
+    coefficient: int | None
 
     def describe(self) -> str:
         name = lambda g: f"{g[0]}{g[1] + 1}"
@@ -290,9 +296,10 @@ class SerreRelation(NamedTuple):
         return value == (target if self.coefficient is None else target.scale(self.coefficient))
 
 
-class SerrePresentation(NamedTuple):
+class SerrePresentation(namedtuple("SerrePresentation", "cartan relations")):
     """Generators H_i, X_i, Y_i and the full relation list."""
 
+    __slots__ = ()
     cartan: CartanMatrix
     relations: tuple[SerreRelation, ...]
 

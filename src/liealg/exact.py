@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
-_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
 
 
 def canonical(x: Scalar) -> Scalar:

@@ -24,7 +24,7 @@ exposes both:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .catalog import (
     AlgebraRealization,

@@ -17,8 +17,9 @@ symbolically.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from math import prod
-from typing import NamedTuple, Sequence
 
 from .exact import Scalar, ratio
 from .families import AlgebraFamily
@@ -27,9 +28,10 @@ from .polynomials import MultiPoly, poly_det
 from .weyl import Window
 
 
-class InvariantSuite(NamedTuple):
+class InvariantSuite(namedtuple("InvariantSuite", "family nvars polys")):
     """An ordered generating set for one family's invariant ring."""
 
+    __slots__ = ()
     family: AlgebraFamily
     nvars: int
     polys: tuple[MultiPoly, ...]

@@ -18,7 +18,7 @@ weights, and the independent roots of the root-axiom verifier;
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .exact import Scalar, canonical, ratio
 from .records import Record

@@ -7,7 +7,7 @@ have identical term maps.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .exact import Scalar, canonical
 from .records import Record

@@ -1,11 +1,15 @@
-"""The base of the immutable records that a NamedTuple cannot carry.
+"""The base of the immutable records that a named tuple cannot carry.
 
 These are the records that validate in their constructor, cache a
-``functools.cached_property`` or define their own equality; plain value
-records are ``typing.NamedTuple``s.  A record names its fields in
-``__slots__``, plus ``"__dict__"`` when it caches, and repeats them as bare
-annotations.  Its ``__init__`` takes the fields in that order and sets each
-once through ``object.__setattr__``.
+``functools.cached_property`` or define their own equality.  A ``Record``
+subclass names its fields in ``__slots__``, plus ``"__dict__"`` when it
+caches, and repeats them as bare annotations.  Its ``__init__`` takes the
+fields in that order and sets each once through ``object.__setattr__``.
+
+A plain value record subclasses a ``collections.namedtuple`` base instead,
+with ``__slots__ = ()`` and its fields repeated as bare annotations: under
+postponed evaluation an annotation creates no class attribute, and no
+module of the package imports ``typing`` at run time.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ coefficients ``sigma`` and ``trace``, built once as ``RootDatum.killing_metric``
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
 
 from .catalog import (
     AlgebraRealization,
@@ -176,7 +177,7 @@ class RootDatum(Record):
         return _killing_metric(self)
 
 
-class KillingMetric(NamedTuple):
+class KillingMetric(namedtuple("KillingMetric", "gram sigma trace")):
     """The Killing form on the Cartan basis h_1..h_r of one root datum.
 
     ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace
@@ -186,6 +187,7 @@ class KillingMetric(NamedTuple):
     (sp, so) tr(xy) is twice the coordinate sum, so trace = sigma / 2.
     """
 
+    __slots__ = ()
     gram: tuple[tuple[Scalar, ...], ...]
     sigma: Scalar
     trace: Scalar

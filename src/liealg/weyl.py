@@ -9,9 +9,9 @@ reflections and the generators of a closure); composition keeps them valid.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Sequence
 
 from .catalog import InternalConsistencyError
 from .exact import Scalar, canonical

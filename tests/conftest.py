@@ -1,20 +1,28 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
 reference reflection used by the reflection and root-axiom tests, the dense
 structure-constant table used by the catalog tests, and a field-replacing
-copy of a record."""
+copy of a record.
+
+A test run writes no bytecode cache of the package into src/, where a
+benchmark child would read it instead of compiling the sources: pytest loads
+this file before it imports any test module of either testpath, and child
+interpreters get PYTHONDONTWRITEBYTECODE from ``src_env``."""
 
 from __future__ import annotations
 
 import io
 import os
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-import liealg as L
-from liealg import AlgebraFamily, AlgebraSpec
-from liealg.catalog import InternalConsistencyError
-from liealg.matrices import EdgeMatrix, mat_bracket
+sys.dont_write_bytecode = True
+
+import liealg as L  # noqa: E402
+from liealg import AlgebraFamily, AlgebraSpec  # noqa: E402
+from liealg.catalog import InternalConsistencyError  # noqa: E402
+from liealg.matrices import EdgeMatrix, mat_bracket  # noqa: E402
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
 _ROOT_DATA: dict[tuple[AlgebraFamily, int], L.RootDatum] = {}
@@ -111,9 +119,10 @@ def family_ranks(max_rank: int):
 
 
 def src_env() -> dict[str, str]:
-    """The environment with src/ first on PYTHONPATH, for child interpreters."""
+    """The environment with src/ first on PYTHONPATH and no bytecode writing,
+    for child interpreters."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -127,6 +127,18 @@ def test_the_vector_bound_admits_its_own_count():
     assert err.endswith(f"vector {cli.MAX_VECTORS} has length 2, expected 1\n")
 
 
+@pytest.mark.parametrize(
+    "vectors",
+    [[["\u0661", "-\u0661"], ["-\u0661", "\u0661"]], [["\uff11/\uff12"]], [["1/2\u2003"]]],
+    ids=["arabic-indic", "full-width", "em-space"],
+)
+def test_a_non_ascii_digit_or_space_is_a_usage_error(vectors):
+    code, out, err = run_classify(json.dumps({"vectors": vectors}))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "vector 1 entry 1: not a rational number" in err
+
+
 # Small entries, so that every parsed integer stays small: an integer or "p/q".
 small_entries = st.one_of(
     st.integers(-20, 20), st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 9))

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import family_ranks, replace, root_datum, run_cli, src_env
 
-from liealg import AlgebraFamily, AlgebraSpec, cli, forms, invariants, roots, weyl
+from liealg import AlgebraFamily, AlgebraSpec, cli, cli_suites, forms, invariants, roots, weyl
 from liealg.matrices import SpanSolver
 from liealg.polynomials import MultiPoly
 
@@ -157,7 +157,7 @@ def _scale_a_partner(monkeypatch):
 
 
 def _wrong_sigma_entry(monkeypatch):
-    monkeypatch.setitem(cli.FAMILY_SIGMA_COEFFICIENT, AlgebraFamily.SP, lambda n: 4 * n)
+    monkeypatch.setitem(cli_suites.FAMILY_SIGMA_COEFFICIENT, AlgebraFamily.SP, lambda n: 4 * n)
 
 
 def _send_a_root_off(monkeypatch):
@@ -226,7 +226,7 @@ class TestVerifyCommand:
     def test_so_even_sign_product_verdict(self, element, status, monkeypatch):
         # A group holding one element: a single sign flip must fail the check.
         monkeypatch.setattr(weyl, "generate", lambda gens, cap: frozenset({element}))
-        checks = {c.name: c for c in cli._checks_weyl(root_datum(AlgebraFamily.SO_EVEN, 3), 100)}
+        checks = {c.name: c for c in cli_suites._checks_weyl(root_datum(AlgebraFamily.SO_EVEN, 3), 100)}
         assert checks["even sign changes only"].status == status
         code, out = run_cli(["verify", "so-even", "3", "weyl"])
         assert code == 1  # the order check fails on any one-element group
@@ -449,3 +449,7 @@ class TestConsoleEntryPoint:
             env=src_env(),
         )
         assert result.returncode == 2
+
+
+def test_the_parser_selectors_name_every_suite_in_order():
+    assert cli.SELECTORS == (*cli_suites.SUITES, "all")

@@ -52,6 +52,12 @@ class TestScalars:
             with pytest.raises(ValueError):
                 parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["\u0661", "-\u0661", "\uff11/\uff12", "1/2\u2003"],
+                             ids=["arabic-indic", "signed-arabic-indic", "full-width", "em-space"])
+    def test_parse_accepts_ascii_digits_and_spaces_only(self, text):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
     def test_canonical_is_int_exactly_when_integral(self):
         for x, want in ((3, 3), (Fraction(6, 3), 2), (Fraction(-4, 1), -4), (Fraction(0), 0)):
             assert type(canonical(x)) is int and canonical(x) == want

@@ -57,6 +57,13 @@ IDS = [record[0].__name__ for record in RECORDS]
 
 
 @pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
+def test_the_annotations_name_the_fields_in_order(cls, fields, hashable, make):
+    # Each record names its fields twice, in its namedtuple base or its __slots__ and in
+    # bare annotations; the two lists must not drift apart.
+    assert tuple(cls.__annotations__) == fields
+
+
+@pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(cls, fields, hashable, make):
     record = make(2)
     assert type(record) is cls
