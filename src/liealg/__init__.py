@@ -4,116 +4,71 @@ Builds sl_n, sp_2n, so_2n, and so_2n+1 as concrete matrix algebras over the
 rationals and derives their root systems, coroots, fundamental weights,
 Killing forms, Cartan matrices, Dynkin diagrams, Weyl groups, Serre
 presentations, and basic invariant polynomials, all in exact arithmetic.
+
+Importing the package compiles no library module.  Each one is registered
+in ``sys.modules`` and bound here through ``importlib.util.LazyLoader``, and
+is compiled and run on its first attribute access; an export such as
+``liealg.build`` is looked up in its module on first use (PEP 562).  A
+command therefore runs only the modules it calls.  Lazy execution is not
+thread-safe before Python 3.12, so this relies on the package not being
+first used from several threads at once.
 """
 
-from .catalog import (
-    AlgebraRealization,
-    Check,
-    CheckReport,
-    InternalConsistencyError,
-    build,
-    check_membership,
-    format_weight,
-)
-from .digraph import opposite_antimorphism
-from .dynkin import (
-    DynkinDiagram,
-    SerrePresentation,
-    ascii_diagram,
-    build_diagram,
-    check_positive_definite,
-    classify,
-    serre_presentation,
-    verify_serre,
-)
-from .exact import format_rational, parse_rational
-from .families import AlgebraFamily, AlgebraSpec
-from .forms import (
-    CartanMatrix,
-    cartan_matrix,
-    coroot_pairing_matrix,
-    killing_coefficients,
-    killing_form_ad,
-    killing_form_roots,
-    root_lengths,
-    weight_inner,
-)
-from .invariants import (
-    InvariantSuite,
-    build_suite,
-    check_invariance,
-    jacobian,
-    jacobian_criterion,
-)
-from .matrices import EdgeMatrix, mat_bracket
-from .polynomials import MultiPoly, poly_det
-from .roots import (
-    RootDatum,
-    cartan_decompose,
-    root_count,
-    verify_root_axioms,
-    verify_sl2_triple,
-    weight_of,
-)
-from .weyl import (
-    WeylOverflowError,
-    apply,
-    compose,
-    generate,
-    simple_reflections,
-    weyl_order_formula,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraFamily",
-    "AlgebraRealization",
-    "AlgebraSpec",
-    "CartanMatrix",
-    "Check",
-    "CheckReport",
-    "DynkinDiagram",
-    "EdgeMatrix",
-    "InternalConsistencyError",
-    "InvariantSuite",
-    "MultiPoly",
-    "RootDatum",
-    "SerrePresentation",
-    "WeylOverflowError",
-    "apply",
-    "ascii_diagram",
-    "build",
-    "build_diagram",
-    "build_suite",
-    "cartan_decompose",
-    "cartan_matrix",
-    "check_invariance",
-    "check_membership",
-    "check_positive_definite",
-    "classify",
-    "compose",
-    "coroot_pairing_matrix",
-    "format_rational",
-    "format_weight",
-    "generate",
-    "jacobian",
-    "jacobian_criterion",
-    "killing_coefficients",
-    "killing_form_ad",
-    "killing_form_roots",
-    "mat_bracket",
-    "opposite_antimorphism",
-    "parse_rational",
-    "poly_det",
-    "root_count",
-    "root_lengths",
-    "serre_presentation",
-    "simple_reflections",
-    "verify_root_axioms",
-    "verify_serre",
-    "verify_sl2_triple",
-    "weight_inner",
-    "weight_of",
-    "weyl_order_formula",
-]
+# The module that defines each export, written once per name.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "catalog": ("AlgebraRealization", "Check", "CheckReport", "InternalConsistencyError",
+                    "build", "check_membership", "format_weight"),
+        "digraph": ("opposite_antimorphism",),
+        "dynkin": ("DynkinDiagram", "SerrePresentation", "ascii_diagram", "build_diagram",
+                   "check_positive_definite", "classify", "serre_presentation",
+                   "verify_serre"),
+        "exact": ("format_rational", "parse_rational"),
+        "families": ("AlgebraFamily", "AlgebraSpec"),
+        "forms": ("CartanMatrix", "cartan_matrix", "coroot_pairing_matrix",
+                  "killing_coefficients", "killing_form_ad", "killing_form_roots",
+                  "root_lengths", "weight_inner"),
+        "invariants": ("InvariantSuite", "build_suite", "check_invariance", "jacobian",
+                       "jacobian_criterion"),
+        "matrices": ("EdgeMatrix", "mat_bracket"),
+        "polynomials": ("MultiPoly", "poly_det"),
+        "roots": ("RootDatum", "cartan_decompose", "root_count", "verify_root_axioms",
+                  "verify_sl2_triple", "weight_of"),
+        "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections",
+                 "weyl_order_formula"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def _register_lazily(module: str) -> None:
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = globals()[module] = lazy
+    spec.loader.exec_module(lazy)
+
+
+for _module in ("records", "families", "exact", "matrices", "digraph", "catalog", "roots",
+                "forms", "dynkin", "weyl", "polynomials", "invariants"):
+    _register_lazily(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_EXPORTS[name]], name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

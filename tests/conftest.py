@@ -3,26 +3,21 @@ reference reflection used by the reflection and root-axiom tests, the dense
 structure-constant table used by the catalog tests, and a field-replacing
 copy of a record.
 
-A test run writes no bytecode cache of the package into src/, where a
-benchmark child would read it instead of compiling the sources: pytest loads
-this file before it imports any test module of either testpath, and child
-interpreters get PYTHONDONTWRITEBYTECODE from ``src_env``."""
+The repository-root ``conftest.py`` keeps a test run from writing bytecode
+into src/."""
 
 from __future__ import annotations
 
 import io
 import os
-import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-sys.dont_write_bytecode = True
-
-import liealg as L  # noqa: E402
-from liealg import AlgebraFamily, AlgebraSpec  # noqa: E402
-from liealg.catalog import InternalConsistencyError  # noqa: E402
-from liealg.matrices import EdgeMatrix, mat_bracket  # noqa: E402
+import liealg as L
+from liealg import AlgebraFamily, AlgebraSpec
+from liealg.catalog import InternalConsistencyError
+from liealg.matrices import EdgeMatrix, mat_bracket
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
 _ROOT_DATA: dict[tuple[AlgebraFamily, int], L.RootDatum] = {}

@@ -1,4 +1,5 @@
-"""What starting a command loads: ``import liealg.cli`` stays off the heavy stdlib.
+"""What starting a command loads: ``import liealg.cli`` stays off the heavy stdlib,
+and a command executes only the library modules it calls.
 
 The interpreter runs as the benchmark runs each command: sources from src/,
 no bytecode cache, and an otherwise empty environment.  The check names
@@ -47,7 +48,9 @@ def loaded_by(*argv: str) -> set[str]:
     """The modules that ``liealg ARGV`` imports, read from ``-X importtime``.
 
     ``-S`` keeps ``site`` from importing modules of its own, which would hide
-    whether liealg imports them; the probe itself imports nothing.
+    whether liealg imports them; the probe itself imports nothing.  A library
+    module runs on first use, outside the import system, so it is not in that
+    log; ``executed_by`` lists those.
     """
     result = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "liealg", *argv],
@@ -65,6 +68,14 @@ def loaded_by(*argv: str) -> set[str]:
 def cartan_file(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("startup") / "b2.json"
     path.write_text('{"cartan": [[2, -1], [-2, 2]]}', encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def vectors_file(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("startup") / "b2_vectors.json"
+    path.write_text('{"vectors": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1],'
+                    ' [1, -1], [-1, 1]]}', encoding="utf-8")
     return str(path)
 
 
@@ -90,3 +101,63 @@ def test_a_command_loads_its_own_module_and_no_typing(argv, module, cartan_file)
 
 def test_json_output_loads_json():
     assert "json" in loaded_by("info", "sl", "3", "--format", "json")
+
+
+# Runs ``liealg ARGV`` in process (or only ``import liealg`` when ARGV is
+# empty) and prints the liealg modules it executed.  A registered module that
+# has not run yet is still an ``importlib.util._LazyModule``; running it makes
+# it a plain module.
+EXECUTED_PROBE = """
+import sys, types
+import liealg
+if sys.argv[1:]:
+    from liealg.cli import main
+    code = main(sys.argv[1:])
+    assert code == 0, code
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if name.startswith("liealg.") and type(module) is types.ModuleType)))
+"""
+
+
+def executed_by(*argv: str) -> set[str]:
+    """The liealg modules that ``liealg ARGV`` executes, under ``-S``."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", EXECUTED_PROBE, *argv],
+        cwd=ROOT,
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_executes_no_library_module():
+    assert executed_by() == set()
+
+
+def test_info_executes_neither_invariants_nor_polynomials():
+    executed = executed_by("info", "sl", "3")
+    assert "liealg.catalog" in executed
+    assert not executed & {"liealg.invariants", "liealg.polynomials"}, sorted(executed)
+
+
+@pytest.mark.parametrize("fixture", ["vectors_file", "cartan_file"])
+def test_classify_executes_no_weyl_or_invariant_module(fixture, request):
+    executed = executed_by("classify", request.getfixturevalue(fixture))
+    assert "liealg.roots" in executed
+    unused = {"liealg.weyl", "liealg.invariants", "liealg.polynomials"}
+    assert not executed & unused, sorted(executed & unused)
+
+
+def test_verify_sl2_executes_only_the_derivation_modules():
+    executed = executed_by("verify", "sp", "2", "sl2")
+    assert "liealg.roots" in executed
+    unused = {"liealg.dynkin", "liealg.forms", "liealg.weyl", "liealg.invariants",
+              "liealg.polynomials"}
+    assert not executed & unused, sorted(executed & unused)
+
+
+def test_invariants_executes_invariants_and_polynomials():
+    executed = executed_by("invariants", "sl", "3")
+    assert {"liealg.invariants", "liealg.polynomials"} <= executed
