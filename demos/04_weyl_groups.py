@@ -11,7 +11,8 @@ from math import prod
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.weyl import apply, generate, simple_reflections, weyl_order_formula
+from liealg.families import weyl_order_formula
+from liealg.weyl import apply, generate, simple_reflections
 
 for family, n in [
     (AlgebraFamily.SL, 4),

@@ -19,7 +19,8 @@ from liealg.invariants import (
     jacobian,
     vandermonde_squares,
 )
-from liealg.weyl import simple_reflections, weyl_order_formula
+from liealg.families import weyl_order_formula
+from liealg.weyl import simple_reflections
 
 for family, n in [
     (AlgebraFamily.SL, 3),

@@ -23,14 +23,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "catalog": ("AlgebraRealization", "Check", "CheckReport", "InternalConsistencyError",
-                    "build", "check_membership", "format_weight"),
+        "axioms": ("verify_root_axioms", "verify_sl2_triple"),
+        "catalog": ("AlgebraRealization", "build", "check_membership"),
         "digraph": ("opposite_antimorphism",),
         "dynkin": ("DynkinDiagram", "SerrePresentation", "ascii_diagram", "build_diagram",
                    "check_positive_definite", "classify", "serre_presentation",
                    "verify_serre"),
-        "exact": ("format_rational", "parse_rational"),
-        "families": ("AlgebraFamily", "AlgebraSpec"),
+        "exact": ("format_rational", "format_weight", "parse_rational"),
+        "families": ("AlgebraFamily", "AlgebraSpec", "weyl_order_formula"),
         "forms": ("CartanMatrix", "cartan_matrix", "coroot_pairing_matrix",
                   "killing_coefficients", "killing_form_ad", "killing_form_roots",
                   "root_lengths", "weight_inner"),
@@ -38,10 +38,9 @@ _EXPORTS = {
                        "jacobian_criterion"),
         "matrices": ("EdgeMatrix", "mat_bracket"),
         "polynomials": ("MultiPoly", "poly_det"),
-        "roots": ("RootDatum", "cartan_decompose", "root_count", "verify_root_axioms",
-                  "verify_sl2_triple", "weight_of"),
-        "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections",
-                 "weyl_order_formula"),
+        "records": ("Check", "CheckReport", "InternalConsistencyError"),
+        "roots": ("RootDatum", "cartan_decompose", "root_count", "weight_of"),
+        "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections"),
     }.items()
     for name in names
 }
@@ -58,7 +57,7 @@ def _register_lazily(module: str) -> None:
 
 
 for _module in ("records", "families", "exact", "matrices", "digraph", "catalog", "roots",
-                "forms", "dynkin", "weyl", "polynomials", "invariants"):
+                "axioms", "forms", "dynkin", "weyl", "polynomials", "invariants"):
     _register_lazily(_module)
 del _module
 

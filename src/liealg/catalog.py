@@ -12,82 +12,13 @@ Adjoint matrices are sparse columns.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Sequence
 from functools import cache, cached_property
 
 from .digraph import opposite_antimorphism
-from .exact import Scalar, format_rational
+from .exact import Scalar, Weight, format_weight
 from .families import AlgebraFamily, AlgebraSpec
 from .matrices import EdgeMatrix, SpanSolver, mat_bracket
-from .records import Record
-
-# A functional on the Cartan, by its coordinates: each an int when integral,
-# else a Fraction (``exact.canonical``).  Roots and edge weights are all ints.
-Weight = tuple[Scalar, ...]
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural fact that must hold by construction failed to hold."""
-
-
-class Check(Record):
-    """One verdict: which suite ran it, what was checked, and the outcome.
-
-    ``status`` is "pass", "fail" or "skip"; a skip is never a pass, but it
-    does not fail a report either.
-    """
-
-    __slots__ = ("suite", "name", "status", "detail")
-    suite: str
-    name: str
-    status: str
-    detail: str
-
-    def __init__(self, suite: str, name: str, status: str, detail: str) -> None:
-        if status not in ("pass", "fail", "skip"):
-            raise ValueError(f"check status must be pass, fail or skip, got {status!r}")
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
-
-    @staticmethod
-    def of(suite: str, name: str, ok: bool, detail: str) -> "Check":
-        return Check(suite, name, "pass" if ok else "fail", detail)
-
-
-class CheckReport(namedtuple("CheckReport", "results")):
-    """An ordered run of checks; it passes when none of them failed."""
-
-    __slots__ = ()
-    results: tuple[Check, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.status != "fail" for c in self.results)
-
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.results if c.status == "fail")
-
-
-def format_weight(w: Sequence[Scalar]) -> str:
-    """Render a functional as a combination of the coordinate symbols a_i."""
-    parts: list[str] = []
-    for i, c in enumerate(w, start=1):
-        if not c:
-            continue
-        if c == 1:
-            term = f"a{i}"
-        elif c == -1:
-            term = f"-a{i}"
-        else:
-            term = f"{format_rational(c)}a{i}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts) if parts else "0"
+from .records import InternalConsistencyError, Record
 
 
 class AlgebraRealization(Record):

@@ -20,9 +20,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from . import catalog, roots
-from .catalog import Check, CheckReport
-from .families import AlgebraFamily, AlgebraSpec
+from . import catalog, families, records, roots
 
 SCHEMA = "liealg/1"
 
@@ -61,22 +59,23 @@ def emit(args, payload: dict[str, object], text_lines: list[str]) -> None:
 
 
 def render(
-    checks: Sequence[Check], line: str, fields: Fields = CHECK_FIELDS
+    checks: Sequence[records.Check], line: str, fields: Fields = CHECK_FIELDS
 ) -> tuple[list[dict[str, str]], list[str]]:
     """JSON records and text lines for a run of checks.
 
     ``line`` formats one check from its fields, with the status upper-cased.
     """
-    records = [{key: getattr(c, attr) for key, attr in fields} for c in checks]
+    rows = [{key: getattr(c, attr) for key, attr in fields} for c in checks]
     lines = [
         line.format(suite=c.suite, name=c.name, status=c.status.upper(), detail=c.detail)
         for c in checks
     ]
-    return records, lines
+    return rows, lines
 
 
-def emit_report(args, payload: dict[str, object], lines: list[str], report: CheckReport,
-                line: str, key: str = "checks", fields: Fields = CHECK_FIELDS) -> int:
+def emit_report(args, payload: dict[str, object], lines: list[str],
+                report: records.CheckReport, line: str, key: str = "checks",
+                fields: Fields = CHECK_FIELDS) -> int:
     """Emit the checks and the overall result after ``lines``; return the exit code."""
     payload[key], check_lines = render(report.results, line, fields)
     payload["all_passed"] = report.all_passed
@@ -85,20 +84,20 @@ def emit_report(args, payload: dict[str, object], lines: list[str], report: Chec
     return 0 if report.all_passed else 1
 
 
-def spec_from_args(args) -> AlgebraSpec:
+def spec_from_args(args) -> families.AlgebraSpec:
     try:
-        family = AlgebraFamily.from_name(args.family)
-        return AlgebraSpec(family, args.n)
+        family = families.AlgebraFamily.from_name(args.family)
+        return families.AlgebraSpec(family, args.n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def header(command: str, spec: AlgebraSpec) -> dict[str, object]:
+def header(command: str, spec: families.AlgebraSpec) -> dict[str, object]:
     """The leading keys of every family command's JSON payload."""
     return {"schema": SCHEMA, "command": command, "family": spec.family.cli_name, "n": spec.rank}
 
 
-def root_datum(spec: AlgebraSpec) -> roots.RootDatum:
+def root_datum(spec: families.AlgebraSpec) -> roots.RootDatum:
     return roots.cartan_decompose(catalog.build(spec))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 
-from . import dynkin, forms, roots
+from . import axioms, dynkin, forms
 from .cli import (
     CHECK_FIELDS,
     MAX_VECTOR_DIGITS,
@@ -116,7 +116,7 @@ def cmd_classify(args) -> int:
     vectors = None
     if kind == "vectors":
         vectors = _parse_vectors(data["vectors"], args.path)
-        report = roots.verify_root_axioms(vectors, dot)
+        report = axioms.verify_root_axioms(vectors, dot)
         payload["axioms"], lines = render(
             report.results, "axiom {name}: {status} ({detail})", AXIOM_FIELDS
         )
@@ -133,7 +133,7 @@ def cmd_classify(args) -> int:
             A = _parse_cartan(data["cartan"], args.path)
             lengths = dynkin.lengths_from_cartan(A)
         else:
-            simple = roots.simple_roots(vectors)
+            simple = axioms.simple_roots(vectors)
             A = forms.CartanMatrix(forms.cartan_entries(simple, dot))
             lengths = [dot(a, a) for a in simple]
         payload["cartan_matrix"] = [list(row) for row in A.entries]

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import catalog, dynkin, forms, weyl
+from . import dynkin, forms, weyl
 from .cli import emit, format_matrix, header, root_datum, spec_from_args
-from .exact import Scalar, format_rational
+from .exact import Scalar, format_rational, format_weight
+from .families import weyl_order_formula
 
 
 def _vector_strings(vec: Sequence[Scalar]) -> list[str]:
@@ -30,7 +31,7 @@ def cmd_info(args) -> int:
     classification = "+".join(dynkin.classify(diagram))
     art = dynkin.ascii_diagram(diagram)
     metric = forms.killing_coefficients(rd)
-    order_formula = weyl.weyl_order_formula(spec)
+    order_formula = weyl_order_formula(spec)
 
     enumerated: int | None = None
     enumeration_note = ""
@@ -74,10 +75,8 @@ def cmd_info(args) -> int:
         f"lie rank: {spec.lie_rank}",
         f"dimension: {spec.dimension}",
         f"roots: {len(rd.roots)}",
-        "positive roots: "
-        + ", ".join(catalog.format_weight(w) for w in rd.positive_roots),
-        "fundamental roots: "
-        + ", ".join(catalog.format_weight(w) for w in rd.fundamental_roots),
+        "positive roots: " + ", ".join(format_weight(w) for w in rd.positive_roots),
+        "fundamental roots: " + ", ".join(format_weight(w) for w in rd.fundamental_roots),
         "fundamental coroots: "
         + "; ".join(_format_vector(r.diag_coords(h)) for h in rd.fundamental_coroots),
         "fundamental weights: "

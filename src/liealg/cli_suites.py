@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from math import prod
 
-from . import catalog, dynkin, forms, invariants, roots, weyl
-from .catalog import Check, CheckReport
+from . import axioms, dynkin, forms, invariants, roots, weyl
 from .cli import (
     SELECTORS,
     InputError,
@@ -22,8 +21,9 @@ from .cli import (
     root_datum,
     spec_from_args,
 )
-from .exact import format_rational
-from .families import AlgebraFamily
+from .exact import format_rational, format_weight
+from .families import AlgebraFamily, weyl_order_formula
+from .records import Check, CheckReport
 
 FAMILY_SIGMA_COEFFICIENT = {
     AlgebraFamily.SL: lambda n: 2 * n,
@@ -37,13 +37,13 @@ RELATION_FIELDS = (("relation", "name"), ("status", "status"))
 
 def _checks_axioms(rd: roots.RootDatum) -> Sequence[Check]:
     inner = forms.weight_inner(rd)
-    return roots.verify_root_axioms(rd.roots, inner, expected_dim=rd.spec.lie_rank).results
+    return axioms.verify_root_axioms(rd.roots, inner, expected_dim=rd.spec.lie_rank).results
 
 
 def _checks_sl2(rd: roots.RootDatum) -> Sequence[Check]:
     return [
-        Check.of("sl2", f"triple {catalog.format_weight(root)}",
-                 roots.verify_sl2_triple(rd, root), "x, y, h relations and a(h)=2")
+        Check.of("sl2", f"triple {format_weight(root)}",
+                 axioms.verify_sl2_triple(rd, root), "x, y, h relations and a(h)=2")
         for root in rd.roots
     ]
 
@@ -67,7 +67,7 @@ def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
 
 
 def _checks_weyl(rd: roots.RootDatum, max_order: int) -> Sequence[Check]:
-    formula = weyl.weyl_order_formula(rd.spec)
+    formula = weyl_order_formula(rd.spec)
     if formula > max_order:
         return [Check("weyl", "enumeration", "skip",
                       f"order {formula} exceeds --max-order {max_order}")]
@@ -91,7 +91,7 @@ def _checks_weyl(rd: roots.RootDatum, max_order: int) -> Sequence[Check]:
 def _checks_invariants(
     rd: roots.RootDatum, suite: invariants.InvariantSuite
 ) -> Sequence[Check]:
-    formula = weyl.weyl_order_formula(rd.spec)
+    formula = weyl_order_formula(rd.spec)
     fixed = invariants.check_invariance(suite, weyl.simple_reflections(rd))
     checks = [
         Check.of("invariants", "degree product equals weyl order",
@@ -160,7 +160,7 @@ def cmd_invariants(args) -> int:
     rd = root_datum(spec)
     suite = invariants.build_suite(spec.family, spec.lie_rank)
     report = CheckReport(tuple(_checks_invariants(rd, suite)))
-    order = weyl.weyl_order_formula(spec)
+    order = weyl_order_formula(spec)
     payload = {
         **header("invariants", spec),
         "nvars": suite.nvars,

@@ -9,8 +9,8 @@ g_(-a) of the canonical realization.
 
 from __future__ import annotations
 
+from . import matrices
 from .families import AlgebraFamily
-from .matrices import EdgeMatrix
 
 
 def vertex_signs(family: AlgebraFamily, dim: int) -> tuple[int, ...]:
@@ -38,7 +38,9 @@ def vertex_signs(family: AlgebraFamily, dim: int) -> tuple[int, ...]:
     raise ValueError(f"unknown family {family}")
 
 
-def opposite_antimorphism(x: EdgeMatrix, family: AlgebraFamily) -> EdgeMatrix:
+def opposite_antimorphism(
+    x: matrices.EdgeMatrix, family: AlgebraFamily
+) -> matrices.EdgeMatrix:
     """Send each edge to its reverse with the family's sign rule.
 
     Antimorphism on products (T(ab) = T(b)T(a)) and an involution; on each

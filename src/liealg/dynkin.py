@@ -20,11 +20,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .catalog import Check, CheckReport
+from . import forms, roots
 from .exact import Scalar, canonical, ratio
-from .forms import CartanMatrix
 from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
-from .roots import RootDatum
+from .records import Check, CheckReport
 
 
 class DynkinDiagram(namedtuple("DynkinDiagram", "nvertices multiplicities arrows")):
@@ -61,7 +60,7 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "nvertices multiplicities arrows
         return out
 
 
-def build_diagram(A: CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
+def build_diagram(A: forms.CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
     """Diagram with n_ij = A_ij A_ji edges and arrows toward shorter roots.
 
     A multiple edge between roots of equal length is rejected: the arrow
@@ -97,7 +96,7 @@ def build_diagram(A: CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
     )
 
 
-def lengths_from_cartan(A: CartanMatrix) -> list[Scalar]:
+def lengths_from_cartan(A: forms.CartanMatrix) -> list[Scalar]:
     """Relative squared lengths implied by a Cartan matrix.
 
     A_ij / A_ji equals the length ratio of roots i and j, which pins every
@@ -125,7 +124,7 @@ def lengths_from_cartan(A: CartanMatrix) -> list[Scalar]:
     return [x for x in lengths if x is not None]
 
 
-def check_positive_definite(A: CartanMatrix, lengths: Sequence[Scalar]) -> bool:
+def check_positive_definite(A: forms.CartanMatrix, lengths: Sequence[Scalar]) -> bool:
     """Exact positive-definiteness of the quadratic form of A and the root lengths."""
     n = A.rank
     if len(lengths) != n:
@@ -300,7 +299,7 @@ class SerrePresentation(namedtuple("SerrePresentation", "cartan relations")):
     """Generators H_i, X_i, Y_i and the full relation list."""
 
     __slots__ = ()
-    cartan: CartanMatrix
+    cartan: forms.CartanMatrix
     relations: tuple[SerreRelation, ...]
 
     @property
@@ -308,7 +307,7 @@ class SerrePresentation(namedtuple("SerrePresentation", "cartan relations")):
         return self.cartan.rank
 
 
-def serre_presentation(A: CartanMatrix) -> SerrePresentation:
+def serre_presentation(A: forms.CartanMatrix) -> SerrePresentation:
     """The defining relations read off a Cartan matrix.
 
     The nilpotency depth for an off-diagonal entry A_ij is 1 - A_ij nested
@@ -332,7 +331,7 @@ def serre_presentation(A: CartanMatrix) -> SerrePresentation:
     return SerrePresentation(cartan=A, relations=tuple(relations))
 
 
-def verify_serre(rd: RootDatum, p: SerrePresentation) -> CheckReport:
+def verify_serre(rd: roots.RootDatum, p: SerrePresentation) -> CheckReport:
     """Substitute the canonical triples into a presentation and check it.
 
     H_i is the i-th fundamental coroot, X_i the fundamental root vector, and

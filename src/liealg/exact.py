@@ -9,14 +9,25 @@ and a Fraction only when it is not (``canonical``).  Every value the package
 returns follows it, so the integral work of the classical families runs in
 int arithmetic.  Sums and products of canonical values are exact in either
 form; the one quotient is ``ratio``, since ``/`` on two ints gives a float.
+
+A weight, a functional on the Cartan subalgebra, is the tuple of its
+coordinates (``Weight``); ``format_weight`` renders one over the coordinate
+symbols a_i, and ``is_positive`` and ``negate`` are the sign conventions that
+both the derivation (``roots``) and the axiom checks (``axioms``) read.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 Scalar = int | Fraction
+# A functional on the Cartan, by its coordinates: each an int when integral,
+# else a Fraction (``canonical``).  Roots and edge weights are all ints.
+Weight = tuple[Scalar, ...]
+# A symmetric bilinear form on weights.
+Inner = Callable[[Weight, Weight], Scalar]
 
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
 
@@ -66,3 +77,34 @@ def _integer_text(k: int) -> str:
         digits = (abs(k).bit_length() - 1) * 30102999566 // 10**11 + 1
         digits += abs(k) >= 10**digits
         return f"{'-' * (k < 0)}<{digits} digits>"
+
+
+def format_weight(w: Sequence[Scalar]) -> str:
+    """Render a functional as a combination of the coordinate symbols a_i."""
+    parts: list[str] = []
+    for i, c in enumerate(w, start=1):
+        if not c:
+            continue
+        if c == 1:
+            term = f"a{i}"
+        elif c == -1:
+            term = f"-a{i}"
+        else:
+            term = f"{format_rational(c)}a{i}"
+        if parts and not term.startswith("-"):
+            parts.append("+" + term)
+        else:
+            parts.append(term)
+    return "".join(parts) if parts else "0"
+
+
+def is_positive(w: Weight) -> bool:
+    """Positivity convention: first nonzero coordinate is positive."""
+    for c in w:
+        if c:
+            return c > 0
+    return False
+
+
+def negate(w: Weight) -> Weight:
+    return tuple(-c for c in w)

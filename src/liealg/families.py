@@ -1,8 +1,10 @@
-"""The four classical families and their numeric bookkeeping."""
+"""The four classical families and their numeric bookkeeping: the closed
+forms of dimension, Lie rank and Weyl group order."""
 
 from __future__ import annotations
 
 import enum
+from math import factorial
 
 from .records import Record
 
@@ -83,3 +85,13 @@ class AlgebraSpec(Record):
 
     def __str__(self) -> str:
         return self.name
+
+
+def weyl_order_formula(spec: AlgebraSpec) -> int:
+    """Closed-form Weyl group order for a classical family."""
+    n = spec.rank
+    if spec.family is AlgebraFamily.SL:
+        return factorial(n)
+    if spec.family is AlgebraFamily.SO_EVEN:
+        return 2 ** (n - 1) * factorial(n)
+    return 2**n * factorial(n)

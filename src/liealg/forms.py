@@ -26,18 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .catalog import (
-    AlgebraRealization,
-    InternalConsistencyError,
-    Weight,
-    ad_matrix,
-    check_membership,
-)
-from .exact import Scalar, canonical, ratio
-from .families import AlgebraFamily
+from . import catalog, families, roots
+from .exact import Inner, Scalar, Weight, canonical, ratio
 from .matrices import EdgeMatrix, dot
-from .records import Record
-from .roots import Inner, KillingMetric, RootDatum
+from .records import InternalConsistencyError, Record
 
 
 def _trace_of_product(ax: list[dict[int, Scalar]], ay: list[dict[int, Scalar]]) -> Scalar:
@@ -51,26 +43,26 @@ def _trace_of_product(ax: list[dict[int, Scalar]], ay: list[dict[int, Scalar]]) 
     return canonical(total)
 
 
-def killing_form_ad(r: AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
+def killing_form_ad(r: catalog.AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
     """Trace of ad(x) composed with ad(y) in the canonical basis."""
     for m in (x, y):
-        if not check_membership(m, r.spec):
+        if not catalog.check_membership(m, r.spec):
             raise ValueError(f"matrix is not a member of {r.spec}")
-    return _trace_of_product(ad_matrix(r, x), ad_matrix(r, y))
+    return _trace_of_product(catalog.ad_matrix(r, x), catalog.ad_matrix(r, y))
 
 
-def cartan_killing_gram_ad(r: AlgebraRealization) -> tuple[tuple[Scalar, ...], ...]:
+def cartan_killing_gram_ad(r: catalog.AlgebraRealization) -> tuple[tuple[Scalar, ...], ...]:
     """``killing_form_ad`` on every pair of Cartan basis elements.
 
     One ad(h) per basis element, over the realization's one basis
     elimination, serves all the pairs; nothing is read from the roots.
     """
-    ads = [ad_matrix(r, h) for h in r.cartan_basis]
+    ads = [catalog.ad_matrix(r, h) for h in r.cartan_basis]
     return tuple(tuple(_trace_of_product(ax, ay) for ay in ads) for ax in ads)
 
 
 # No caller in src/; kept because bench/traced.py spans it by name.
-def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
+def killing_form_roots(rd: roots.RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
     """Sum over all roots of a(x) a(y); x and y must be Cartan elements."""
     r = rd.realization
     cx = r.diag_coords(x)
@@ -78,7 +70,7 @@ def killing_form_roots(rd: RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
     return canonical(sum(dot(root, cx) * dot(root, cy) for root in rd.roots))
 
 
-def weight_inner(rd: RootDatum) -> Inner:
+def weight_inner(rd: roots.RootDatum) -> Inner:
     """The inner product on weights induced by the Killing form.
 
     Transporting through the isomorphism h -> h* given by the Killing form
@@ -89,7 +81,7 @@ def weight_inner(rd: RootDatum) -> Inner:
     which equals the inverse-Gram value on every input.
     """
     sigma = rd.killing_metric.sigma
-    if rd.spec.family is not AlgebraFamily.SL:
+    if rd.spec.family is not families.AlgebraFamily.SL:
         return lambda u, v: ratio(dot(u, v), sigma)
     n = rd.spec.rank
 
@@ -158,7 +150,7 @@ def _integer_rows(what: str, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[in
     return tuple(map(tuple, out))
 
 
-def cartan_matrix(rd: RootDatum) -> CartanMatrix:
+def cartan_matrix(rd: roots.RootDatum) -> CartanMatrix:
     """Cartan matrix A_ij = 2<a_i,a_j>/<a_j,a_j> over the Killing inner product.
 
     Non-integer ratios abort: integrality is a theorem, so a violation means
@@ -167,7 +159,7 @@ def cartan_matrix(rd: RootDatum) -> CartanMatrix:
     return CartanMatrix(cartan_entries(rd.fundamental_roots, weight_inner(rd)))
 
 
-def coroot_pairing_matrix(rd: RootDatum) -> CartanMatrix:
+def coroot_pairing_matrix(rd: roots.RootDatum) -> CartanMatrix:
     """The pairing P_ij = a_j(h_i) of fundamental roots against coroots.
 
     This is the transpose of ``cartan_matrix`` and is the matrix under which
@@ -181,12 +173,12 @@ def coroot_pairing_matrix(rd: RootDatum) -> CartanMatrix:
     )
 
 
-def root_lengths(rd: RootDatum) -> tuple[Scalar, ...]:
+def root_lengths(rd: roots.RootDatum) -> tuple[Scalar, ...]:
     """Squared lengths <a_i, a_i> of the fundamental roots."""
     inner = weight_inner(rd)
     return tuple(inner(a, a) for a in rd.fundamental_roots)
 
 
-def killing_coefficients(rd: RootDatum) -> KillingMetric:
+def killing_coefficients(rd: roots.RootDatum) -> roots.KillingMetric:
     """The root datum's certified Killing metric: its Gram, ``sigma`` and ``trace``."""
     return rd.killing_metric

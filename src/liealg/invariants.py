@@ -21,11 +21,11 @@ from collections import namedtuple
 from collections.abc import Sequence
 from math import prod
 
+from . import weyl
 from .exact import Scalar, ratio
 from .families import AlgebraFamily
 from .matrices import determinant
 from .polynomials import MultiPoly, poly_det
-from .weyl import Window
 
 
 class InvariantSuite(namedtuple("InvariantSuite", "family nvars polys")):
@@ -77,7 +77,7 @@ def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
     return InvariantSuite(family=family, nvars=nvars, polys=polys)
 
 
-def check_invariance(s: InvariantSuite, gens: Sequence[Window]) -> bool:
+def check_invariance(s: InvariantSuite, gens: Sequence[weyl.Window]) -> bool:
     """True iff every polynomial is fixed by every generator.
 
     Fixing the generators fixes the whole group they generate, since the

@@ -10,13 +10,11 @@ reflections and the generators of a closure); composition keeps them valid.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from math import factorial
 from operator import itemgetter
 
-from .catalog import InternalConsistencyError
+from . import roots
 from .exact import Scalar, canonical
-from .families import AlgebraFamily, AlgebraSpec
-from .roots import RootDatum
+from .records import InternalConsistencyError
 
 Window = tuple[int, ...]
 
@@ -42,7 +40,7 @@ def apply(g: Window, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def simple_reflections(rd: RootDatum) -> list[Window]:
+def simple_reflections(rd: roots.RootDatum) -> list[Window]:
     """The reflections of the fundamental roots, as windows.
 
     Each reflection h -> h - a(h) h_a is computed on the diagonal coordinate
@@ -127,12 +125,3 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
         frontier = next_frontier
     return frozenset(seen)
 
-
-def weyl_order_formula(spec: AlgebraSpec) -> int:
-    """Closed-form Weyl group order for a classical family."""
-    n = spec.rank
-    if spec.family is AlgebraFamily.SL:
-        return factorial(n)
-    if spec.family is AlgebraFamily.SO_EVEN:
-        return 2 ** (n - 1) * factorial(n)
-    return 2**n * factorial(n)

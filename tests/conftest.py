@@ -16,8 +16,8 @@ from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.catalog import InternalConsistencyError
 from liealg.matrices import EdgeMatrix, mat_bracket
+from liealg.records import InternalConsistencyError
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
 _ROOT_DATA: dict[tuple[AlgebraFamily, int], L.RootDatum] = {}

@@ -32,8 +32,9 @@ from liealg.invariants import (
     vandermonde,
     vandermonde_squares,
 )
+from liealg.families import weyl_order_formula
 from liealg.matrices import SpanSolver, dot
-from liealg.weyl import apply, simple_reflections, weyl_order_formula
+from liealg.weyl import apply, simple_reflections
 
 GOLDEN = Path(__file__).parent / "golden"
 

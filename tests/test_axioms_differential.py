@@ -18,9 +18,10 @@ import pytest
 from conftest import family_ranks, reflect, root_datum
 
 import liealg as L
-from liealg.catalog import Check, CheckReport, format_weight
+from liealg.axioms import verify_root_axioms
+from liealg.exact import format_weight, negate
 from liealg.matrices import _Echelon, dot, is_positive_definite
-from liealg.roots import negate, verify_root_axioms
+from liealg.records import Check, CheckReport
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

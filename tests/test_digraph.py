@@ -7,8 +7,9 @@ from conftest import basis_of, family_ranks, realization, root_datum
 import liealg as L
 from liealg import AlgebraFamily
 from liealg.digraph import opposite_antimorphism
+from liealg.exact import negate
 from liealg.matrices import EdgeMatrix
-from liealg.roots import negate, weight_of
+from liealg.roots import weight_of
 
 
 class TestEdges:

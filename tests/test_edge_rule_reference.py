@@ -26,16 +26,12 @@ from conftest import basis_of, family_ranks, realization, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, dynkin, roots
-from liealg.catalog import (
-    AlgebraRealization,
-    Check,
-    CheckReport,
-    InternalConsistencyError,
-    Weight,
-)
+from liealg.catalog import AlgebraRealization
 from liealg.digraph import opposite_antimorphism
+from liealg.exact import Weight
 from liealg.forms import CartanMatrix
 from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket, sparse_vector
+from liealg.records import Check, CheckReport, InternalConsistencyError
 from liealg.roots import RootDatum
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from conftest import family_ranks, replace, root_datum, run_cli
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, forms, roots
-from liealg.catalog import InternalConsistencyError, Weight
+from liealg.exact import Inner, Weight
 from liealg.matrices import dot, solve_linear
-from liealg.roots import Inner, RootDatum
+from liealg.records import InternalConsistencyError
+from liealg.roots import RootDatum
 
 CASES = [(family, n) for family, n in family_ranks(8) if AlgebraSpec(family, n).lie_rank <= 7]
 

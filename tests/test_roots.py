@@ -8,16 +8,10 @@ from conftest import family_ranks, realization, replace, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
+from liealg.axioms import simple_roots, verify_root_axioms, verify_sl2_triple
+from liealg.exact import is_positive, negate
 from liealg.matrices import EdgeMatrix, dot
-from liealg.roots import (
-    expand_in_fundamental,
-    is_positive,
-    negate,
-    root_count,
-    simple_roots,
-    verify_root_axioms,
-    verify_sl2_triple,
-)
+from liealg.roots import expand_in_fundamental, root_count
 
 
 def unit(n, i, value=1):

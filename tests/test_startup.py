@@ -142,12 +142,49 @@ def test_info_executes_neither_invariants_nor_polynomials():
     assert not executed & {"liealg.invariants", "liealg.polynomials"}, sorted(executed)
 
 
-@pytest.mark.parametrize("fixture", ["vectors_file", "cartan_file"])
-def test_classify_executes_no_weyl_or_invariant_module(fixture, request):
-    executed = executed_by("classify", request.getfixturevalue(fixture))
-    assert "liealg.roots" in executed
-    unused = {"liealg.weyl", "liealg.invariants", "liealg.polynomials"}
+# Modules that a classify command never calls: it reads vectors or a Cartan matrix
+# from its file, so it builds no realization and derives no root datum.
+NOT_CLASSIFY = {"liealg.roots", "liealg.catalog", "liealg.digraph", "liealg.families",
+                "liealg.weyl", "liealg.invariants", "liealg.polynomials"}
+
+
+def test_classify_vectors_executes_the_axioms_and_no_derivation(vectors_file):
+    executed = executed_by("classify", vectors_file)
+    assert "liealg.axioms" in executed
+    assert not executed & NOT_CLASSIFY, sorted(executed & NOT_CLASSIFY)
+
+
+def test_classify_cartan_executes_neither_axioms_nor_derivation(cartan_file):
+    executed = executed_by("classify", cartan_file)
+    assert "liealg.dynkin" in executed
+    unused = NOT_CLASSIFY | {"liealg.axioms"}
     assert not executed & unused, sorted(executed & unused)
+
+
+def test_info_executes_the_derivation_but_neither_weyl_nor_axioms():
+    executed = executed_by("info", "sl", "3")
+    assert "liealg.roots" in executed
+    assert not executed & {"liealg.weyl", "liealg.axioms"}, sorted(executed)
+
+
+# Prints each liealg module that ``import liealg`` put in sys.modules unexecuted.
+LAZY_PROBE = """
+import sys, types
+import liealg
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if name.startswith("liealg.") and type(module) is not types.ModuleType)))
+"""
+
+
+def test_importing_the_package_registers_every_library_module_lazily():
+    """A library module left out of ``liealg/__init__`` would run on its first
+    import instead, and the benchmark tracer would not see it."""
+    library = {f"liealg.{path.stem}" for path in (ROOT / "src" / "liealg").glob("*.py")
+               if path.stem not in ("__init__", "__main__") and not path.stem.startswith("cli")}
+    result = subprocess.run([sys.executable, "-S", "-c", LAZY_PROBE], cwd=ROOT, env=CHILD_ENV,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) == library
 
 
 def test_verify_sl2_executes_only_the_derivation_modules():

@@ -48,3 +48,21 @@ def test_traced_invariants_matches_plain_and_spans_build_suite(tmp_path):
     layers = json.loads(out.read_text())
     assert layers["invariants.build_suite_s"] > 0
     assert layers["invariants.check_invariance_s"] > 0
+
+
+def test_traced_classify_matches_plain_and_spans_the_axiom_checks(tmp_path):
+    """The tracer looks the axiom checks up as ``roots.verify_root_axioms``; the
+    calls reach them in ``axioms``, which must be registered when it installs."""
+    vectors = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]]
+    path = tmp_path / "b2.json"
+    # A vector written twice, once in another form, counts once in the root set.
+    path.write_text(json.dumps({"vectors": [*vectors, ["2/2", "0"]]}), encoding="utf-8")
+    out = tmp_path / "layers.json"
+    plain = run("-m", "liealg", "classify", str(path))
+    traced = run(str(TRACED), str(out), "classify", str(path))
+    assert (traced.returncode, traced.stdout, traced.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+    assert plain.returncode == 0 and "classification: B2" in plain.stdout
+    layers = json.loads(out.read_text())
+    assert layers["roots.axiom_pairs"] == len(vectors) ** 2
+    assert layers["roots.verify_root_axioms_s"] > 0
