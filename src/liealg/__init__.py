@@ -5,7 +5,8 @@ rationals and derives their root systems, coroots, fundamental weights,
 Killing forms, Cartan matrices, Dynkin diagrams, Weyl groups, Serre
 presentations, and basic invariant polynomials, all in exact arithmetic.
 
-Importing the package compiles no library module.  Each one is registered
+Importing the package compiles no library module.  Each one defines at
+least one export, and each module the export table names is registered
 in ``sys.modules`` and bound here through ``importlib.util.LazyLoader``, and
 is compiled and run on its first attribute access; an export such as
 ``liealg.build`` is looked up in its module on first use (PEP 562).  A
@@ -56,8 +57,7 @@ def _register_lazily(module: str) -> None:
     spec.loader.exec_module(lazy)
 
 
-for _module in ("records", "families", "exact", "matrices", "digraph", "catalog", "roots",
-                "axioms", "forms", "dynkin", "weyl", "polynomials", "invariants"):
+for _module in dict.fromkeys(_EXPORTS.values()):
     _register_lazily(_module)
 del _module
 

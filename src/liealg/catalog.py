@@ -24,24 +24,17 @@ from .records import InternalConsistencyError, Record
 class AlgebraRealization(Record):
     """A concrete algebra: labelled basis and Cartan choice."""
 
-    __slots__ = ("spec", "basis", "cartan_indices", "__dict__")
+    __slots__ = ("spec", "basis", "__dict__")
     spec: AlgebraSpec
     basis: tuple[tuple[str, EdgeMatrix], ...]
-    cartan_indices: tuple[int, ...]
-
-    def __init__(
-        self,
-        spec: AlgebraSpec,
-        basis: tuple[tuple[str, EdgeMatrix], ...],
-        cartan_indices: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "cartan_indices", cartan_indices)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @property
+    def cartan_indices(self) -> tuple[int, ...]:
+        return tuple(range(self.spec.lie_rank))  # the Cartan elements come first
 
     @property
     def cartan_basis(self) -> tuple[EdgeMatrix, ...]:
@@ -147,7 +140,6 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
     else:
         for i in range(1, n + 1):
             basis.append((f"h{i}", E(i, i) - E(n + i, n + i)))
-    cartan_indices = tuple(range(len(basis)))
 
     positives = _positive_root_table(spec)
     for root, mat in positives:
@@ -158,7 +150,7 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
             (f"x({format_weight(neg)})", opposite_antimorphism(mat, spec.family))
         )
 
-    realization = AlgebraRealization(spec=spec, basis=tuple(basis), cartan_indices=cartan_indices)
+    realization = AlgebraRealization(spec, tuple(basis))
 
     if realization.dimension != spec.dimension:
         raise InternalConsistencyError(

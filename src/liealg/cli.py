@@ -2,8 +2,9 @@
 
 Output is deterministic byte-for-byte: identical invocations produce
 identical text.  Exit codes: 0 success / all checks pass, 1 verification
-failure, 2 usage or parse error.  JSON output carries a fixed schema tag and
-serializes every rational as a "p/q" (or plain integer) string.
+failure, 2 usage, parse or output error.  JSON output carries a fixed
+schema tag and serializes every rational as a "p/q" (or plain integer)
+string.
 
 This module holds the parser, the dispatch and the output helpers that the
 commands share.  Each command's code lives in its own module, which ``main``
@@ -16,6 +17,7 @@ imports only when it runs that command: ``cli_info`` (info), ``cli_suites``
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -187,9 +189,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout is closed or full; reading a file raises InputError
+        # Point stdout at the null device, so the interpreter's final flush succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -17,19 +17,18 @@ generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 
 from . import forms, roots
 from .exact import Scalar, canonical, ratio
 from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
-from .records import Check, CheckReport
+from .records import Check, CheckReport, Record
 
 
-class DynkinDiagram(namedtuple("DynkinDiagram", "nvertices multiplicities arrows")):
+class DynkinDiagram(Record):
     """Vertices with edge multiplicities 0..3 and arrows toward shorter roots."""
 
-    __slots__ = ()
+    __slots__ = ("nvertices", "multiplicities", "arrows")
     nvertices: int
     multiplicities: tuple[tuple[int, ...], ...]
     arrows: tuple[tuple[int, int], ...]  # (longer, shorter), 0-indexed
@@ -255,9 +254,7 @@ def _edge_text(d: DynkinDiagram, left: int, right: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SerreRelation(
-    namedtuple("SerreRelation", "word target coefficient", defaults=(None, None))
-):
+class SerreRelation(Record):
     """One defining relation: a bracket word equal to a multiple of a generator, or 0.
 
     A generator is a letter "H", "X" or "Y" and a 0-based index.  ``word``
@@ -267,10 +264,13 @@ class SerreRelation(
     default to None.
     """
 
-    __slots__ = ()
+    __slots__ = ("word", "target", "coefficient")
     word: tuple[tuple[str, int], ...]
     target: tuple[str, int] | None
     coefficient: int | None
+
+    def __init__(self, word, target=None, coefficient=None) -> None:
+        super().__init__(word, target, coefficient)
 
     def describe(self) -> str:
         name = lambda g: f"{g[0]}{g[1] + 1}"
@@ -295,10 +295,10 @@ class SerreRelation(
         return value == (target if self.coefficient is None else target.scale(self.coefficient))
 
 
-class SerrePresentation(namedtuple("SerrePresentation", "cartan relations")):
+class SerrePresentation(Record):
     """Generators H_i, X_i, Y_i and the full relation list."""
 
-    __slots__ = ()
+    __slots__ = ("cartan", "relations")
     cartan: forms.CartanMatrix
     relations: tuple[SerreRelation, ...]
 

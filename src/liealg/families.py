@@ -45,8 +45,7 @@ class AlgebraSpec(Record):
         minimum = 2 if family in (AlgebraFamily.SL, AlgebraFamily.SO_EVEN) else 1
         if rank < minimum:
             raise ValueError(f"{family.cli_name} requires n >= {minimum}, got {rank}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(family, rank)
 
     @property
     def realization_dim(self) -> int:

@@ -112,7 +112,7 @@ class CartanMatrix(Record):
                     raise ValueError(f"off-diagonal Cartan entry {a} outside {{0,-1,-2,-3}}")
                 if (a == 0) != (entries[j][i] == 0):
                     raise ValueError("Cartan entries A_ij and A_ji must vanish together")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @property
     def rank(self) -> int:

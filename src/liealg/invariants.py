@@ -17,7 +17,6 @@ symbolically.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from math import prod
 
@@ -26,12 +25,13 @@ from .exact import Scalar, ratio
 from .families import AlgebraFamily
 from .matrices import determinant
 from .polynomials import MultiPoly, poly_det
+from .records import Record
 
 
-class InvariantSuite(namedtuple("InvariantSuite", "family nvars polys")):
+class InvariantSuite(Record):
     """An ordered generating set for one family's invariant ring."""
 
-    __slots__ = ()
+    __slots__ = ("family", "nvars", "polys")
     family: AlgebraFamily
     nvars: int
     polys: tuple[MultiPoly, ...]

@@ -52,10 +52,6 @@ class EdgeMatrix(Record):
     dim: int
     edges: dict[Position, Scalar]
 
-    def __init__(self, dim: int, edges: dict[Position, Scalar]) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "edges", edges)
-
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "EdgeMatrix":
         dim = len(rows)

@@ -29,8 +29,7 @@ class MultiPoly(Record):
                 raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
             if c := canonical(coeff):
                 clean[tuple(expo)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(nvars, clean)
 
     # -- constructors ------------------------------------------------------
 

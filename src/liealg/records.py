@@ -1,16 +1,15 @@
-"""The immutable record base, and the check records every command reports.
+"""The one immutable record type, and the check records every command reports.
 
-``Record`` is the base of the records that a named tuple cannot carry: those
-that validate in their constructor, cache a
-``functools.cached_property`` or define their own equality.  A ``Record``
-subclass names its fields in ``__slots__``, plus ``"__dict__"`` when it
-caches, and repeats them as bare annotations.  Its ``__init__`` takes the
-fields in that order and sets each once through ``object.__setattr__``.
-
-A plain value record subclasses a ``collections.namedtuple`` base instead,
-with ``__slots__ = ()`` and its fields repeated as bare annotations: under
+Every record of the package subclasses ``Record``.  A record names its
+fields in ``__slots__``, plus ``"__dict__"`` when it caches a
+``functools.cached_property``, and repeats them as bare annotations: under
 postponed evaluation an annotation creates no class attribute, and no
-module of the package imports ``typing`` at run time.
+module of the package imports ``typing`` at run time.  ``Record.__init__``
+takes the fields in slot order, by position or by keyword, and sets each
+once; a record that validates its input or supplies defaults defines its
+own ``__init__``, which ends in ``super().__init__``.  A record is not a
+tuple: it equals only a record of its own type with equal fields, and it
+cannot be iterated.
 
 ``Check`` and ``CheckReport`` are the one verdict record and the one run of
 verdicts, from the library's verifiers to the command line's output, and
@@ -21,16 +20,32 @@ module, so reading them executes no other.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 
 class Record:
     """Immutable fields, value equality and hash, a repr, and copies rebuilt by ``__init__``."""
 
     __slots__ = ()
+    _names: tuple[str, ...]
+    # A record is not a sequence, even one that defines __getitem__ for its entries.
+    __iter__ = None
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *values: object, **named: object) -> None:
+        names = self._names
+        if named or len(values) != len(names):
+            fields = {**dict(zip(names, values)), **named}
+            if len(values) + len(named) != len(names) or fields.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(names)}); "
+                                f"got {len(values)} by position and {list(named)} by keyword")
+            values = tuple(fields[name] for name in names)
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name != "__dict__")
+        return tuple(getattr(self, name) for name in self._names)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
@@ -47,8 +62,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        names = (name for name in self.__slots__ if name != "__dict__")
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._fields()))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -76,20 +90,17 @@ class Check(Record):
     def __init__(self, suite: str, name: str, status: str, detail: str) -> None:
         if status not in ("pass", "fail", "skip"):
             raise ValueError(f"check status must be pass, fail or skip, got {status!r}")
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(suite, name, status, detail)
 
     @staticmethod
     def of(suite: str, name: str, ok: bool, detail: str) -> "Check":
         return Check(suite, name, "pass" if ok else "fail", detail)
 
 
-class CheckReport(namedtuple("CheckReport", "results")):
+class CheckReport(Record):
     """An ordered run of checks; it passes when none of them failed."""
 
-    __slots__ = ()
+    __slots__ = ("results",)
     results: tuple[Check, ...]
 
     @property

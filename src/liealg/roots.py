@@ -20,7 +20,6 @@ coefficients ``sigma`` and ``trace``, built once as ``RootDatum.killing_metric``
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -93,28 +92,6 @@ class RootDatum(Record):
     fundamental_coroots: tuple[EdgeMatrix, ...]
     fundamental_weights: tuple[Weight, ...]
 
-    def __init__(
-        self,
-        realization: catalog.AlgebraRealization,
-        roots: tuple[Weight, ...],
-        root_vectors: dict[Weight, int],
-        positive_roots: tuple[Weight, ...],
-        fundamental_roots: tuple[Weight, ...],
-        coroots: dict[Weight, EdgeMatrix],
-        partners: dict[Weight, EdgeMatrix],
-        fundamental_coroots: tuple[EdgeMatrix, ...],
-        fundamental_weights: tuple[Weight, ...],
-    ) -> None:
-        object.__setattr__(self, "realization", realization)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "root_vectors", root_vectors)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "fundamental_roots", fundamental_roots)
-        object.__setattr__(self, "coroots", coroots)
-        object.__setattr__(self, "partners", partners)
-        object.__setattr__(self, "fundamental_coroots", fundamental_coroots)
-        object.__setattr__(self, "fundamental_weights", fundamental_weights)
-
     @property
     def spec(self) -> AlgebraSpec:
         return self.realization.spec
@@ -135,7 +112,7 @@ class RootDatum(Record):
         return _killing_metric(self)
 
 
-class KillingMetric(namedtuple("KillingMetric", "gram sigma trace")):
+class KillingMetric(Record):
     """The Killing form on the Cartan basis h_1..h_r of one root datum.
 
     ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace
@@ -145,7 +122,7 @@ class KillingMetric(namedtuple("KillingMetric", "gram sigma trace")):
     (sp, so) tr(xy) is twice the coordinate sum, so trace = sigma / 2.
     """
 
-    __slots__ = ()
+    __slots__ = ("gram", "sigma", "trace")
     gram: tuple[tuple[Scalar, ...], ...]
     sigma: Scalar
     trace: Scalar
@@ -181,11 +158,10 @@ def _proportion(
 def cartan_decompose(r: catalog.AlgebraRealization) -> RootDatum:
     """Read off the root system and derive sl2 triples and fundamental weights."""
     spec = r.spec
-    cartan_set = set(r.cartan_indices)
 
     root_vectors: dict[Weight, int] = {}
     for index, (label, mat) in enumerate(r.basis):
-        if index in cartan_set:
+        if index < spec.lie_rank:
             # The edge rule of weight_of holds only for a diagonal Cartan.
             try:
                 r.diag_coords(mat)

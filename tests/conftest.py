@@ -59,7 +59,7 @@ def replace(record, **changes):
     It goes through the constructor, so validation runs again and no cached
     value is carried over.
     """
-    fields = {name: getattr(record, name) for name in record.__slots__ if name != "__dict__"}
+    fields = {name: getattr(record, name) for name in record._names}
     return type(record)(**{**fields, **changes})
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: golden output, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -176,7 +177,7 @@ def _suite_with(change):
 
         def broken(family, n):
             suite = build(family, n)
-            return suite._replace(polys=change(suite.polys))
+            return replace(suite, polys=change(suite.polys))
 
         monkeypatch.setattr(invariants, "build_suite", broken)
 
@@ -449,6 +450,54 @@ class TestConsoleEntryPoint:
             env=src_env(),
         )
         assert result.returncode == 2
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+SINKS = [pytest.param(_closed_pipe, id="closed-pipe"), pytest.param(_full_device, id="full")]
+
+
+def _run_into(sink, argv: list[str]) -> subprocess.CompletedProcess:
+    fd = sink()
+    try:
+        return subprocess.run([sys.executable, "-m", "liealg", *argv], stdout=fd,
+                              stderr=subprocess.PIPE, text=True, env=src_env())
+    finally:
+        os.close(fd)
+
+
+class TestOutputFailure:
+    @pytest.mark.parametrize("sink", SINKS)
+    @pytest.mark.parametrize("argv", [
+        ["info", "sl", "3"],
+        ["info", "sp", "3", "--format", "json"],
+        ["verify", "sp", "3", "all"],
+        ["classify", "@file"],
+    ], ids=["info", "info-json", "verify", "classify"])
+    def test_a_failed_write_is_one_error_line_and_exit_2(self, sink, argv, tmp_path):
+        path = tmp_path / "b2.json"
+        path.write_text('{"cartan": [[2, -1], [-2, 2]]}', encoding="utf-8")
+        result = _run_into(sink, [str(path) if arg == "@file" else arg for arg in argv])
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: cannot write output: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.count("error:") == 1
+
+    @pytest.mark.parametrize("sink", SINKS)
+    def test_help_still_exits_0_quietly(self, sink):
+        result = _run_into(sink, ["--help"])
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_the_parser_selectors_name_every_suite_in_order():

@@ -7,15 +7,15 @@ be exported in ``liealg.__all__``.  Such a read is a NAME token, so a
 mention in a comment or a docstring does not count.
 
 A public member of a public class (a method, a property or an annotated
-field, such as a NamedTuple field or the bare annotation that names a slot
-of a ``__slots__`` record; dunders excluded) must likewise be read
-outside its own definition.  A member read is an attribute load ``.name``,
-or a string ``"name"`` in ``bench/``, whose tracer looks functions up with
-``getattr``; a bare NAME token of the same spelling (a local variable, a
-keyword argument, a helper of the same name) does not count.  The check does
-not know the type of the object left of the dot, so a member whose name is
-also loaded as an attribute of another type (``rank``, ``family``) passes
-even when nothing reads it on its own class.
+field, such as the bare annotation that names a slot of a record; dunders
+excluded) must likewise be read outside its own definition.  A member read
+is an attribute load ``.name``, or a string ``"name"`` in ``bench/``, whose
+tracer looks functions up with ``getattr``; a bare NAME token of the same
+spelling (a local variable, a keyword argument, a helper of the same name)
+does not count.  The check does not know the type of the object left of
+the dot, so a member whose name is also loaded as an attribute of another
+type (``rank``, ``family``) passes even when nothing reads it on its own
+class.
 """
 
 import ast

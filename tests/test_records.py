@@ -3,7 +3,9 @@
 Every record is immutable (assigning or deleting a field raises
 AttributeError), the validating ones reject bad input with fixed error
 texts, and two records of one type with equal fields compare equal and, where
-the type is hashable, hash equal.
+the type is hashable, hash equal.  A record is not a tuple: it equals neither
+the tuple of its fields nor a record of another type, it cannot be iterated,
+and a missing, extra or unknown field is a TypeError.
 """
 
 import copy
@@ -16,6 +18,7 @@ from conftest import root_datum
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.dynkin import SerreRelation, lengths_from_cartan
+from liealg.invariants import InvariantSuite
 from liealg.roots import KillingMetric
 
 
@@ -33,7 +36,7 @@ RECORDS = [
     (L.Check, ("suite", "name", "status", "detail"), True, _check),
     (L.CheckReport, ("results",), True, lambda n: L.CheckReport((_check(n), _check(n + 1)))),
     (AlgebraSpec, ("family", "rank"), True, lambda n: AlgebraSpec(AlgebraFamily.SP, n)),
-    (L.AlgebraRealization, ("spec", "basis", "cartan_indices"), True,
+    (L.AlgebraRealization, ("spec", "basis"), True,
      lambda n: L.build(AlgebraSpec(AlgebraFamily.SL, n))),
     (L.EdgeMatrix, ("dim", "edges"), True, lambda n: L.EdgeMatrix.unit(n, 1, n)),
     (L.MultiPoly, ("nvars", "terms"), True, lambda n: L.MultiPoly.variable(n, n - 1)),
@@ -58,9 +61,10 @@ IDS = [record[0].__name__ for record in RECORDS]
 
 @pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
 def test_the_annotations_name_the_fields_in_order(cls, fields, hashable, make):
-    # Each record names its fields twice, in its namedtuple base or its __slots__ and in
-    # bare annotations; the two lists must not drift apart.
+    # Each record names its fields twice, in its __slots__ and in bare annotations; the
+    # two lists must not drift apart.
     assert tuple(cls.__annotations__) == fields
+    assert cls._names == fields
 
 
 @pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
@@ -91,6 +95,76 @@ def test_equal_fields_make_equal_records(cls, fields, hashable, make):
     else:
         with pytest.raises(TypeError):
             hash(record)
+
+
+def _built(cls, values: tuple):
+    """A record of ``cls`` with these fields, or None where ``cls`` rejects them."""
+    try:
+        return cls(*values)
+    except (TypeError, ValueError, AttributeError):
+        return None
+
+
+@pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
+def test_a_record_is_not_a_tuple(cls, fields, hashable, make):
+    record = make(2)
+    values = tuple(getattr(record, field) for field in fields)
+    assert record != values and values != record
+    with pytest.raises(TypeError):
+        iter(record)
+    with pytest.raises(TypeError):
+        len(record)
+
+
+@pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
+def test_a_record_equals_no_record_of_another_type(cls, fields, hashable, make):
+    record = make(2)
+    values = tuple(getattr(record, field) for field in fields)
+    for other_cls, other_fields, *_ in RECORDS:
+        if other_cls is not cls and len(other_fields) == len(fields):
+            other = _built(other_cls, values)
+            if other is not None:
+                assert tuple(getattr(other, field) for field in other_fields) == values
+                assert other != record and record != other
+
+
+def test_records_with_equal_fields_differ_by_type():
+    assert KillingMetric(1, 2, 3) != InvariantSuite(1, 2, 3)
+    assert InvariantSuite(1, 2, 3) != KillingMetric(1, 2, 3)
+
+
+@pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)
+def test_a_missing_extra_or_unknown_field_is_a_type_error(cls, fields, hashable, make):
+    values = tuple(getattr(make(2), field) for field in fields)
+    named = dict(zip(fields, values))
+    bad_calls = [
+        ((), {}),  # every field missing
+        ((), dict(list(named.items())[1:])),  # the first field missing
+        ((*values, values[0]), {}),  # one value too many
+        (values, {"not_a_field": 0}),  # an unknown field
+        ((), {**named, "not_a_field": 0}),
+        (values, {fields[0]: values[0]}),  # a field given twice
+    ]
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        if "__init__" not in vars(cls):
+            # The generic constructor names the record's fields.
+            assert all(field in str(info.value) for field in fields), str(info.value)
+
+
+def test_the_generic_constructor_text():
+    def text(*args, **kwargs) -> str:
+        with pytest.raises(TypeError) as info:
+            L.EdgeMatrix(*args, **kwargs)
+        return str(info.value)
+
+    fields = "EdgeMatrix takes the fields (dim, edges); got"
+    assert text(2) == f"{fields} 1 by position and [] by keyword"
+    assert text(2, {}, 3) == f"{fields} 3 by position and [] by keyword"
+    assert text(2, edges={}, size=2) == f"{fields} 1 by position and ['edges', 'size'] by keyword"
+    assert text(2, {}, dim=2) == f"{fields} 2 by position and ['dim'] by keyword"
+    assert L.EdgeMatrix(edges={}, dim=2) == L.EdgeMatrix(2, {})
 
 
 def _raises(text: str):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# The record types are named tuples and __slots__ classes, so no command needs these
+# The record types are __slots__ classes under records.Record, so no command needs these
 # (dataclasses alone pulls in inspect, ast, dis and tokenize).
 UNWANTED = ("dataclasses", "inspect")
 # The environment of a benchmark child (bench/run.py, CHILD_ENV).
