@@ -7,7 +7,8 @@ antimorphism, which span the negative root spaces.
 
 Every Cartan subalgebra is diagonal, so each edge i -> j of a matrix
 carries its own weight, chi_i - chi_j (``AlgebraRealization.edge_weight``).
-Adjoint matrices are sparse columns.
+ad(x) is an ``EdgeMatrix`` over the basis too: entry (j, k) is the
+coefficient of b_j in [x, b_k].
 """
 
 from __future__ import annotations
@@ -182,18 +183,19 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     return (x.transpose() @ S + S @ x).is_zero()
 
 
-def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> list[dict[int, Scalar]]:
-    """ad(x) = [x, .] over the basis of r, as sparse columns {row: entry}.
+def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> EdgeMatrix:
+    """ad(x) = [x, .] over the basis of r.
 
-    Column k holds the nonzero coefficients of [x, b_k] over the basis,
-    expanded over ``r.span``.
+    Entry (j, k) is the coefficient of b_j in [x, b_k], expanded over
+    ``r.span``.
     """
-    columns = []
-    for _, b in r.basis:
+    edges = {}
+    for k, (_, b) in enumerate(r.basis):
         try:
-            columns.append(r.span.expand(mat_bracket(x, b).edges))
+            column = r.span.expand(mat_bracket(x, b).edges)
         except ValueError as exc:
             raise InternalConsistencyError(
                 "adjoint image falls outside the span of the basis"
             ) from exc
-    return columns
+        edges.update(((j, k), c) for j, c in column.items())
+    return EdgeMatrix(r.dimension, edges)

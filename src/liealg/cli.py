@@ -129,8 +129,21 @@ def _order_cap(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that writing the help text raises on failure.
+
+    argparse ignores an ``OSError`` from that write; raised, it reaches
+    ``main`` like a failed write of any other output.
+    """
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liealg",
         description=(
             "Exact computations with the classical Lie algebras: root systems, "
@@ -186,10 +199,8 @@ def _run(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(build_parser().parse_args(argv))  # --help writes and exits 0 here
         sys.stdout.flush()
         return code
     except InputError as exc:

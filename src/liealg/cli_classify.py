@@ -28,9 +28,18 @@ AXIOM_FIELDS = CHECK_FIELDS[1:]
 
 
 def _load_json(path: str) -> object:
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+        """An object's members; a key given twice is an input error, not the last value."""
+        obj: dict[str, object] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{path}: duplicate key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

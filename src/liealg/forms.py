@@ -1,8 +1,9 @@
 """Killing forms, the induced inner product on weights, and Cartan matrices.
 
-The Killing form is computed by two independent routes: the trace of composed
-adjoint matrices, and the sum over roots of a(x)a(y).  On the Cartan
-subalgebra the two agree identically, which the test suite pins down.
+The Killing form is computed by two independent routes: tr(ad x @ ad y), with
+each ad an ``EdgeMatrix`` over the basis (``catalog.ad_matrix``), and the sum
+over roots of a(x)a(y).  On the Cartan subalgebra the two agree
+identically, which the test suite pins down.
 
 The root-sum Gram on the Cartan basis is summed once per root datum, in
 integers, and certified there to be sigma times the coordinate sum form
@@ -32,23 +33,12 @@ from .matrices import EdgeMatrix, dot
 from .records import InternalConsistencyError, Record
 
 
-def _trace_of_product(ax: list[dict[int, Scalar]], ay: list[dict[int, Scalar]]) -> Scalar:
-    """tr(ax ay) = sum of ax[i][k] ay[k][i] over the nonzeros of sparse columns {row: entry}."""
-    total = 0
-    for k, column in enumerate(ax):
-        for i, value in column.items():
-            other = ay[i].get(k)
-            if other is not None:
-                total += value * other
-    return canonical(total)
-
-
 def killing_form_ad(r: catalog.AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
     """Trace of ad(x) composed with ad(y) in the canonical basis."""
     for m in (x, y):
         if not catalog.check_membership(m, r.spec):
             raise ValueError(f"matrix is not a member of {r.spec}")
-    return _trace_of_product(catalog.ad_matrix(r, x), catalog.ad_matrix(r, y))
+    return (catalog.ad_matrix(r, x) @ catalog.ad_matrix(r, y)).trace()
 
 
 def cartan_killing_gram_ad(r: catalog.AlgebraRealization) -> tuple[tuple[Scalar, ...], ...]:
@@ -58,7 +48,7 @@ def cartan_killing_gram_ad(r: catalog.AlgebraRealization) -> tuple[tuple[Scalar,
     elimination, serves all the pairs; nothing is read from the roots.
     """
     ads = [catalog.ad_matrix(r, h) for h in r.cartan_basis]
-    return tuple(tuple(_trace_of_product(ax, ay) for ay in ads) for ax in ads)
+    return tuple(tuple((ax @ ay).trace() for ay in ads) for ax in ads)
 
 
 # No caller in src/; kept because bench/traced.py spans it by name.

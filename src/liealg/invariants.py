@@ -24,7 +24,7 @@ from . import weyl
 from .exact import Scalar, ratio
 from .families import AlgebraFamily
 from .matrices import determinant
-from .polynomials import MultiPoly, poly_det
+from .polynomials import Exponent, MultiPoly, poly_det
 from .records import Record
 
 
@@ -44,12 +44,13 @@ class InvariantSuite(Record):
         return prod(self.degrees)
 
 
+def _expo(nvars: int, i: int, power: int = 1) -> Exponent:
+    """The exponent vector of x_i^power (0-indexed)."""
+    return tuple(power if k == i else 0 for k in range(nvars))
+
+
 def _power_sum(nvars: int, power: int) -> MultiPoly:
-    out = MultiPoly.zero(nvars)
-    for i in range(nvars):
-        expo = tuple(power if k == i else 0 for k in range(nvars))
-        out = out + MultiPoly.monomial(nvars, expo)
-    return out
+    return MultiPoly(nvars, {_expo(nvars, i, power): 1 for i in range(nvars)})
 
 
 def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
@@ -70,8 +71,7 @@ def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
         if n < 2:
             raise ValueError("the even orthogonal family needs rank >= 2")
         nvars = n
-        product = MultiPoly.monomial(nvars, (1,) * nvars)
-        polys = tuple(_power_sum(nvars, 2 * k) for k in range(1, n)) + (product,)
+        polys = tuple(_power_sum(nvars, 2 * k) for k in range(1, n)) + (full_product(nvars),)
     else:
         raise ValueError(f"unknown family {family}")
     return InvariantSuite(family=family, nvars=nvars, polys=polys)
@@ -96,9 +96,7 @@ def _restrict_to_effective(s: InvariantSuite) -> tuple[MultiPoly, ...]:
     if s.family is not AlgebraFamily.SL:
         return s.polys
     nv = s.nvars - 1
-    replacement = MultiPoly.zero(nv)
-    for i in range(nv):
-        replacement = replacement - MultiPoly.variable(nv, i)
+    replacement = MultiPoly(nv, {_expo(nv, i): -1 for i in range(nv)})
     return tuple(p.eliminate_last(replacement) for p in s.polys)
 
 
@@ -163,9 +161,7 @@ def vandermonde_squares(nvars: int) -> MultiPoly:
     out = MultiPoly.constant(nvars, 1)
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            xi2 = MultiPoly.monomial(nvars, tuple(2 if k == i else 0 for k in range(nvars)))
-            xj2 = MultiPoly.monomial(nvars, tuple(2 if k == j else 0 for k in range(nvars)))
-            out = out * (xj2 - xi2)
+            out = out * MultiPoly(nvars, {_expo(nvars, j, 2): 1, _expo(nvars, i, 2): -1})
     return out
 
 
@@ -174,7 +170,7 @@ def vandermonde(nvars: int) -> MultiPoly:
     out = MultiPoly.constant(nvars, 1)
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            out = out * (MultiPoly.variable(nvars, j) - MultiPoly.variable(nvars, i))
+            out = out * MultiPoly(nvars, {_expo(nvars, j): 1, _expo(nvars, i): -1})
     return out
 
 
@@ -186,11 +182,8 @@ def full_product(nvars: int) -> MultiPoly:
 def doubled_coordinate_forms(nvars: int) -> MultiPoly:
     """Product over i of (x_1 + ... + 2 x_i + ... + x_n)."""
     out = MultiPoly.constant(nvars, 1)
-    total = MultiPoly.zero(nvars)
-    for k in range(nvars):
-        total = total + MultiPoly.variable(nvars, k)
     for i in range(nvars):
-        out = out * (total + MultiPoly.variable(nvars, i))
+        out = out * MultiPoly(nvars, {_expo(nvars, k): 1 + (k == i) for k in range(nvars)})
     return out
 
 

@@ -2,7 +2,8 @@
 
 Terms are stored canonically: a map from exponent vectors to nonzero
 coefficients, each in the form of ``exact.canonical``, so equal polynomials
-have identical term maps.
+have identical term maps.  The constructor is the one place that does this:
+arithmetic hands it raw sums, zeros included.
 """
 
 from __future__ import annotations
@@ -82,11 +83,7 @@ class MultiPoly(Record):
         self._require_same_vars(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            new = terms.get(expo, 0) + coeff
-            if new:
-                terms[expo] = new
-            else:
-                terms.pop(expo, None)
+            terms[expo] = terms.get(expo, 0) + coeff
         return MultiPoly(self.nvars, terms)
 
     def __neg__(self) -> "MultiPoly":
@@ -101,11 +98,7 @@ class MultiPoly(Record):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(expo, 0) + c1 * c2
-                if new:
-                    terms[expo] = new
-                else:
-                    terms.pop(expo, None)
+                terms[expo] = terms.get(expo, 0) + c1 * c2
         return MultiPoly(self.nvars, terms)
 
     def scale(self, c: Scalar) -> "MultiPoly":
@@ -183,11 +176,7 @@ class MultiPoly(Record):
         for expo, coeff in self.terms.items():
             new_expo = tuple(expo[abs(v) - 1] for v in window)
             odd_flips = sum(e % 2 for e, v in zip(new_expo, window) if v < 0)
-            new = terms.get(new_expo, 0) + (-1) ** odd_flips * coeff
-            if new:
-                terms[new_expo] = new
-            else:
-                terms.pop(new_expo, None)
+            terms[new_expo] = terms.get(new_expo, 0) + (-1) ** odd_flips * coeff
         return MultiPoly(self.nvars, terms)
 
     def __str__(self) -> str:

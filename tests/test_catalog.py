@@ -8,6 +8,7 @@ from conftest import basis_of, family_ranks, realization, structure_constants
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
+from liealg.catalog import ad_matrix
 from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket
 
 
@@ -157,6 +158,27 @@ class TestStructureConstants:
                         combined[key] = combined.get(key, Fraction(0)) - value
                     combined = {key: v for key, v in combined.items() if v}
                     assert left == combined
+
+
+LIE_RANK_UP_TO_3 = [
+    (family, n) for family, n in family_ranks(4) if AlgebraSpec(family, n).lie_rank <= 3
+]
+
+
+class TestAdMatrix:
+    @pytest.mark.parametrize("family,n", LIE_RANK_UP_TO_3)
+    def test_entries_are_the_structure_constants(self, family, n):
+        # ad(b_i) b_j = [b_i, b_j] = sum_k c[i][j][k] b_k: column j, row k.  A trace
+        # cannot tell ad(x) from its transpose, so this pins the orientation.
+        r = realization(family, n)
+        c = structure_constants(r)
+        dim = r.dimension
+        for i, (_, b) in enumerate(r.basis):
+            ad = ad_matrix(r, b)
+            assert ad.dim == dim
+            assert ad.rows == tuple(
+                tuple(c[i][j][k] for j in range(dim)) for k in range(dim)
+            )
 
 
 class TestCheckReport:

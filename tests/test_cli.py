@@ -394,6 +394,18 @@ class TestClassifyCommand:
             f' "cartan"; got keys: {keys}\n'
         )
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"vectors": [[1], [-1]], "vectors": [[1, 0], [0, 1]]}', "vectors"),
+        ('{"cartan": [[2]], "cartan": [[2]]}', "cartan"),
+    ], ids=["vectors", "cartan"])
+    def test_a_repeated_key_exits_two(self, tmp_path, capsys, text, key):
+        # json keeps the last of two equal keys; the file is rejected instead.
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli(["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f'error: {path}: duplicate key "{key}"\n'
+
 
 class TestSerreCommand:
     def test_pass_and_exit_zero(self):
@@ -495,9 +507,12 @@ class TestOutputFailure:
         assert result.stderr.count("\n") == 1 and result.stderr.count("error:") == 1
 
     @pytest.mark.parametrize("sink", SINKS)
-    def test_help_still_exits_0_quietly(self, sink):
-        result = _run_into(sink, ["--help"])
-        assert (result.returncode, result.stderr) == (0, "")
+    @pytest.mark.parametrize("argv", [["--help"], ["info", "--help"]], ids=["help", "info-help"])
+    def test_a_failed_write_of_the_help_is_one_error_line_and_exit_2(self, sink, argv):
+        result = _run_into(sink, argv)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: cannot write output: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.count("error:") == 1
 
 
 def test_the_parser_selectors_name_every_suite_in_order():

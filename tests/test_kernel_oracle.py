@@ -261,3 +261,65 @@ def test_poly_det_matches_sympy():
         assert got.terms == expected, rows
         outcomes.add("zero" if got.is_zero() else "nonzero")
     assert outcomes == {"zero", "nonzero"}
+
+
+def signed_window(rng, nvars):
+    return [v * rng.choice((1, -1)) for v in rng.sample(range(1, nvars + 1), nvars)]
+
+
+def arithmetic_cases():
+    """Pairs (p, q) of seeded random polynomials; a third made to cancel against p,
+    as q = r - p (so p + q = r) or q = -p, and a third that are p under a signed
+    window, so (x + y)(x - y) style products lose their cross terms."""
+    rng = random.Random(20261021)
+    cases = []
+    for trial in range(240):
+        nvars = rng.randint(1, 3)
+        p = random_poly(rng, nvars) + random_poly(rng, nvars)
+        kind = trial % 3
+        if kind == 0:
+            q = random_poly(rng, nvars) + random_poly(rng, nvars)
+        elif kind == 1:
+            q = (random_poly(rng, nvars) if trial % 2 else MultiPoly.zero(nvars)) - p
+        else:
+            q = p.transform(signed_window(rng, nvars))
+        cases.append((nvars, p, q, signed_window(rng, nvars)))
+    return cases
+
+
+def poly_expr(p, symbols):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s**e for s, e in zip(symbols, expo)))
+                for expo, c in p.terms.items()), sympy.Integer(0))
+
+
+def assert_canonical(p):
+    """No stored zero, and every coefficient an int when integral."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int if c.denominator == 1 else type(c) is Fraction
+
+
+def test_multipoly_arithmetic_matches_sympy():
+    cancelled = set()
+    for nvars, p, q, window in arithmetic_cases():
+        symbols = sympy.symbols(f"x0:{nvars}")
+        ep, eq = poly_expr(p, symbols), poly_expr(q, symbols)
+        moved = ep.subs({symbols[abs(v) - 1]: (1 if v > 0 else -1) * symbols[k]
+                         for k, v in enumerate(window)}, simultaneous=True)
+        results = [(p + q, ep + eq), (p - q, ep - eq), (p * q, ep * eq),
+                   (p.transform(window), moved)]
+        results += [(p.derivative(j), sympy.diff(ep, s)) for j, s in enumerate(symbols)]
+        for got, expr in results:
+            assert got.nvars == nvars
+            assert got.terms == poly_terms_from_sympy(sympy.expand(expr), symbols), (p, q)
+            assert_canonical(got)
+        raw_sum = set(p.terms) | set(q.terms)
+        raw_product = {tuple(map(sum, zip(a, b))) for a in p.terms for b in q.terms}
+        if len((p + q).terms) < len(raw_sum):
+            cancelled.add("sum")
+        if (p + q).is_zero() and not p.is_zero():
+            cancelled.add("sum to zero")
+        if len((p * q).terms) < len(raw_product):
+            cancelled.add("product")
+    assert cancelled == {"sum", "sum to zero", "product"}
