@@ -27,20 +27,19 @@ _EXPORTS = {
         "axioms": ("verify_root_axioms", "verify_sl2_triple"),
         "catalog": ("AlgebraRealization", "build", "check_membership"),
         "digraph": ("opposite_antimorphism",),
-        "dynkin": ("DynkinDiagram", "SerrePresentation", "ascii_diagram", "build_diagram",
-                   "check_positive_definite", "classify", "serre_presentation",
-                   "verify_serre"),
+        "dynkin": ("CartanMatrix", "DynkinDiagram", "SerrePresentation", "ascii_diagram",
+                   "build_diagram", "check_positive_definite", "classify",
+                   "serre_presentation", "verify_serre"),
         "exact": ("format_rational", "format_weight", "parse_rational"),
-        "families": ("AlgebraFamily", "AlgebraSpec", "weyl_order_formula"),
-        "forms": ("CartanMatrix", "cartan_matrix", "coroot_pairing_matrix",
-                  "killing_coefficients", "killing_form_ad", "killing_form_roots",
-                  "root_lengths", "weight_inner"),
+        "families": ("AlgebraFamily", "AlgebraSpec", "root_count", "weyl_order_formula"),
+        "forms": ("cartan_matrix", "coroot_pairing_matrix", "killing_coefficients",
+                  "killing_form_ad", "killing_form_roots", "root_lengths", "weight_inner"),
         "invariants": ("InvariantSuite", "build_suite", "check_invariance", "jacobian",
                        "jacobian_criterion"),
         "matrices": ("EdgeMatrix", "mat_bracket"),
         "polynomials": ("MultiPoly", "poly_det"),
         "records": ("Check", "CheckReport", "InternalConsistencyError"),
-        "roots": ("RootDatum", "cartan_decompose", "root_count", "weight_of"),
+        "roots": ("RootDatum", "cartan_decompose", "weight_of"),
         "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections"),
     }.items()
     for name in names

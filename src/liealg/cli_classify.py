@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 
-from . import axioms, dynkin, forms
+from . import axioms, dynkin
 from .cli import (
     CHECK_FIELDS,
     MAX_VECTOR_DIGITS,
@@ -95,7 +95,7 @@ def _parse_vectors(data: object, path: str) -> list[tuple[Scalar, ...]]:
     return vectors
 
 
-def _parse_cartan(data: object, path: str) -> forms.CartanMatrix:
+def _parse_cartan(data: object, path: str) -> dynkin.CartanMatrix:
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: \"cartan\" must be a nonempty square integer matrix")
     for row in data:
@@ -106,7 +106,7 @@ def _parse_cartan(data: object, path: str) -> forms.CartanMatrix:
         ):
             raise InputError(f"{path}: \"cartan\" must be a square integer matrix")
     try:
-        return forms.CartanMatrix(tuple(tuple(row) for row in data))
+        return dynkin.CartanMatrix(tuple(tuple(row) for row in data))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -143,7 +143,7 @@ def cmd_classify(args) -> int:
             lengths = dynkin.lengths_from_cartan(A)
         else:
             simple = axioms.simple_roots(vectors)
-            A = forms.CartanMatrix(forms.cartan_entries(simple, dot))
+            A = dynkin.CartanMatrix(dynkin.cartan_entries(simple, dot))
             lengths = [dot(a, a) for a in simple]
         payload["cartan_matrix"] = [list(row) for row in A.entries]
         lines.append("cartan matrix:")

@@ -30,7 +30,7 @@ def cmd_info(args) -> int:
     diagram = dynkin.build_diagram(A, lengths)
     classification = "+".join(dynkin.classify(diagram))
     art = dynkin.ascii_diagram(diagram)
-    metric = forms.killing_coefficients(rd)
+    metric = rd.killing_metric
     order_formula = weyl_order_formula(spec)
 
     enumerated: int | None = None

@@ -48,14 +48,14 @@ def _checks_sl2(rd: roots.RootDatum) -> Sequence[Check]:
     ]
 
 
-def _checks_serre(rd: roots.RootDatum, pairing: forms.CartanMatrix) -> Sequence[Check]:
+def _checks_serre(rd: roots.RootDatum, pairing: dynkin.CartanMatrix) -> Sequence[Check]:
     presentation = dynkin.serre_presentation(pairing)
     return dynkin.verify_serre(rd, presentation).results
 
 
 def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
     spec = rd.spec
-    metric = forms.killing_coefficients(rd)
+    metric = rd.killing_metric
     expected = FAMILY_SIGMA_COEFFICIENT[spec.family](spec.rank)
     agree = forms.cartan_killing_gram_ad(rd.realization) == metric.gram
     return [

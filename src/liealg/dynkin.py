@@ -1,4 +1,7 @@
-"""Dynkin diagrams, their classification, and Serre presentations.
+"""Cartan matrices, Dynkin diagrams, their classification, and Serre presentations.
+
+``CartanMatrix`` is the one Cartan-matrix record: ``forms`` builds it from a
+root datum, ``classify`` from a file's vectors or matrix.
 
 Each connected component is walked once, into a layout: a main chain in
 drawing order plus at most one vertex hung under a fork.  Classification
@@ -17,12 +20,69 @@ generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from . import forms, roots
-from .exact import Scalar, canonical, ratio
+from . import roots
+from .exact import Inner, Scalar, Weight, canonical, ratio
 from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
-from .records import Check, CheckReport, Record
+from .records import Check, CheckReport, InternalConsistencyError, Record
+
+
+class CartanMatrix(Record):
+    """Integer matrix with diagonal 2 and nonpositive off-diagonal entries."""
+
+    __slots__ = ("entries",)
+    entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
+            raise ValueError("Cartan matrix must be square and nonempty")
+        for i in range(n):
+            if entries[i][i] != 2:
+                raise ValueError("Cartan matrix diagonal entries must equal 2")
+            for j in range(n):
+                if i == j:
+                    continue
+                a = entries[i][j]
+                if a not in (0, -1, -2, -3):
+                    raise ValueError(f"off-diagonal Cartan entry {a} outside {{0,-1,-2,-3}}")
+                if (a == 0) != (entries[j][i] == 0):
+                    raise ValueError("Cartan entries A_ij and A_ji must vanish together")
+        super().__init__(entries)
+
+    @property
+    def rank(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, ij: tuple[int, int]) -> int:
+        i, j = ij
+        return self.entries[i][j]
+
+    def transpose(self) -> "CartanMatrix":
+        return CartanMatrix(tuple(zip(*self.entries)))
+
+
+def cartan_entries(fundamental: Sequence[Weight], inner: Inner) -> tuple[tuple[int, ...], ...]:
+    """Entries 2<a_i,a_j>/<a_j,a_j>; a non-integer one is an internal inconsistency."""
+    norms = [inner(a, a) for a in fundamental]
+    return integer_rows(
+        "Cartan entry",
+        ((ratio(2 * inner(a, b), norm) for b, norm in zip(fundamental, norms)) for a in fundamental),
+    )
+
+
+def integer_rows(what: str, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of canonical values, checked in order to be ints; a non-integer
+    entry is an internal inconsistency."""
+    out = []
+    for i, row in enumerate(rows, 1):
+        out.append([])
+        for j, value in enumerate(row, 1):
+            if type(value) is not int:
+                raise InternalConsistencyError(f"{what} ({i},{j}) = {value} is not an integer")
+            out[-1].append(value)
+    return tuple(map(tuple, out))
 
 
 class DynkinDiagram(Record):
@@ -59,7 +119,7 @@ class DynkinDiagram(Record):
         return out
 
 
-def build_diagram(A: forms.CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
+def build_diagram(A: CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
     """Diagram with n_ij = A_ij A_ji edges and arrows toward shorter roots.
 
     A multiple edge between roots of equal length is rejected: the arrow
@@ -95,7 +155,7 @@ def build_diagram(A: forms.CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDia
     )
 
 
-def lengths_from_cartan(A: forms.CartanMatrix) -> list[Scalar]:
+def lengths_from_cartan(A: CartanMatrix) -> list[Scalar]:
     """Relative squared lengths implied by a Cartan matrix.
 
     A_ij / A_ji equals the length ratio of roots i and j, which pins every
@@ -123,7 +183,7 @@ def lengths_from_cartan(A: forms.CartanMatrix) -> list[Scalar]:
     return [x for x in lengths if x is not None]
 
 
-def check_positive_definite(A: forms.CartanMatrix, lengths: Sequence[Scalar]) -> bool:
+def check_positive_definite(A: CartanMatrix, lengths: Sequence[Scalar]) -> bool:
     """Exact positive-definiteness of the quadratic form of A and the root lengths."""
     n = A.rank
     if len(lengths) != n:
@@ -299,7 +359,7 @@ class SerrePresentation(Record):
     """Generators H_i, X_i, Y_i and the full relation list."""
 
     __slots__ = ("cartan", "relations")
-    cartan: forms.CartanMatrix
+    cartan: CartanMatrix
     relations: tuple[SerreRelation, ...]
 
     @property
@@ -307,7 +367,7 @@ class SerrePresentation(Record):
         return self.cartan.rank
 
 
-def serre_presentation(A: forms.CartanMatrix) -> SerrePresentation:
+def serre_presentation(A: CartanMatrix) -> SerrePresentation:
     """The defining relations read off a Cartan matrix.
 
     The nilpotency depth for an off-diagonal entry A_ij is 1 - A_ij nested

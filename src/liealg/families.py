@@ -1,5 +1,5 @@
-"""The four classical families and their numeric bookkeeping: the closed
-forms of dimension, Lie rank and Weyl group order."""
+"""The four classical families and their numeric bookkeeping: the closed forms
+of Lie rank, root count and Weyl group order, and the dimension they give."""
 
 from __future__ import annotations
 
@@ -62,15 +62,8 @@ class AlgebraSpec(Record):
 
     @property
     def dimension(self) -> int:
-        """Dimension of the algebra as a vector space (closed form)."""
-        n = self.rank
-        if self.family is AlgebraFamily.SL:
-            return n * n - 1
-        if self.family is AlgebraFamily.SP:
-            return n * (2 * n + 1)
-        if self.family is AlgebraFamily.SO_EVEN:
-            return n * (2 * n - 1)
-        return n * (2 * n + 1)
+        """Dimension of the algebra as a vector space: the Cartan plus one line per root."""
+        return self.lie_rank + root_count(self)
 
     @property
     def name(self) -> str:
@@ -84,6 +77,16 @@ class AlgebraSpec(Record):
 
     def __str__(self) -> str:
         return self.name
+
+
+def root_count(spec: AlgebraSpec) -> int:
+    """Closed-form size of the root system."""
+    n = spec.rank
+    if spec.family is AlgebraFamily.SL:
+        return n * (n - 1)
+    if spec.family is AlgebraFamily.SO_EVEN:
+        return 2 * n * (n - 1)
+    return 2 * n * n
 
 
 def weyl_order_formula(spec: AlgebraSpec) -> int:

@@ -5,15 +5,15 @@ each ad an ``EdgeMatrix`` over the basis (``catalog.ad_matrix``), and the sum
 over roots of a(x)a(y).  On the Cartan subalgebra the two agree
 identically, which the test suite pins down.
 
-The root-sum Gram on the Cartan basis is summed once per root datum, in
-integers, and certified there to be sigma times the coordinate sum form
-sum_i x_i y_i: ``RootDatum.killing_metric``, the one Killing record
-``roots.KillingMetric`` (``gram``, ``sigma``, ``trace``).  The induced inner
+The root-sum Gram on the Cartan basis is summed and certified here to be
+sigma times the coordinate sum form sum_i x_i y_i (``killing_coefficients``),
+once per root datum: ``RootDatum.killing_metric`` caches the one Killing
+record ``KillingMetric`` (``gram``, ``sigma``, ``trace``).  The induced inner
 product on weights is therefore <u, v> = u.v / sigma, taken on the sum-zero
 lifts for sl; no Gram matrix is inverted.
 
 Two transposed Cartan matrix conventions are in circulation.  This package
-exposes both:
+builds both, as ``dynkin.CartanMatrix`` records:
 
 * ``cartan_matrix``       A_ij = 2<a_i, a_j> / <a_j, a_j>,
   the convention of the classical printed matrices (C_n has -2 in its final
@@ -25,9 +25,9 @@ exposes both:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from . import catalog, families, roots
+from . import catalog, dynkin, families, roots
 from .exact import Inner, Scalar, Weight, canonical, ratio
 from .matrices import EdgeMatrix, dot
 from .records import InternalConsistencyError, Record
@@ -60,6 +60,49 @@ def killing_form_roots(rd: roots.RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Sca
     return canonical(sum(dot(root, cx) * dot(root, cy) for root in rd.roots))
 
 
+class KillingMetric(Record):
+    """The Killing form on the Cartan basis h_1..h_r of one root datum.
+
+    ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace
+    form, since ad(h) is diagonal in the canonical basis with the root values
+    as eigenvalues.  It is certified to be exactly ``sigma`` (x_i . x_j) and
+    ``trace`` tr(h_i h_j), with sigma nonzero; for the doubled realizations
+    (sp, so) tr(xy) is twice the coordinate sum, so trace = sigma / 2.
+    """
+
+    __slots__ = ("gram", "sigma", "trace")
+    gram: tuple[tuple[Scalar, ...], ...]
+    sigma: Scalar
+    trace: Scalar
+
+
+def killing_coefficients(rd: roots.RootDatum) -> KillingMetric:
+    """Sum the Cartan Gram over the root eigenvalues and prove it proportional."""
+    r = rd.realization
+    cartan = r.cartan_basis
+    coords = [r.diag_coords(h) for h in cartan]
+    eigen = [[dot(a, x) for a in rd.roots] for x in coords]
+    gram = tuple(tuple(dot(ei, ej) for ej in eigen) for ei in eigen)
+    sigma = _proportion(gram, [[dot(x, y) for y in coords] for x in coords], "coordinate sum form")
+    trace = _proportion(gram, [[(x @ y).trace() for y in cartan] for x in cartan], "trace form")
+    return KillingMetric(gram, sigma, trace)
+
+
+def _proportion(
+    gram: Sequence[Sequence[Scalar]], reference: Sequence[Sequence[Scalar]], form: str
+) -> Scalar:
+    """The nonzero c with gram = c * reference entrywise; raises if there is none."""
+    pairs = [(i, j) for i in range(len(gram)) for j in range(len(gram))]
+    c = next((ratio(gram[i][j], reference[i][j]) for i, j in pairs if reference[i][j]), None)
+    if c is None:
+        raise InternalConsistencyError("degenerate reference forms on the Cartan")
+    if not c:
+        raise InternalConsistencyError("Killing form vanishes on the Cartan")
+    if any(gram[i][j] != c * reference[i][j] for i, j in pairs):
+        raise InternalConsistencyError(f"Killing form is not proportional to the {form}")
+    return c
+
+
 def weight_inner(rd: roots.RootDatum) -> Inner:
     """The inner product on weights induced by the Killing form.
 
@@ -81,83 +124,24 @@ def weight_inner(rd: roots.RootDatum) -> Inner:
     return inner
 
 
-class CartanMatrix(Record):
-    """Integer matrix with diagonal 2 and nonpositive off-diagonal entries."""
-
-    __slots__ = ("entries",)
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        n = len(entries)
-        if n == 0 or any(len(row) != n for row in entries):
-            raise ValueError("Cartan matrix must be square and nonempty")
-        for i in range(n):
-            if entries[i][i] != 2:
-                raise ValueError("Cartan matrix diagonal entries must equal 2")
-            for j in range(n):
-                if i == j:
-                    continue
-                a = entries[i][j]
-                if a not in (0, -1, -2, -3):
-                    raise ValueError(f"off-diagonal Cartan entry {a} outside {{0,-1,-2,-3}}")
-                if (a == 0) != (entries[j][i] == 0):
-                    raise ValueError("Cartan entries A_ij and A_ji must vanish together")
-        super().__init__(entries)
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "CartanMatrix":
-        return CartanMatrix(tuple(zip(*self.entries)))
-
-
-def cartan_entries(
-    fundamental: Sequence[Weight], inner: Inner
-) -> tuple[tuple[int, ...], ...]:
-    """Entries 2<a_i,a_j>/<a_j,a_j>; a non-integer one is an internal inconsistency."""
-    norms = [inner(a, a) for a in fundamental]
-    return _integer_rows(
-        "Cartan entry",
-        ((ratio(2 * inner(a, b), norm) for b, norm in zip(fundamental, norms)) for a in fundamental),
-    )
-
-
-def _integer_rows(what: str, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[int, ...], ...]:
-    """The rows of canonical values, checked in order to be ints; a non-integer
-    entry is an internal inconsistency."""
-    out = []
-    for i, row in enumerate(rows, 1):
-        out.append([])
-        for j, value in enumerate(row, 1):
-            if type(value) is not int:
-                raise InternalConsistencyError(f"{what} ({i},{j}) = {value} is not an integer")
-            out[-1].append(value)
-    return tuple(map(tuple, out))
-
-
-def cartan_matrix(rd: roots.RootDatum) -> CartanMatrix:
+def cartan_matrix(rd: roots.RootDatum) -> dynkin.CartanMatrix:
     """Cartan matrix A_ij = 2<a_i,a_j>/<a_j,a_j> over the Killing inner product.
 
     Non-integer ratios abort: integrality is a theorem, so a violation means
     the inner product is wrong.
     """
-    return CartanMatrix(cartan_entries(rd.fundamental_roots, weight_inner(rd)))
+    return dynkin.CartanMatrix(dynkin.cartan_entries(rd.fundamental_roots, weight_inner(rd)))
 
 
-def coroot_pairing_matrix(rd: roots.RootDatum) -> CartanMatrix:
+def coroot_pairing_matrix(rd: roots.RootDatum) -> dynkin.CartanMatrix:
     """The pairing P_ij = a_j(h_i) of fundamental roots against coroots.
 
     This is the transpose of ``cartan_matrix`` and is the matrix under which
     the Serre relations hold verbatim in the realization.
     """
     coords = [rd.realization.diag_coords(h) for h in rd.fundamental_coroots]
-    return CartanMatrix(
-        _integer_rows(
+    return dynkin.CartanMatrix(
+        dynkin.integer_rows(
             "coroot pairing", ((dot(a, c) for a in rd.fundamental_roots) for c in coords)
         )
     )
@@ -167,8 +151,3 @@ def root_lengths(rd: roots.RootDatum) -> tuple[Scalar, ...]:
     """Squared lengths <a_i, a_i> of the fundamental roots."""
     inner = weight_inner(rd)
     return tuple(inner(a, a) for a in rd.fundamental_roots)
-
-
-def killing_coefficients(rd: roots.RootDatum) -> roots.KillingMetric:
-    """The root datum's certified Killing metric: its Gram, ``sigma`` and ``trace``."""
-    return rd.killing_metric

@@ -11,8 +11,8 @@ pivot tolerance: a pivot is zero exactly or not at all.  Its rows and
 combinations keep the canonical form too, so integral inputs with pivots
 +-1 are eliminated in int arithmetic throughout.  ``SpanSolver`` is
 its one expansion front-end, for the rank and the ad coordinates of an
-algebra's basis, ``solve_linear``, the fundamental-root expansions and
-weights, and the independent roots of the root-axiom verifier;
+algebra's basis, the fundamental-root expansions, ``solve_linear`` (the
+fundamental weights) and the independent roots of the root-axiom verifier;
 ``determinant`` and ``is_positive_definite`` read the pivots directly.
 """
 
@@ -253,7 +253,6 @@ class SpanSolver:
         return {k: -c for k, c in combination.items()}
 
 
-# No caller in src/; kept because bench/traced.py counts its calls by name.
 def solve_linear(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Scalar]:

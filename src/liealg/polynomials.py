@@ -114,8 +114,9 @@ class MultiPoly(Record):
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def derivative(self, index: int) -> "MultiPoly":
@@ -172,6 +173,8 @@ class MultiPoly(Record):
         """
         if len(window) != self.nvars:
             raise ValueError("carrier size does not match variable count")
+        if sorted(abs(v) for v in window) != list(range(1, self.nvars + 1)):
+            raise ValueError(f"not a signed permutation of 1..{self.nvars}: {window}")
         terms: dict[Exponent, Scalar] = {}
         for expo, coeff in self.terms.items():
             new_expo = tuple(expo[abs(v) - 1] for v in window)

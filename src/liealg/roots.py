@@ -7,15 +7,15 @@ edges carry one weight, and that weight is its root; the engine asserts
 this (a failure means the basis is wrong).  Each root a gets one sl2 triple
 (x_a, y_a, h_a), built once: h_a is the normalized bracket of opposite root
 vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
-Fundamental weights come from the duality equations.  Every expansion here
-(over the fundamental roots or the duality equations' columns) is one
-``matrices.SpanSolver``.
+Fundamental weights come from the duality equations, one
+``matrices.solve_linear`` per weight; the expansion over the fundamental
+roots is one ``matrices.SpanSolver``.
 
 This module is the derivation only.  The axiom checks, which read any set of
 vectors and no realization, are in ``axioms``.
 
-``KillingMetric`` is the one Killing record: the Cartan Gram and its certified
-coefficients ``sigma`` and ``trace``, built once as ``RootDatum.killing_metric``.
+``RootDatum.killing_metric`` caches the one Killing record, which
+``forms.killing_coefficients`` sums and certifies.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 
-from . import axioms, catalog
-from .exact import Scalar, Weight, format_weight, is_positive, negate, ratio
+from . import axioms, catalog, forms
+from .exact import Weight, format_weight, is_positive, negate, ratio
 from .families import AlgebraFamily, AlgebraSpec
-from .matrices import EdgeMatrix, SpanSolver, dot, mat_bracket, sparse_vector
+from .matrices import EdgeMatrix, SpanSolver, dot, mat_bracket, solve_linear, sparse_vector
 from .records import InternalConsistencyError, Record
 
 
@@ -107,52 +107,9 @@ class RootDatum(Record):
         return self.coroots[root]
 
     @cached_property
-    def killing_metric(self) -> KillingMetric:
+    def killing_metric(self) -> forms.KillingMetric:
         """The Killing form on the Cartan basis, summed and certified on first use."""
-        return _killing_metric(self)
-
-
-class KillingMetric(Record):
-    """The Killing form on the Cartan basis h_1..h_r of one root datum.
-
-    ``gram`` holds K(h_i, h_j) = sum over roots a(h_i) a(h_j), the ad-trace
-    form, since ad(h) is diagonal in the canonical basis with the root values
-    as eigenvalues.  It is certified to be exactly ``sigma`` (x_i . x_j) and
-    ``trace`` tr(h_i h_j), with sigma nonzero; for the doubled realizations
-    (sp, so) tr(xy) is twice the coordinate sum, so trace = sigma / 2.
-    """
-
-    __slots__ = ("gram", "sigma", "trace")
-    gram: tuple[tuple[Scalar, ...], ...]
-    sigma: Scalar
-    trace: Scalar
-
-
-def _killing_metric(rd: RootDatum) -> KillingMetric:
-    """Sum the Cartan Gram over the root eigenvalues and prove it proportional."""
-    r = rd.realization
-    cartan = r.cartan_basis
-    coords = [r.diag_coords(h) for h in cartan]
-    eigen = [[dot(a, x) for a in rd.roots] for x in coords]
-    gram = tuple(tuple(dot(ei, ej) for ej in eigen) for ei in eigen)
-    sigma = _proportion(gram, [[dot(x, y) for y in coords] for x in coords], "coordinate sum form")
-    trace = _proportion(gram, [[(x @ y).trace() for y in cartan] for x in cartan], "trace form")
-    return KillingMetric(gram, sigma, trace)
-
-
-def _proportion(
-    gram: Sequence[Sequence[Scalar]], reference: Sequence[Sequence[Scalar]], form: str
-) -> Scalar:
-    """The nonzero c with gram = c * reference entrywise; raises if there is none."""
-    pairs = [(i, j) for i in range(len(gram)) for j in range(len(gram))]
-    c = next((ratio(gram[i][j], reference[i][j]) for i, j in pairs if reference[i][j]), None)
-    if c is None:
-        raise InternalConsistencyError("degenerate reference forms on the Cartan")
-    if not c:
-        raise InternalConsistencyError("Killing form vanishes on the Cartan")
-    if any(gram[i][j] != c * reference[i][j] for i, j in pairs):
-        raise InternalConsistencyError(f"Killing form is not proportional to the {form}")
-    return c
+        return forms.killing_coefficients(self)
 
 
 def cartan_decompose(r: catalog.AlgebraRealization) -> RootDatum:
@@ -255,27 +212,16 @@ def _solve_fundamental_weights(
 ) -> tuple[Weight, ...]:
     """Solve w_i(h_j) = delta_ij for the dual basis of the coroots.
 
-    w_i is e_i expanded over the columns of the square system whose rows are
-    the coroot coordinates, and for sl the all-ones row (w_i sums to zero).
-    Dependent columns leave some e_i outside their span: expand raises.
+    The square system's rows are the coroot coordinates, and for sl the
+    all-ones row (w_i sums to zero); w_i solves it against e_i.  A singular
+    system raises.
     """
     n = r.spec.rank
     rows = [r.diag_coords(h) for h in fundamental_coroots]
     if r.spec.family is AlgebraFamily.SL:
         rows.append((1,) * n)
-    columns = SpanSolver(map(sparse_vector, zip(*rows)))
-    expansions = [columns.expand({i: 1}) for i in range(len(fundamental_coroots))]
-    return tuple(tuple(w.get(k, 0) for k in range(n)) for w in expansions)
-
-
-def root_count(spec: AlgebraSpec) -> int:
-    """Closed-form size of the root system."""
-    n = spec.rank
-    if spec.family is AlgebraFamily.SL:
-        return n * (n - 1)
-    if spec.family is AlgebraFamily.SO_EVEN:
-        return 2 * n * (n - 1)
-    return 2 * n * n
+    units = ([int(i == j) for j in range(len(rows))] for i in range(len(fundamental_coroots)))
+    return tuple(tuple(solve_linear(rows, e)) for e in units)
 
 
 def __getattr__(name: str):

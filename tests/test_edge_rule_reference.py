@@ -29,7 +29,7 @@ from liealg import AlgebraFamily, AlgebraSpec, dynkin, roots
 from liealg.catalog import AlgebraRealization
 from liealg.digraph import opposite_antimorphism
 from liealg.exact import Weight
-from liealg.forms import CartanMatrix
+from liealg.dynkin import CartanMatrix
 from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket, sparse_vector
 from liealg.records import Check, CheckReport, InternalConsistencyError
 from liealg.roots import RootDatum

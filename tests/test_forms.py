@@ -10,7 +10,7 @@ from conftest import basis_of, family_ranks, realization, reflect, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, forms
-from liealg.forms import CartanMatrix, cartan_entries
+from liealg.dynkin import CartanMatrix, cartan_entries
 from liealg.matrices import SpanSolver, dot, mat_bracket
 
 

@@ -17,7 +17,7 @@ import pytest
 from conftest import family_ranks, replace, root_datum, run_cli
 
 import liealg as L
-from liealg import AlgebraFamily, AlgebraSpec, forms, roots
+from liealg import AlgebraFamily, AlgebraSpec, forms
 from liealg.exact import Inner, Weight
 from liealg.matrices import dot, solve_linear
 from liealg.records import InternalConsistencyError
@@ -132,8 +132,8 @@ def test_certificate_rejects_a_wrong_gram(keep, message):
                                   ["verify", "so-odd", "3", "all"]])
 def test_one_command_sums_the_gram_once(argv, monkeypatch):
     calls = []
-    metric = roots._killing_metric
-    monkeypatch.setattr(roots, "_killing_metric", lambda rd: calls.append(rd) or metric(rd))
+    metric = forms.killing_coefficients
+    monkeypatch.setattr(forms, "killing_coefficients", lambda rd: calls.append(rd) or metric(rd))
     code, _ = run_cli(argv)
     assert code == 0
     assert len(calls) == 1
@@ -143,7 +143,7 @@ def test_one_command_sums_the_gram_once(argv, monkeypatch):
                                   ["invariants", "so-even", "3"]])
 def test_commands_without_inner_products_never_sum_the_gram(argv, monkeypatch):
     calls = []
-    monkeypatch.setattr(roots, "_killing_metric", lambda rd: calls.append(rd))
+    monkeypatch.setattr(forms, "killing_coefficients", lambda rd: calls.append(rd))
     code, _ = run_cli(argv)
     assert code == 0
     assert calls == []

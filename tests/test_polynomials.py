@@ -41,6 +41,20 @@ class TestArithmetic:
         assert p.eval([2]) == 27
         assert p.terms[(2,)] == 3
 
+    @pytest.mark.parametrize("power,products", [(0, 0), (1, 1), (2, 2), (3, 3), (8, 4)])
+    def test_power_squares_only_while_bits_remain(self, power, products, monkeypatch):
+        # Square-and-multiply needs one squaring per bit below the top one.
+        p = var(2, 0) + var(2, 1)
+        expected = MultiPoly.constant(2, 1)
+        for _ in range(power):
+            expected = expected * p
+        calls = []
+        mul = MultiPoly.__mul__
+        monkeypatch.setattr(MultiPoly, "__mul__",
+                            lambda self, other: calls.append(1) or mul(self, other))
+        assert p ** power == expected
+        assert len(calls) == products
+
     def test_derivative(self):
         p = var(2, 0) ** 3 * var(2, 1)
         dp = p.derivative(0)
@@ -60,6 +74,12 @@ class TestArithmetic:
         assert swapped == MultiPoly.monomial(2, (1, 2))
         flipped = p.transform((1, -2))
         assert flipped == MultiPoly.monomial(2, (2, 1), -1)
+
+    @pytest.mark.parametrize("window", [(1, 1), (2, 2), (0, 1), (1, 3)])
+    def test_transform_rejects_a_window_that_is_not_a_signed_permutation(self, window):
+        p = var(2, 0) - var(2, 1)
+        with pytest.raises(ValueError, match=r"not a signed permutation of 1\.\.2"):
+            p.transform(window)
 
     def test_str_is_deterministic(self):
         p = var(2, 0) ** 2 - var(2, 1).scale(3) + MultiPoly.constant(2, 1)

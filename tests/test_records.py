@@ -19,7 +19,7 @@ import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.dynkin import SerreRelation, lengths_from_cartan
 from liealg.invariants import InvariantSuite
-from liealg.roots import KillingMetric
+from liealg.forms import KillingMetric
 
 
 def _cartan(n: int) -> L.CartanMatrix:

@@ -11,7 +11,8 @@ from liealg import AlgebraFamily, AlgebraSpec
 from liealg.axioms import simple_roots, verify_root_axioms, verify_sl2_triple
 from liealg.exact import is_positive, negate
 from liealg.matrices import EdgeMatrix, dot
-from liealg.roots import expand_in_fundamental, root_count
+from liealg.families import root_count
+from liealg.roots import expand_in_fundamental
 
 
 def unit(n, i, value=1):

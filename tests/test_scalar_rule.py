@@ -22,7 +22,7 @@ import pytest
 
 from conftest import family_ranks, realization, root_datum
 
-from liealg import AlgebraSpec, forms, invariants
+from liealg import AlgebraSpec, dynkin, forms, invariants
 from liealg.dynkin import build_diagram, check_positive_definite
 from liealg.exact import parse_rational, ratio
 from liealg.matrices import EdgeMatrix, determinant, mat_bracket
@@ -142,7 +142,7 @@ def test_ratio_is_the_canonical_quotient():
         ratio(1, 0)
 
 
-A2 = forms.CartanMatrix(((2, -1), (-1, 2)))
+A2 = dynkin.CartanMatrix(((2, -1), (-1, 2)))
 SCALAR_READERS = {
     "ratio numerator": lambda x: ratio(x, 1),
     "ratio denominator": lambda x: ratio(1, x),

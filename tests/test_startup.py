@@ -143,9 +143,10 @@ def test_info_executes_neither_invariants_nor_polynomials():
 
 
 # Modules that a classify command never calls: it reads vectors or a Cartan matrix
-# from its file, so it builds no realization and derives no root datum.
-NOT_CLASSIFY = {"liealg.roots", "liealg.catalog", "liealg.digraph", "liealg.families",
-                "liealg.weyl", "liealg.invariants", "liealg.polynomials"}
+# from its file, so it builds no realization, derives no root datum and measures
+# no Killing form.
+NOT_CLASSIFY = {"liealg.roots", "liealg.forms", "liealg.catalog", "liealg.digraph",
+                "liealg.families", "liealg.weyl", "liealg.invariants", "liealg.polynomials"}
 
 
 def test_classify_vectors_executes_the_axioms_and_no_derivation(vectors_file):

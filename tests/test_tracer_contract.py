@@ -1,7 +1,9 @@
 """What ``bench/traced.py`` relies on: right after ``import liealg.cli`` every
-module it wraps is in ``sys.modules`` (executed or not), and every function it
-names resolves there."""
+module it wraps is in ``sys.modules`` (executed or not), every function it
+names resolves there, and every one of them but a listed few has a caller in
+the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED = ROOT / "bench" / "traced.py"
+PACKAGE = ROOT / "src" / "liealg"
 ENV = {"PATH": os.defpath, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 
 # Checks membership first, since a lookup executes a lazily registered module.
@@ -66,3 +69,65 @@ def test_traced_classify_matches_plain_and_spans_the_axiom_checks(tmp_path):
     layers = json.loads(out.read_text())
     assert layers["roots.axiom_pairs"] == len(vectors) ** 2
     assert layers["roots.verify_root_axioms_s"] > 0
+
+
+def test_traced_info_matches_plain_and_spans_the_killing_certificate(tmp_path):
+    """``RootDatum.killing_metric`` reaches the certificate through
+    ``forms.killing_coefficients``, and each of the three fundamental weights
+    of sp_6 is one ``solve_linear``."""
+    out = tmp_path / "layers.json"
+    argv = ("info", "sp", "3")
+    plain = run("-m", "liealg", *argv)
+    traced = run(str(TRACED), str(out), *argv)
+    assert (traced.returncode, traced.stdout, traced.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+    assert plain.returncode == 0
+    layers = json.loads(out.read_text())
+    assert layers["forms.killing_coefficients_s"] > 0
+    assert layers["matrices.solve_linear_calls"] == 3
+
+
+# Traced functions that nothing in the package calls, with the reason each stays.
+# Both are exported one-pair routes of the Killing form, which the tests read;
+# the commands take whole Cartan Grams instead.
+# forms.killing_form_roots: the root-sum route; commands read
+#   ``RootDatum.killing_metric``.
+# forms.killing_form_ad: the ad-trace route; ``verify ... killing`` reads
+#   ``forms.cartan_killing_gram_ad``.
+UNCALLED_TRACED = {"forms.killing_form_roots", "forms.killing_form_ad"}
+
+
+def loads_outside_definitions() -> set[str]:
+    """The names loaded in the package, as a Name or as an Attribute, outside the
+    module-level function of the same name."""
+    loads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    loads.add(name)
+    return loads
+
+
+def test_every_traced_function_but_the_listed_ones_has_a_caller_in_the_package():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import traced
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    loads = loads_outside_definitions()
+    named = [*traced.SPANNED.items(), *traced.COUNTED.items()]
+    uncalled = {
+        f"{module}.{function}"
+        for module, functions in named
+        for function in functions
+        if function not in loads
+    }
+    assert uncalled == UNCALLED_TRACED
