@@ -7,7 +7,7 @@ and evaluates the Killing form, which for sl_2 is exactly 4 tr(xy).
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.matrices import mat_bracket
+from liealg.edges import mat_bracket
 
 spec = AlgebraSpec(AlgebraFamily.SL, 2)
 r = L.build(spec)

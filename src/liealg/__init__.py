@@ -5,8 +5,7 @@ rationals and derives their root systems, coroots, fundamental weights,
 Killing forms, Cartan matrices, Dynkin diagrams, Weyl groups, Serre
 presentations, and basic invariant polynomials, all in exact arithmetic.
 
-Importing the package compiles no library module.  Each one defines at
-least one export, and each module the export table names is registered
+Importing the package compiles no library module.  Each one is registered
 in ``sys.modules`` and bound here through ``importlib.util.LazyLoader``, and
 is compiled and run on its first attribute access; an export such as
 ``liealg.build`` is looked up in its module on first use (PEP 562).  A
@@ -20,30 +19,29 @@ import sys
 
 __version__ = "0.1.0"
 
-# The module that defines each export, written once per name.
-_EXPORTS = {
-    name: module
-    for module, names in {
-        "axioms": ("verify_root_axioms", "verify_sl2_triple"),
-        "catalog": ("AlgebraRealization", "build", "check_membership"),
-        "digraph": ("opposite_antimorphism",),
-        "dynkin": ("CartanMatrix", "DynkinDiagram", "SerrePresentation", "ascii_diagram",
-                   "build_diagram", "check_positive_definite", "classify",
-                   "serre_presentation", "verify_serre"),
-        "exact": ("format_rational", "format_weight", "parse_rational"),
-        "families": ("AlgebraFamily", "AlgebraSpec", "root_count", "weyl_order_formula"),
-        "forms": ("cartan_matrix", "coroot_pairing_matrix", "killing_coefficients",
-                  "killing_form_ad", "killing_form_roots", "root_lengths", "weight_inner"),
-        "invariants": ("InvariantSuite", "build_suite", "check_invariance", "jacobian",
-                       "jacobian_criterion"),
-        "matrices": ("EdgeMatrix", "mat_bracket"),
-        "polynomials": ("MultiPoly", "poly_det"),
-        "records": ("Check", "CheckReport", "InternalConsistencyError"),
-        "roots": ("RootDatum", "cartan_decompose", "weight_of"),
-        "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections"),
-    }.items()
-    for name in names
+# Every library module, with the exports it defines, each written once.
+_MODULES = {
+    "axioms": ("verify_root_axioms", "verify_sl2_triple"),
+    "catalog": ("AlgebraRealization", "build", "check_membership"),
+    "digraph": ("opposite_antimorphism",),
+    "dynkin": ("CartanMatrix", "DynkinDiagram", "SerrePresentation", "ascii_diagram",
+               "build_diagram", "check_positive_definite", "classify",
+               "serre_presentation", "verify_serre"),
+    "edges": ("EdgeMatrix", "mat_bracket"),
+    "exact": ("format_rational", "format_weight", "parse_rational"),
+    "families": ("AlgebraFamily", "AlgebraSpec", "root_count", "weyl_order_formula"),
+    "forms": ("cartan_matrix", "coroot_pairing_matrix", "killing_coefficients",
+              "killing_form_ad", "killing_form_roots", "root_lengths", "weight_inner"),
+    "invariants": ("InvariantSuite", "build_suite", "check_invariance", "jacobian",
+                   "jacobian_criterion"),
+    "matrices": (),  # the echelon kernel, which the other modules call
+    "polynomials": ("MultiPoly", "poly_det"),
+    "records": ("Check", "CheckReport", "InternalConsistencyError"),
+    "roots": ("RootDatum", "cartan_decompose", "weight_of"),
+    "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections"),
 }
+# The module that defines each export.
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 
 __all__ = sorted(_EXPORTS)
 
@@ -56,7 +54,7 @@ def _register_lazily(module: str) -> None:
     spec.loader.exec_module(lazy)
 
 
-for _module in dict.fromkeys(_EXPORTS.values()):
+for _module in _MODULES:
     _register_lazily(_module)
 del _module
 

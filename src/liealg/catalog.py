@@ -18,7 +18,8 @@ from functools import cache, cached_property
 from .digraph import opposite_antimorphism
 from .exact import Scalar, Weight, format_weight
 from .families import AlgebraFamily, AlgebraSpec
-from .matrices import EdgeMatrix, SpanSolver, mat_bracket
+from .edges import EdgeMatrix, mat_bracket
+from .matrices import SpanSolver
 from .records import InternalConsistencyError, Record
 
 

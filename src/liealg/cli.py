@@ -36,8 +36,9 @@ CHECK_FIELDS: Fields = tuple((field, field) for field in ("suite", "name", "stat
 # Digits per classify vector, numerators and denominators summed: a printed Cartan integer
 # has at most about four times as many, which stays under Python's 4300-digit str(int) limit.
 MAX_VECTOR_DIGITS = 1000
-# Vectors per classify file: the reflection axiom checks every ordered pair, so the count
-# bounds the work.  It is checked before any entry is parsed.
+# Vectors per classify file.  A root system passes reflection and integrality by a proof
+# from a few reflections, but a set that does not pass it is checked on every ordered pair,
+# so the count bounds the work.  It is checked before any entry is parsed.
 MAX_VECTORS = 1000
 
 

@@ -9,7 +9,7 @@ g_(-a) of the canonical realization.
 
 from __future__ import annotations
 
-from . import matrices
+from . import edges
 from .families import AlgebraFamily
 
 
@@ -39,8 +39,8 @@ def vertex_signs(family: AlgebraFamily, dim: int) -> tuple[int, ...]:
 
 
 def opposite_antimorphism(
-    x: matrices.EdgeMatrix, family: AlgebraFamily
-) -> matrices.EdgeMatrix:
+    x: edges.EdgeMatrix, family: AlgebraFamily
+) -> edges.EdgeMatrix:
     """Send each edge to its reverse with the family's sign rule.
 
     Antimorphism on products (T(ab) = T(b)T(a)) and an involution; on each

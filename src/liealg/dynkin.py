@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from . import roots
+from . import edges, roots
 from .exact import Inner, Scalar, Weight, canonical, ratio
-from .matrices import EdgeMatrix, is_positive_definite, mat_bracket
+from .matrices import is_positive_definite
 from .records import Check, CheckReport, InternalConsistencyError, Record
 
 
@@ -343,12 +343,12 @@ class SerreRelation(Record):
             return f"{body} = {name(self.target)}"
         return f"{body} = {self.coefficient} {name(self.target)}"
 
-    def holds(self, generators: dict[str, Sequence[EdgeMatrix]]) -> bool:
+    def holds(self, generators: dict[str, Sequence[edges.EdgeMatrix]]) -> bool:
         """Evaluate the relation exactly on matrices for each letter."""
         value_of = lambda g: generators[g[0]][g[1]]
         value = value_of(self.word[-1])
         for g in reversed(self.word[:-1]):
-            value = mat_bracket(value_of(g), value)
+            value = edges.mat_bracket(value_of(g), value)
         if self.target is None:
             return value.is_zero()
         target = value_of(self.target)

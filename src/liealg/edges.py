@@ -1,0 +1,153 @@
+"""Matrices in the paper's edge notation, and their bracket.
+
+``EdgeMatrix`` is the one exact matrix type: every algebra realization, its
+ad matrices and its sl2 triples are rational combinations of edges i -> j.
+It is immutable, its operations cost time in proportion to the nonzeros
+they touch, and its product composes edges, (i -> k)(k -> j) = (i -> j).
+``mat_bracket`` is the commutator.  Elimination is left to ``matrices``;
+the root-axiom checks and ``classify`` build no matrix, so they never run
+this module.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+from .exact import Scalar, canonical
+from .matrices import _add_multiple
+from .records import Record
+
+Position = tuple[int, int]  # (row, column), 0-indexed
+
+
+class EdgeMatrix(Record):
+    """Immutable square matrix over exact rationals, stored by its edges.
+
+    The name records the reading: the elementary matrix with a 1 in row i,
+    column j is the directed edge i -> j, and a general matrix is a rational
+    linear combination of such edges.  ``edges`` maps (row, column),
+    0-indexed, to the nonzero entries only and must not be mutated; every
+    operation keeps explicit zeros out, so equal matrices have equal maps,
+    and returns each entry in canonical form: an int when it is an integer,
+    a Fraction otherwise.
+    """
+
+    __slots__ = ("dim", "edges")
+    dim: int
+    edges: dict[Position, Scalar]
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "EdgeMatrix":
+        dim = len(rows)
+        if dim == 0:
+            raise ValueError("matrix must have positive dimension")
+        edges: dict[Position, Scalar] = {}
+        for r, row in enumerate(rows):
+            if len(row) != dim:
+                raise ValueError("matrix must be square")
+            for c, x in enumerate(row):
+                if x := canonical(x):
+                    edges[(r, c)] = x
+        return EdgeMatrix(dim, edges)
+
+    @staticmethod
+    def zero(dim: int) -> "EdgeMatrix":
+        if dim <= 0:
+            raise ValueError("matrix must have positive dimension")
+        return EdgeMatrix(dim, {})
+
+    @staticmethod
+    def identity(dim: int) -> "EdgeMatrix":
+        if dim <= 0:
+            raise ValueError("matrix must have positive dimension")
+        return EdgeMatrix(dim, {(i, i): 1 for i in range(dim)})
+
+    @staticmethod
+    def unit(dim: int, i: int, j: int) -> "EdgeMatrix":
+        """Elementary matrix with a single 1 at (row i, column j), 1-indexed."""
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ValueError(f"unit index ({i},{j}) out of range for dim {dim}")
+        return EdgeMatrix(dim, {(i - 1, j - 1): 1})
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Read-only dense view, zeros filled in."""
+        dense = [[0] * self.dim for _ in range(self.dim)]
+        for (r, c), x in self.edges.items():
+            dense[r][c] = x
+        return tuple(tuple(row) for row in dense)
+
+    def __getitem__(self, rc: Position) -> Scalar:
+        return self.edges.get(rc, 0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeMatrix):
+            return NotImplemented
+        return self.dim == other.dim and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.dim, frozenset(self.edges.items())))
+
+    def __add__(self, other: "EdgeMatrix") -> "EdgeMatrix":
+        self._require_same_dim(other)
+        edges = dict(self.edges)
+        _add_multiple(edges, other.edges, 1)
+        return EdgeMatrix(self.dim, edges)
+
+    def __sub__(self, other: "EdgeMatrix") -> "EdgeMatrix":
+        self._require_same_dim(other)
+        edges = dict(self.edges)
+        _add_multiple(edges, other.edges, -1)
+        return EdgeMatrix(self.dim, edges)
+
+    def __neg__(self) -> "EdgeMatrix":
+        return EdgeMatrix(self.dim, {rc: -x for rc, x in self.edges.items()})
+
+    def scale(self, c: Scalar) -> "EdgeMatrix":
+        if not (c := canonical(c)):
+            return EdgeMatrix(self.dim, {})
+        return EdgeMatrix(self.dim, {rc: canonical(c * x) for rc, x in self.edges.items()})
+
+    def __matmul__(self, other: "EdgeMatrix") -> "EdgeMatrix":
+        """Product; on edges, (i->k)(k->j) = (i->j), and 0 when the ends differ."""
+        self._require_same_dim(other)
+        out_of: dict[int, list[tuple[int, Scalar]]] = {}
+        for (k, j), b in other.edges.items():
+            out_of.setdefault(k, []).append((j, b))
+        acc: dict[Position, Scalar] = {}
+        for (i, k), a in self.edges.items():
+            for j, b in out_of.get(k, ()):
+                acc[(i, j)] = acc.get((i, j), 0) + a * b
+        return EdgeMatrix(self.dim, {rc: canonical(x) for rc, x in acc.items() if x})
+
+    def transpose(self) -> "EdgeMatrix":
+        return EdgeMatrix(self.dim, {(c, r): x for (r, c), x in self.edges.items()})
+
+    def signed_transpose(self, signs: Sequence[int]) -> "EdgeMatrix":
+        """Transpose with each entry (i,j) multiplied by signs[i]*signs[j]."""
+        if len(signs) != self.dim:
+            raise ValueError("sign vector length must equal matrix dimension")
+        return EdgeMatrix(
+            self.dim,
+            {(c, r): signs[r] * signs[c] * x for (r, c), x in self.edges.items()},
+        )
+
+    def trace(self) -> Scalar:
+        """Sum of diagonal entries; an edge i->j contributes iff i = j."""
+        return canonical(sum(x for (r, c), x in self.edges.items() if r == c))
+
+    def diagonal(self) -> tuple[Scalar, ...]:
+        """The diagonal entries, in canonical form (ints when integral)."""
+        return tuple(self.edges.get((i, i), 0) for i in range(self.dim))
+
+    def is_zero(self) -> bool:
+        return not self.edges
+
+    def _require_same_dim(self, other: "EdgeMatrix") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def mat_bracket(a: EdgeMatrix, b: EdgeMatrix) -> EdgeMatrix:
+    """Commutator ab - ba."""
+    return a @ b - b @ a

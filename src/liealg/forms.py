@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import catalog, dynkin, families, roots
+from . import catalog, dynkin, edges, families, roots
 from .exact import Inner, Scalar, Weight, canonical, ratio
-from .matrices import EdgeMatrix, dot
+from .matrices import dot
 from .records import InternalConsistencyError, Record
 
 
-def killing_form_ad(r: catalog.AlgebraRealization, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
+def killing_form_ad(
+    r: catalog.AlgebraRealization, x: edges.EdgeMatrix, y: edges.EdgeMatrix
+) -> Scalar:
     """Trace of ad(x) composed with ad(y) in the canonical basis."""
     for m in (x, y):
         if not catalog.check_membership(m, r.spec):
@@ -52,7 +54,7 @@ def cartan_killing_gram_ad(r: catalog.AlgebraRealization) -> tuple[tuple[Scalar,
 
 
 # No caller in src/; kept because bench/traced.py spans it by name.
-def killing_form_roots(rd: roots.RootDatum, x: EdgeMatrix, y: EdgeMatrix) -> Scalar:
+def killing_form_roots(rd: roots.RootDatum, x: edges.EdgeMatrix, y: edges.EdgeMatrix) -> Scalar:
     """Sum over all roots of a(x) a(y); x and y must be Cartan elements."""
     r = rd.realization
     cx = r.diag_coords(x)

@@ -7,9 +7,9 @@ edges carry one weight, and that weight is its root; the engine asserts
 this (a failure means the basis is wrong).  Each root a gets one sl2 triple
 (x_a, y_a, h_a), built once: h_a is the normalized bracket of opposite root
 vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
-Fundamental weights come from the duality equations, one
-``matrices.solve_linear`` per weight; the expansion over the fundamental
-roots is one ``matrices.SpanSolver``.
+Fundamental weights come from the duality equations, all solved by one
+``matrices.solve_linear`` over one elimination; the expansion over the
+fundamental roots is one ``matrices.SpanSolver``.
 
 This module is the derivation only.  The axiom checks, which read any set of
 vectors and no realization, are in ``axioms``.
@@ -26,7 +26,8 @@ from functools import cached_property
 from . import axioms, catalog, forms
 from .exact import Weight, format_weight, is_positive, negate, ratio
 from .families import AlgebraFamily, AlgebraSpec
-from .matrices import EdgeMatrix, SpanSolver, dot, mat_bracket, solve_linear, sparse_vector
+from .edges import EdgeMatrix, mat_bracket
+from .matrices import SpanSolver, dot, solve_linear, sparse_vector
 from .records import InternalConsistencyError, Record
 
 
@@ -213,15 +214,15 @@ def _solve_fundamental_weights(
     """Solve w_i(h_j) = delta_ij for the dual basis of the coroots.
 
     The square system's rows are the coroot coordinates, and for sl the
-    all-ones row (w_i sums to zero); w_i solves it against e_i.  A singular
-    system raises.
+    all-ones row (w_i sums to zero); w_i solves it against e_i, and all the
+    e_i are solved over one elimination.  A singular system raises.
     """
     n = r.spec.rank
     rows = [r.diag_coords(h) for h in fundamental_coroots]
     if r.spec.family is AlgebraFamily.SL:
         rows.append((1,) * n)
     units = ([int(i == j) for j in range(len(rows))] for i in range(len(fundamental_coroots)))
-    return tuple(tuple(solve_linear(rows, e)) for e in units)
+    return tuple(map(tuple, solve_linear(rows, *units)))
 
 
 def __getattr__(name: str):

@@ -79,8 +79,9 @@ def _source(positions: Sequence[int]) -> Callable[[Window], Window]:
 def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     """Breadth-first closure of the generators under composition.
 
-    Raises ValueError unless the generators are windows of one length n,
-    each a signed permutation of 1..n, and WeylOverflowError as soon as the
+    Raises ValueError unless ``cap`` is positive and the generators are
+    windows of one length n >= 1, each a signed permutation of 1..n, and
+    WeylOverflowError as soon as the
     group would exceed ``cap``; truncation is never silent.
 
     Each step forms ``compose(element, g)`` without calling it: the entries
@@ -96,6 +97,8 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise ValueError("generators must share one carrier size")
+    if n == 0:
+        raise ValueError("generators must act on at least one coordinate")
     for g in gens:
         if sorted(abs(v) for v in g) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation of 1..{n}: {g}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.matrices import EdgeMatrix, mat_bracket
+from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.records import InternalConsistencyError
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}

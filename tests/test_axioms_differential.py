@@ -8,19 +8,26 @@ strings, order) on textbook systems A-G moved by coordinate permutations,
 sign flips, rational rescaling and shuffling, on broken variants of them,
 under an indefinite form, and under the Killing inner product of every
 family up to Lie rank 5.
+
+The reflection and integrality verdicts come from a certificate over a few
+generators whenever it passes, and from the pair loop otherwise; the last
+section checks certificate-or-loop against the loop alone on systems A-G in
+skewed coordinates, perturbed or not.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
 from conftest import family_ranks, reflect, root_datum
 
 import liealg as L
+from liealg import axioms
 from liealg.axioms import verify_root_axioms
 from liealg.exact import format_weight, negate
-from liealg.matrices import _Echelon, dot, is_positive_definite
+from liealg.matrices import _Echelon, dot, is_positive_definite, solve_linear
 from liealg.records import Check, CheckReport
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -257,6 +264,10 @@ EDGE_CASES = {
     "double of a root": [(1,), (-1,), (2,), (-2,)],
     "non-integral, reflection closed": [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
                                         (1, -1), (-1, 1), (2, 0), (-2, 0)],
+    # B2 with its long roots tripled: still closed under reflections, but
+    # 2<a,b>/<a,a> = 1/3 for a long and b short.
+    "reflection closed, one length scaled": [(1, 0), (-1, 0), (0, 1), (0, -1), (3, 3),
+                                             (-3, -3), (3, -3), (-3, 3)],
     "isotropic under lorentz": [(1, 1), (-1, -1), (1, -1), (-1, 1)],
     "indefinite": [(2, 1), (-2, -1), (1, 2), (-1, -2)],
 }
@@ -288,3 +299,157 @@ def test_killing_inner_matches_reference(family, n):
     assert len(calls) == rank * rank
     assert report.all_passed
     assert report == reference_verify_root_axioms(rd.roots, inner, expected_dim=rank)
+
+
+# ---------------------------------------------------------------------------
+# The reflection certificate against the pair loop alone.
+# ---------------------------------------------------------------------------
+
+
+def loop_only_report(roots, inner, expected_dim=None):
+    """``verify_root_axioms`` with the certificate turned off: the pair loop
+    decides reflection and integrality on every input."""
+    with mock.patch.object(axioms, "_reflections_certified", lambda *args: False):
+        return verify_root_axioms(roots, inner, expected_dim)
+
+
+def certified_report(roots, inner):
+    """``verify_root_axioms`` and the certificate's verdict on the way."""
+    verdicts = []
+    certify = axioms._reflections_certified
+
+    def spy(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    with mock.patch.object(axioms, "_reflections_certified", spy):
+        report = verify_root_axioms(roots, inner)
+    return report, verdicts
+
+
+PERTURBATIONS = ("none", "drop", "add", "scale", "move")
+
+
+def pulled_back(form, columns):
+    """The form (u, v) -> form(M^-1 u, M^-1 v), for M given by its columns'
+    inverse images: ``columns[i]`` is M^-1 e_i."""
+
+    def inverse(u):
+        return tuple(sum(c * x for c, x in zip(u, row)) for row in zip(*columns))
+
+    return lambda u, v: form(inverse(u), inverse(v))
+
+
+@st.composite
+def perturbed_systems(draw):
+    """A textbook system in coordinates x -> M x, then maybe perturbed.
+
+    M is a signed permutation times a unitriangular matrix, so it is
+    invertible, and the inner product is carried along; the change of
+    coordinates changes which roots the greedy pick of independent roots
+    finds first.  A perturbation drops a root, adds a sum of two roots,
+    scales a root or moves one by a unit vector.
+    """
+    letter, r = draw(st.sampled_from(TYPES))
+    roots = textbook(letter, r)
+    width = len(roots[0])
+    shear = [[int(i == j) if i >= j else draw(st.sampled_from((0, 0, 1, -1)))
+              for j in range(width)] for i in range(width)]
+    perm = draw(st.permutations(range(width)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=width, max_size=width))
+    M = [[signs[i] * c for c in shear[perm[i]]] for i in range(width)]
+    columns = solve_linear(M, *([int(i == j) for j in range(width)] for i in range(width)))
+    roots = [tuple(sum(m * c for m, c in zip(row, w)) for row in M) for w in roots]
+    perturbation = draw(st.sampled_from(PERTURBATIONS))
+    pick, other = draw(st.integers(0, len(roots) - 1)), draw(st.integers(0, len(roots) - 1))
+    a = roots[pick]
+    if perturbation == "drop":
+        roots = roots[:pick] + roots[pick + 1 :]
+    elif perturbation == "add":
+        roots = roots + [tuple(x + y for x, y in zip(a, roots[other]))]
+    elif perturbation == "scale":
+        factor = draw(st.sampled_from((2, -2, 3, HALF)))
+        roots[pick] = tuple(factor * c for c in a)
+    elif perturbation == "move":
+        k = other % width
+        roots[pick] = tuple(c + (i == k) for i, c in enumerate(a))
+    form = draw(st.sampled_from((dot, lorentz)))
+    return roots, pulled_back(form, columns), (perturbation, form)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(perturbed_systems())
+def test_certificate_or_loop_matches_the_loop_alone(case):
+    roots, inner, drawn = case
+    report, verdicts = certified_report(roots, inner)
+    assert report == loop_only_report(roots, inner)
+    # Only a pass is ever proved: a certified set passes both checks.
+    if verdicts == [True]:
+        assert report.results[3].status == report.results[4].status == "pass"
+    # Under the Lorentz form a root may have norm 0, and then nothing is proved.
+    if drawn == ("none", dot):
+        assert verdicts == [True]
+
+
+@pytest.mark.parametrize("letter,r", TYPES)
+def test_textbook_systems_are_certified(letter, r):
+    roots = textbook(letter, r)
+    report, verdicts = certified_report(roots, dot)
+    assert verdicts == [True] and report.all_passed
+
+
+# B3 in coordinates x -> M x, under the form u.G.v that makes it the usual
+# B3.  The three greedy independent roots are long, and reflections in long
+# roots map long roots to long roots, so the certificate adds the first short
+# root, (1, 0, 0), as a fourth generator.  (No B2 does this: in any
+# lexicographic order the first two roots of B2 are a long and a short root,
+# since a short root lies halfway between two long roots on its line.)
+B3_GRAM = ((1, 1, 1), (1, 2, 1), (1, 1, 2))
+B3_SKEWED = [(2, 0, -1), (2, -1, 0), (2, -1, -1), (1, 0, 0), (1, 0, -1), (1, -1, 0),
+             (0, 1, 0), (0, 1, -1), (0, 0, 1), (0, 0, -1), (0, -1, 1), (0, -1, 0),
+             (-1, 1, 0), (-1, 0, 1), (-1, 0, 0), (-2, 1, 1), (-2, 1, 0), (-2, 0, 1)]
+
+
+def gram_form(gram):
+    return lambda u, v: sum(u[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
+
+
+def test_certificate_adds_a_short_root_the_greedy_basis_does_not_reach():
+    inner = gram_form(B3_GRAM)
+    norms = {w: inner(w, w) for w in B3_SKEWED}
+    assert [norms[w] for w in B3_SKEWED[:3]] == [2, 2, 2]
+    assert sorted(norms.values()) == [1] * 6 + [2] * 12
+    reflected = []
+    reflection = axioms._reflection
+    with mock.patch.object(axioms, "_reflection",
+                           lambda g, *args: reflected.append(g) or reflection(g, *args)):
+        report, verdicts = certified_report(B3_SKEWED, inner)
+    assert verdicts == [True] and report.all_passed
+    # Coordinates over the independent roots, scaled to integers: the fourth
+    # generator is (1, 0, 0), whose coordinates are not a unit vector.
+    assert len(reflected) == 4
+    assert report == loop_only_report(B3_SKEWED, inner)
+
+
+def test_certificate_refuses_an_asymmetric_form():
+    """The proof needs reflections that are isometries.  Under this form the
+    greedy generators a1+a2 and a1 reflect as in A2 and reach every root, but
+    s_{a2} does not permute the set; the pair loop decides, as it always did."""
+    roots = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
+
+    def skew(u, v):
+        return 4 * u[0] * v[0] - 2 * u[0] * v[1] - 3 * u[1] * v[0] + 3 * u[1] * v[1]
+
+    report, verdicts = certified_report(roots, skew)
+    assert verdicts == [False]
+    assert report == loop_only_report(roots, skew)
+    assert report.results[3].detail == "S_{a2}(a1) leaves the set"
+
+
+@pytest.mark.parametrize("inner", [dot, lambda u, v: sum(x * y for x, y in zip(u, v))],
+                         ids=["dot", "zip"])
+def test_ragged_roots_raise(inner):
+    # Before, under a form that zips, the short vectors read as zero-padded and all
+    # five axioms passed.
+    with pytest.raises(ValueError, match="same length"):
+        verify_root_axioms([(1, 0), (-1, 0), (0, 1, 5), (0, -1, -5)], inner)

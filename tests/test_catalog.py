@@ -9,7 +9,8 @@ from conftest import basis_of, family_ranks, realization, structure_constants
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.catalog import ad_matrix
-from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket
+from liealg.edges import EdgeMatrix, mat_bracket
+from liealg.matrices import SpanSolver
 
 
 EXPECTED_DIMENSION = {

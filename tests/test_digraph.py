@@ -8,7 +8,7 @@ import liealg as L
 from liealg import AlgebraFamily
 from liealg.digraph import opposite_antimorphism
 from liealg.exact import negate
-from liealg.matrices import EdgeMatrix
+from liealg.edges import EdgeMatrix
 from liealg.roots import weight_of
 
 

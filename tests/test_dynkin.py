@@ -309,7 +309,7 @@ class TestSerrePresentation:
     def test_sp4_depth_three_nilpotency_is_sharp(self):
         # (ad X1)^2 X2 is nonzero while (ad X1)^3 X2 vanishes.
         rd = root_datum(AlgebraFamily.SP, 2)
-        from liealg.matrices import mat_bracket
+        from liealg.edges import mat_bracket
 
         x1 = rd.root_vector(rd.fundamental_roots[0])
         x2 = rd.root_vector(rd.fundamental_roots[1])

@@ -30,7 +30,8 @@ from liealg.catalog import AlgebraRealization
 from liealg.digraph import opposite_antimorphism
 from liealg.exact import Weight
 from liealg.dynkin import CartanMatrix
-from liealg.matrices import EdgeMatrix, SpanSolver, mat_bracket, sparse_vector
+from liealg.edges import EdgeMatrix, mat_bracket
+from liealg.matrices import SpanSolver, sparse_vector
 from liealg.records import Check, CheckReport, InternalConsistencyError
 from liealg.roots import RootDatum
 

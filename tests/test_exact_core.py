@@ -8,15 +8,8 @@ from fractions import Fraction
 import pytest
 
 from liealg.exact import canonical, format_rational, parse_rational
-from liealg.matrices import (
-    EdgeMatrix,
-    SpanSolver,
-    determinant,
-    dot,
-    is_positive_definite,
-    mat_bracket,
-    solve_linear,
-)
+from liealg.edges import EdgeMatrix, mat_bracket
+from liealg.matrices import SpanSolver, determinant, dot, is_positive_definite, solve_linear
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -176,10 +169,30 @@ class TestLinearKernel:
             solver.expand(E(2, 2, 1).edges)
 
     def test_solve_linear(self):
-        sol = solve_linear([[2, 1], [1, -1]], [5, 1])
+        [sol] = solve_linear([[2, 1], [1, -1]], [5, 1])
         assert sol == [Fraction(2), Fraction(1)]
         with pytest.raises(ValueError):
             solve_linear([[1, 1], [2, 2]], [1, 3])
+
+    def test_solve_linear_solves_each_right_hand_side_over_one_elimination(self):
+        rows = [[2, 1], [1, -1]]
+        rhs = ([5, 1], [1, 0], [0, 1])
+        assert solve_linear(rows, *rhs) == [solve_linear(rows, b)[0] for b in rhs]
+        assert solve_linear(rows) == []
+        # The checks run over all right-hand sides, malformed first.
+        with pytest.raises(ValueError, match="malformed"):
+            solve_linear([[1, 1], [2, 2]], [1, 3], [1])
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_linear([[1, 1], [2, 2]], [1, 2], [1, 3])
+
+    def test_span_solver_expand_member_is_expand_of_the_member(self):
+        family = [{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}, {0: Fraction(1, 2), 1: 7}, {}]
+        solver = SpanSolver(family)
+        assert solver.independent == (0, 2)
+        for k, v in enumerate(family):
+            assert solver.expand_member(k) == solver.expand(v), k
+        with pytest.raises(IndexError):
+            solver.expand_member(len(family))
 
     def test_determinant(self):
         assert determinant([[1, 2], [3, 4]]) == -2

@@ -11,7 +11,8 @@ from conftest import basis_of, family_ranks, realization, reflect, root_datum
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, forms
 from liealg.dynkin import CartanMatrix, cartan_entries
-from liealg.matrices import SpanSolver, dot, mat_bracket
+from liealg.edges import mat_bracket
+from liealg.matrices import SpanSolver, dot
 
 
 SIGMA = {
@@ -45,7 +46,7 @@ class TestKillingForm:
 
     def test_rejects_non_members(self):
         r = realization(AlgebraFamily.SL, 2)
-        from liealg.matrices import EdgeMatrix
+        from liealg.edges import EdgeMatrix
 
         with pytest.raises(ValueError):
             L.killing_form_ad(r, EdgeMatrix.identity(2), r.basis[0][1])

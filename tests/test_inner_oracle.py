@@ -64,7 +64,7 @@ def weight_inner(rd: RootDatum) -> Inner:
         key = tuple(Fraction(c) for c in weight)
         if key not in cache:
             evaluation = [dot(key, c) for c in coords]
-            cache[key] = solve_linear(gram, evaluation)
+            [cache[key]] = solve_linear(gram, evaluation)
         return cache[key]
 
     def inner(u: Weight, v: Weight) -> Fraction:

@@ -213,7 +213,7 @@ def test_solve_linear_matches_sympy():
                 solve_linear(rows, rhs)
         else:
             outcomes.add("unique")
-            assert solve_linear(rows, rhs) == [from_sympy(x) for x in solution], (rows, rhs)
+            assert solve_linear(rows, rhs) == [[from_sympy(x) for x in solution]], (rows, rhs)
     assert outcomes == {"inconsistent", "underdetermined", "unique"}
 
 

@@ -14,7 +14,7 @@ from conftest import basis_of, family_ranks, realization
 
 import liealg as L
 from liealg import AlgebraSpec
-from liealg.matrices import mat_bracket
+from liealg.edges import mat_bracket
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

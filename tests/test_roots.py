@@ -10,7 +10,8 @@ import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.axioms import simple_roots, verify_root_axioms, verify_sl2_triple
 from liealg.exact import is_positive, negate
-from liealg.matrices import EdgeMatrix, dot
+from liealg.edges import EdgeMatrix
+from liealg.matrices import dot
 from liealg.families import root_count
 from liealg.roots import expand_in_fundamental
 

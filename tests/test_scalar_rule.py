@@ -25,7 +25,8 @@ from conftest import family_ranks, realization, root_datum
 from liealg import AlgebraSpec, dynkin, forms, invariants
 from liealg.dynkin import build_diagram, check_positive_definite
 from liealg.exact import parse_rational, ratio
-from liealg.matrices import EdgeMatrix, determinant, mat_bracket
+from liealg.edges import EdgeMatrix, mat_bracket
+from liealg.matrices import determinant
 from liealg.polynomials import MultiPoly
 from liealg.weyl import apply, simple_reflections
 

@@ -73,8 +73,10 @@ def test_traced_classify_matches_plain_and_spans_the_axiom_checks(tmp_path):
 
 def test_traced_info_matches_plain_and_spans_the_killing_certificate(tmp_path):
     """``RootDatum.killing_metric`` reaches the certificate through
-    ``forms.killing_coefficients``, and each of the three fundamental weights
-    of sp_6 is one ``solve_linear``."""
+    ``forms.killing_coefficients``, and the three fundamental weights of sp_6
+    are one ``solve_linear`` over one elimination.  The other two
+    eliminations are the basis rank in ``build`` and the fundamental-root
+    expansions in ``cartan_decompose``."""
     out = tmp_path / "layers.json"
     argv = ("info", "sp", "3")
     plain = run("-m", "liealg", *argv)
@@ -84,7 +86,8 @@ def test_traced_info_matches_plain_and_spans_the_killing_certificate(tmp_path):
     assert plain.returncode == 0
     layers = json.loads(out.read_text())
     assert layers["forms.killing_coefficients_s"] > 0
-    assert layers["matrices.solve_linear_calls"] == 3
+    assert layers["matrices.solve_linear_calls"] == 1
+    assert layers["matrices.span_solver_builds"] == 3
 
 
 # Traced functions that nothing in the package calls, with the reason each stays.

@@ -163,6 +163,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match="one carrier size"):
             generate([(2, 1), (1, -2, 3)])
 
+    def test_rejects_generators_of_carrier_size_zero(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            generate([()])
+
+    @pytest.mark.parametrize("gens", [[(1,)], [(2, 1)]])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_a_cap_below_one(self, gens, cap):
+        # A cap of 0 must not pass as a group of order 1, nor overflow later.
+        with pytest.raises(ValueError, match="cap must be positive"):
+            generate(gens, cap=cap)
+
     def test_cap_overflow_raises(self):
         rd = root_datum(AlgebraFamily.SP, 3)
         with pytest.raises(WeylOverflowError):
