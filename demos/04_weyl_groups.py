@@ -2,7 +2,7 @@
 
 The reflection in a fundamental root acts on the diagonal coordinates as a
 signed permutation, printed as its window (w_1, ..., w_n): w_k = +i or -i
-means e_k -> +e_i or -e_i.  Breadth-first closure under composition
+means e_k -> +e_i or -e_i.  Enumeration by cosets under composition
 recovers the full group, whose order matches the classical product
 formulas, and whose action permutes the root system.
 """

@@ -171,7 +171,14 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
 
 
 def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
-    """Exact test of the defining relation: trace 0, or X^t S + S X = 0."""
+    """Exact test of the defining relation: trace 0, or X^t S + S X = 0.
+
+    For sp and so, S is a signed involution: row p holds sigma_p in column
+    pi(p), and pi is its own inverse.  Entry (p, q) of X^t S + S X is then
+    sigma_pi(q) X[pi(q), p] + sigma_p X[pi(p), q], so the relation holds
+    exactly when X[pi(c), pi(r)] = -sigma_pi(r) sigma_pi(c) X[r, c] on every
+    edge r -> c of X: a relabelling of the edges, with no matrix product.
+    """
     if x.dim != spec.realization_dim:
         raise ValueError(
             f"dimension mismatch: matrix has dim {x.dim}, "
@@ -179,9 +186,24 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
         )
     if spec.family is AlgebraFamily.SL:
         return x.trace() == 0
+    pi, sigma = _signed_involution(spec)
+    edges = x.edges
+    return all(
+        edges.get((pi[c], pi[r]), 0) == -sigma[pi[r]] * sigma[pi[c]] * v
+        for (r, c), v in edges.items()
+    )
+
+
+@cache
+def _signed_involution(spec: AlgebraSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """pi and sigma of S, read off ``structure_form``: S[p, pi(p)] = sigma_p."""
     S = structure_form(spec)
     assert S is not None
-    return (x.transpose() @ S + S @ x).is_zero()
+    pi = [0] * S.dim
+    sigma = [0] * S.dim
+    for (p, q), s in S.edges.items():
+        pi[p], sigma[p] = q, s
+    return tuple(pi), tuple(sigma)
 
 
 def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> EdgeMatrix:

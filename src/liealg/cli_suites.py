@@ -82,7 +82,9 @@ def _checks_weyl(rd: roots.RootDatum, max_order: int) -> Sequence[Check]:
                  "each generator maps the root set onto itself"),
     ]
     if rd.spec.family is AlgebraFamily.SO_EVEN:
-        even = all(prod(1 if v > 0 else -1 for v in g) == 1 for g in group)
+        # The sign product is a homomorphism to {+1, -1}, so +1 on every
+        # generator is +1 on every element.
+        even = all(prod(1 if v > 0 else -1 for v in g) == 1 for g in gens)
         checks.append(Check.of("weyl", "even sign changes only", even,
                                "every element has sign product +1"))
     return checks

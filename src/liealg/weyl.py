@@ -20,7 +20,7 @@ Window = tuple[int, ...]
 
 
 class WeylOverflowError(RuntimeError):
-    """Breadth-first closure exceeded the requested cap."""
+    """The enumeration exceeded the requested cap."""
 
 
 def compose(g: Window, h: Window) -> Window:
@@ -77,18 +77,23 @@ def _source(positions: Sequence[int]) -> Callable[[Window], Window]:
 
 
 def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
-    """Breadth-first closure of the generators under composition.
+    """The group of the generators, enumerated by whole cosets (Dimino).
 
     Raises ValueError unless ``cap`` is positive and the generators are
     windows of one length n >= 1, each a signed permutation of 1..n, and
-    WeylOverflowError as soon as the
-    group would exceed ``cap``; truncation is never silent.
+    WeylOverflowError exactly when the group is larger than ``cap``;
+    truncation is never silent.
 
-    Each step forms ``compose(element, g)`` without calling it: the entries
-    of ``element`` at the positions |g_k| - 1 are read by one precomputed
-    ``itemgetter``, mapped over the whole frontier for one generator at a
-    time, and only the positions k with g_k < 0 (at most two for a simple
-    reflection) are then negated.
+    The generators are taken in the order given.  With H the group of those
+    before g, the group of H and g is the union of the right cosets H r, where
+    r runs over the products ``compose(r, s)`` (r the identity or an earlier
+    representative, s a generator so far) that the group does not yet hold.
+    Each coset is added whole as soon as r is found, so every element is
+    formed once, and it is one ``itemgetter`` mapped over H: h r reads h at
+    the positions |r_k| - 1.  When r negates some coordinates, the map reads
+    a doubled copy (h, -h) of H instead, at n + |r_k| - 1 where r_k < 0; the
+    copy is formed once per H, and only when a signed r needs it.  The cap is
+    checked after each coset, so at most cap + |H| elements are formed.
     """
     if not gens:
         raise ValueError("at least one generator required")
@@ -102,29 +107,26 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     for g in gens:
         if sorted(abs(v) for v in g) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation of 1..{n}: {g}")
-    steps = [
-        (_source([abs(v) - 1 for v in g]), [k for k, v in enumerate(g) if v < 0])
-        for g in gens
-    ]
     identity = tuple(range(1, n + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for source, flips in steps:
-            for candidate in map(source, frontier):
-                if flips:
-                    entries = list(candidate)
-                    for k in flips:
-                        entries[k] = -entries[k]
-                    candidate = tuple(entries)
-                if candidate not in seen:
-                    seen.add(candidate)
-                    if len(seen) > cap:
-                        raise WeylOverflowError(
-                            f"group order exceeds cap {cap}"
-                        )
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    return frozenset(seen)
-
+    group = {identity}
+    for i in range(len(gens)):
+        subgroup = list(group)
+        doubled = None
+        representatives = [identity]
+        for r in representatives:
+            for s in gens[: i + 1]:
+                product = compose(r, s)
+                if product in group:
+                    continue
+                if min(product) > 0:
+                    elements = subgroup
+                else:
+                    if doubled is None:
+                        doubled = [h + tuple(-v for v in h) for h in subgroup]
+                    elements = doubled
+                positions = [v - 1 if v > 0 else n - v - 1 for v in product]
+                group.update(map(_source(positions), elements))
+                if len(group) > cap:
+                    raise WeylOverflowError(f"group order exceeds cap {cap}")
+                representatives.append(product)
+    return frozenset(group)

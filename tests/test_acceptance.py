@@ -177,7 +177,7 @@ def test_criterion_6_weyl_groups():
                 assert {apply(g, root) for root in rd.roots} == root_set, (family, n)
     for n in range(1, 7):
         assert enumerated[(AlgebraFamily.SO_ODD, n)] == enumerated[(AlgebraFamily.SP, n)]
-    print("criterion 6 (Weyl orders by BFS; W permutes the roots; B = C): PASS")
+    print("criterion 6 (enumerated Weyl orders; W permutes the roots; B = C): PASS")
 
 
 def test_criterion_7_dynkin_round_trip():

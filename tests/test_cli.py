@@ -225,12 +225,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("element,status", [((-1, 2, 3), "fail"), ((-1, -2, 3), "pass")])
     def test_so_even_sign_product_verdict(self, element, status, monkeypatch):
-        # A group holding one element: a single sign flip must fail the check.
-        monkeypatch.setattr(weyl, "generate", lambda gens, cap: frozenset({element}))
+        # One extra generator: a single sign flip must fail the check, a double
+        # flip (already in the D3 Weyl group) must pass it.
+        reflections = weyl.simple_reflections
+        monkeypatch.setattr(weyl, "simple_reflections", lambda rd: [*reflections(rd), element])
         checks = {c.name: c for c in cli_suites._checks_weyl(root_datum(AlgebraFamily.SO_EVEN, 3), 100)}
         assert checks["even sign changes only"].status == status
         code, out = run_cli(["verify", "so-even", "3", "weyl"])
-        assert code == 1  # the order check fails on any one-element group
+        assert code == (1 if status == "fail" else 0)  # a single flip also doubles |W| to 48
         assert f"weyl: even sign changes only: {status.upper()}" in out
 
     def test_killing_routes_that_disagree_fail(self, monkeypatch):

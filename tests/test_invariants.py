@@ -240,7 +240,7 @@ class TestPointCertificate:
 
 class TestDegreeProductsAgainstEnumeration:
     def test_products_match_enumerated_orders(self):
-        # Cross-module: suite degree products equal BFS-enumerated |W|
+        # Cross-module: suite degree products equal the enumerated |W|
         # for every family and rank with |W| <= 50000.
         cases = [
             (AlgebraFamily.SL, range(2, 9)),

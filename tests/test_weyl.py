@@ -5,10 +5,12 @@ from math import prod
 
 import pytest
 
-from conftest import family_ranks, root_datum, weyl_group
+from conftest import family_ranks, replace, root_datum, weyl_group
 
 import liealg as L
 from liealg import AlgebraFamily, WeylOverflowError
+from liealg.edges import EdgeMatrix
+from liealg.records import InternalConsistencyError
 from liealg.weyl import apply, compose, generate, simple_reflections
 
 
@@ -124,6 +126,18 @@ class TestSimpleReflections:
         )
         assert last == expected
 
+    @pytest.mark.parametrize("x", [(2, 1), (3, 0)], ids=["two-entries", "entry-minus-two"])
+    def test_rejects_a_reflection_that_is_not_a_signed_permutation(self, x):
+        # s(e_1) = e_1 - a_1 x with a = (1, 0): x = (2, 1) gives a column with
+        # two entries -1, x = (3, 0) a single entry -2.  Each trips one
+        # condition of the guard alone.
+        rd = root_datum(AlgebraFamily.SP, 2)
+        diagonal = (x[0], x[1], -x[0], -x[1])
+        coroot = EdgeMatrix(4, {(k, k): v for k, v in enumerate(diagonal) if v})
+        broken = replace(rd, fundamental_roots=((1, 0),), fundamental_coroots=(coroot,))
+        with pytest.raises(InternalConsistencyError, match="not a signed permutation"):
+            simple_reflections(broken)
+
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_generators_have_order_two(self, family, n):
         for g in simple_reflections(root_datum(family, n)):
@@ -178,6 +192,12 @@ class TestGenerate:
         rd = root_datum(AlgebraFamily.SP, 3)
         with pytest.raises(WeylOverflowError):
             generate(simple_reflections(rd), cap=47)
+
+    def test_default_cap_is_100000(self):
+        # |W(A8)| = 9! = 362880 is above the default cap.
+        gens = simple_reflections(root_datum(AlgebraFamily.SL, 9))
+        with pytest.raises(WeylOverflowError, match="cap 100000$"):
+            generate(gens)
 
     def test_b_and_c_generate_identical_sets(self):
         for n in (2, 3, 4):

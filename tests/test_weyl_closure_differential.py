@@ -1,14 +1,20 @@
 """The Weyl closure against a reference breadth-first search built on ``compose``.
 
-``generate`` forms each product from precomputed index maps instead of
-calling ``compose``.  The reference below is the plain closure, one
-``compose(element, g)`` per candidate; both must give the same frozenset,
-and ``generate`` must overflow exactly when the group is larger than the cap.
-The generators are the simple reflections of every family with |W| <= 10^5,
-then shuffled lists and random words in them, and arbitrary signed
+``generate`` enumerates the group by whole cosets (Dimino's algorithm): each
+coset H r of the group H of the earlier generators is one index map applied
+to H, or to a doubled copy (h, -h) of it when r negates a coordinate.  The
+reference below is the plain closure, one ``compose(element, g)`` per
+candidate; both must give the same frozenset, and ``generate`` must overflow
+exactly when the group is larger than the cap.  The generators are the simple
+reflections of every family with |W| <= 10^5, then shuffled lists, every
+order of the generators of A3, B3 and D4, lists with repeated, identity and
+redundant generators, random words in them, and arbitrary signed
 permutations, so that the negated positions fall anywhere in the window.
+Overflow is decided between cosets, so the caps include |G_i| - 1, |G_i| and
+|G_i| + 1 for the group G_i of each prefix of the generators.
 """
 
+import itertools
 import random
 
 import pytest
@@ -81,6 +87,58 @@ def test_shuffled_generators_give_the_same_group(family, n):
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert generate(shuffled) == reference_generate(gens)
+
+
+def outcome(enumerate_group, gens, cap):
+    """The group, or the overflow message."""
+    try:
+        return enumerate_group(gens, cap)
+    except WeylOverflowError as error:
+        return str(error)
+
+
+# A3, B3 and D4, whose generators are tried in every order.
+ORDERED = [(AlgebraFamily.SL, 4), (AlgebraFamily.SO_ODD, 3), (AlgebraFamily.SO_EVEN, 4)]
+
+
+@pytest.mark.parametrize("family,n", ORDERED)
+def test_every_order_of_the_generators_gives_the_same_group(family, n):
+    gens = simple_reflections(root_datum(family, n))
+    expected = reference_generate(gens)
+    for order in itertools.permutations(gens):
+        assert generate(list(order)) == expected
+
+
+@pytest.mark.parametrize("family,n", ORDERED)
+def test_repeated_identity_and_redundant_generators(family, n):
+    gens = simple_reflections(root_datum(family, n))
+    identity = tuple(range(1, n + 1))
+    product = compose(gens[0], gens[1])
+    expected = reference_generate(gens)
+    for padded in (
+        [gens[0], *gens],
+        [*gens, gens[-1]],
+        [identity, *gens],
+        [gens[0], identity, *gens[1:], identity],
+        [gens[0], gens[1], product, *gens[2:]],
+        [*gens, product, compose(product, gens[-1])],
+    ):
+        assert generate(padded) == expected
+    assert generate([identity]) == {identity}
+    assert generate([gens[0], gens[0]]) == {identity, gens[0]}
+
+
+@pytest.mark.parametrize("family,n", ORDERED)
+def test_overflow_between_cosets_matches_the_reference(family, n):
+    gens = simple_reflections(root_datum(family, n))
+    for order in (gens, gens[::-1]):
+        for i in range(1, len(order) + 1):
+            size = len(reference_generate(order[:i]))
+            for cap in (size - 1, size, size + 1):
+                if cap < 1:
+                    continue
+                for tried in (order, order[:i]):
+                    assert outcome(generate, tried, cap) == outcome(reference_generate, tried, cap)
 
 
 @st.composite
