@@ -16,7 +16,8 @@ rd = L.cartan_decompose(r)
 print(f"== {spec.name}: dimension {r.dimension}, Cartan subalgebra of size "
       f"{len(r.cartan_indices)}")
 for label, mat in r.basis:
-    print(f"  {label}: rows {mat.rows}")
+    rows = tuple(tuple(mat[i, j] for j in range(mat.dim)) for i in range(mat.dim))
+    print(f"  {label}: rows {rows}")
 
 (h_label, h), (e_label, e), (f_label, f) = r.basis
 print("\nbracket relations:")

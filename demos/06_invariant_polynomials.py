@@ -11,16 +11,33 @@ import math
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.invariants import (
-    build_suite,
-    check_invariance,
-    constant_ratio,
-    full_product,
-    jacobian,
-    vandermonde_squares,
-)
+from liealg.exact import ratio
+from liealg.invariants import build_suite, check_invariance, full_product, jacobian
 from liealg.families import weyl_order_formula
+from liealg.polynomials import MultiPoly
 from liealg.weyl import simple_reflections
+
+
+def square(nvars, i):
+    """x_i^2 (0-indexed)."""
+    return MultiPoly.monomial(nvars, [2 * (k == i) for k in range(nvars)])
+
+
+def vandermonde_squares(nvars):
+    """Product over i < j of (x_j^2 - x_i^2)."""
+    out = MultiPoly.constant(nvars, 1)
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            out = out * (square(nvars, j) - square(nvars, i))
+    return out
+
+
+def constant_ratio(p, q):
+    """The scalar c with p = c q, or None when no such constant exists."""
+    expo, coeff = next(iter(q.terms.items()))
+    c = ratio(p.terms.get(expo, 0), coeff)
+    return c if p == q.scale(c) else None
+
 
 for family, n in [
     (AlgebraFamily.SL, 3),

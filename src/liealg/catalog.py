@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from .digraph import opposite_antimorphism
-from .exact import Scalar, Weight, format_weight
+from .exact import Scalar, Weight, canonical, format_weight
 from .families import AlgebraFamily, AlgebraSpec
 from .edges import EdgeMatrix, mat_bracket
 from .matrices import SpanSolver
@@ -178,16 +178,18 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     sigma_pi(q) X[pi(q), p] + sigma_p X[pi(p), q], so the relation holds
     exactly when X[pi(c), pi(r)] = -sigma_pi(r) sigma_pi(c) X[r, c] on every
     edge r -> c of X: a relabelling of the edges, with no matrix product.
+    Every entry is read through ``canonical``, so a float or a bool raises
+    TypeError in every family.
     """
     if x.dim != spec.realization_dim:
         raise ValueError(
             f"dimension mismatch: matrix has dim {x.dim}, "
             f"{spec} is realized in dim {spec.realization_dim}"
         )
+    edges = {rc: canonical(v) for rc, v in x.edges.items()}
     if spec.family is AlgebraFamily.SL:
         return x.trace() == 0
     pi, sigma = _signed_involution(spec)
-    edges = x.edges
     return all(
         edges.get((pi[c], pi[r]), 0) == -sigma[pi[r]] * sigma[pi[c]] * v
         for (r, c), v in edges.items()

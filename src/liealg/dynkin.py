@@ -59,9 +59,6 @@ class CartanMatrix(Record):
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self) -> "CartanMatrix":
-        return CartanMatrix(tuple(zip(*self.entries)))
-
 
 def cartan_entries(fundamental: Sequence[Weight], inner: Inner) -> tuple[tuple[int, ...], ...]:
     """Entries 2<a_i,a_j>/<a_j,a_j>; a non-integer one is an internal inconsistency."""

@@ -37,45 +37,11 @@ class EdgeMatrix(Record):
     edges: dict[Position, Scalar]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "EdgeMatrix":
-        dim = len(rows)
-        if dim == 0:
-            raise ValueError("matrix must have positive dimension")
-        edges: dict[Position, Scalar] = {}
-        for r, row in enumerate(rows):
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-            for c, x in enumerate(row):
-                if x := canonical(x):
-                    edges[(r, c)] = x
-        return EdgeMatrix(dim, edges)
-
-    @staticmethod
-    def zero(dim: int) -> "EdgeMatrix":
-        if dim <= 0:
-            raise ValueError("matrix must have positive dimension")
-        return EdgeMatrix(dim, {})
-
-    @staticmethod
-    def identity(dim: int) -> "EdgeMatrix":
-        if dim <= 0:
-            raise ValueError("matrix must have positive dimension")
-        return EdgeMatrix(dim, {(i, i): 1 for i in range(dim)})
-
-    @staticmethod
     def unit(dim: int, i: int, j: int) -> "EdgeMatrix":
         """Elementary matrix with a single 1 at (row i, column j), 1-indexed."""
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"unit index ({i},{j}) out of range for dim {dim}")
         return EdgeMatrix(dim, {(i - 1, j - 1): 1})
-
-    @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Read-only dense view, zeros filled in."""
-        dense = [[0] * self.dim for _ in range(self.dim)]
-        for (r, c), x in self.edges.items():
-            dense[r][c] = x
-        return tuple(tuple(row) for row in dense)
 
     def __getitem__(self, rc: Position) -> Scalar:
         return self.edges.get(rc, 0)
@@ -119,9 +85,6 @@ class EdgeMatrix(Record):
             for j, b in out_of.get(k, ()):
                 acc[(i, j)] = acc.get((i, j), 0) + a * b
         return EdgeMatrix(self.dim, {rc: canonical(x) for rc, x in acc.items() if x})
-
-    def transpose(self) -> "EdgeMatrix":
-        return EdgeMatrix(self.dim, {(c, r): x for (r, c), x in self.edges.items()})
 
     def signed_transpose(self, signs: Sequence[int]) -> "EdgeMatrix":
         """Transpose with each entry (i,j) multiplied by signs[i]*signs[j]."""

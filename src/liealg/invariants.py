@@ -10,9 +10,9 @@ the zero polynomial.  A nonzero exact value of that determinant at one
 rational point proves it (Schwartz 1980, Zippel 1979).  The classical suites
 have one at (1, ..., m): their Jacobians are constant multiples of products
 of x_i, x_j - x_i, x_j + x_i and sums of coordinates with positive
-coefficients (see the closed forms below), none of which vanishes there.  A
-zero value proves nothing, so only then is the determinant expanded
-symbolically.
+coefficients (``tests/test_invariants.py`` checks each closed form), none of
+which vanishes there.  A zero value proves nothing, so only then is the
+determinant expanded symbolically.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import prod
 
-from . import weyl
-from .exact import Scalar, ratio
+from . import exact, weyl
 from .families import AlgebraFamily
 from .matrices import determinant
 from .polynomials import Exponent, MultiPoly, poly_det
@@ -51,6 +50,11 @@ def _expo(nvars: int, i: int, power: int = 1) -> Exponent:
 
 def _power_sum(nvars: int, power: int) -> MultiPoly:
     return MultiPoly(nvars, {_expo(nvars, i, power): 1 for i in range(nvars)})
+
+
+def full_product(nvars: int) -> MultiPoly:
+    """The monomial x_1 x_2 ... x_n."""
+    return MultiPoly.monomial(nvars, (1,) * nvars)
 
 
 def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
@@ -114,7 +118,7 @@ def jacobian(s: InvariantSuite) -> MultiPoly:
     return poly_det(matrix)
 
 
-def _jacobian_at_point(s: InvariantSuite) -> Scalar:
+def _jacobian_at_point(s: InvariantSuite) -> exact.Scalar:
     """The Jacobian determinant of the suite at the point (1, ..., m).
 
     m is the effective variable count.  For the A family the point is
@@ -149,48 +153,3 @@ def jacobian_criterion(s: InvariantSuite) -> bool:
     symbolic ``jacobian``; the answer is the symbolic one for every suite.
     """
     return bool(_jacobian_at_point(s)) or not jacobian(s).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for comparison and the exact constant between them.
-# ---------------------------------------------------------------------------
-
-
-def vandermonde_squares(nvars: int) -> MultiPoly:
-    """Product over i < j of (x_j^2 - x_i^2)."""
-    out = MultiPoly.constant(nvars, 1)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            out = out * MultiPoly(nvars, {_expo(nvars, j, 2): 1, _expo(nvars, i, 2): -1})
-    return out
-
-
-def vandermonde(nvars: int) -> MultiPoly:
-    """Product over i < j of (x_j - x_i)."""
-    out = MultiPoly.constant(nvars, 1)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            out = out * MultiPoly(nvars, {_expo(nvars, j): 1, _expo(nvars, i): -1})
-    return out
-
-
-def full_product(nvars: int) -> MultiPoly:
-    """The monomial x_1 x_2 ... x_n."""
-    return MultiPoly.monomial(nvars, (1,) * nvars)
-
-
-def doubled_coordinate_forms(nvars: int) -> MultiPoly:
-    """Product over i of (x_1 + ... + 2 x_i + ... + x_n)."""
-    out = MultiPoly.constant(nvars, 1)
-    for i in range(nvars):
-        out = out * MultiPoly(nvars, {_expo(nvars, k): 1 + (k == i) for k in range(nvars)})
-    return out
-
-
-def constant_ratio(p: MultiPoly, q: MultiPoly) -> Scalar | None:
-    """The scalar c with p = c q, or None when no such constant exists."""
-    if q.is_zero():
-        return None
-    expo, coeff = next(iter(q.terms.items()))
-    c = ratio(p.terms.get(expo, 0), coeff)
-    return c if p == q.scale(c) else None

@@ -43,14 +43,6 @@ class MultiPoly(Record):
         return MultiPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
-    def variable(nvars: int, index: int) -> "MultiPoly":
-        """The polynomial x_index (0-indexed)."""
-        if not (0 <= index < nvars):
-            raise ValueError(f"variable index {index} out of range")
-        expo = tuple(1 if k == index else 0 for k in range(nvars))
-        return MultiPoly(nvars, {expo: 1})
-
-    @staticmethod
     def monomial(nvars: int, expo: Sequence[int], coeff: Scalar = 1) -> "MultiPoly":
         return MultiPoly(nvars, {tuple(expo): coeff})
 

@@ -1,7 +1,8 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
 reference reflection used by the reflection and root-axiom tests, the dense
-structure-constant table used by the catalog tests, and a field-replacing
-copy of a record.
+structure-constant table used by the catalog tests, a field-replacing copy of
+a record, dense and transposed views of a matrix, and the closed forms that
+the invariant Jacobians are compared with.
 
 The repository-root ``conftest.py`` keeps a test run from writing bytecode
 into src/."""
@@ -17,6 +18,8 @@ from pathlib import Path
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.edges import EdgeMatrix, mat_bracket
+from liealg.exact import Scalar, canonical, ratio
+from liealg.polynomials import MultiPoly
 from liealg.records import InternalConsistencyError
 
 _REALIZATIONS: dict[tuple[AlgebraFamily, int], L.AlgebraRealization] = {}
@@ -70,6 +73,59 @@ def reflect(inner, alpha, beta):
         raise ValueError("cannot reflect in an isotropic or zero vector")
     factor = 2 * Fraction(inner(alpha, beta)) / norm
     return tuple(b - factor * a for a, b in zip(alpha, beta))
+
+
+def from_rows(rows) -> EdgeMatrix:
+    """The square matrix with these dense rows, each entry canonical."""
+    edges = {(r, c): v for r, row in enumerate(rows) for c, x in enumerate(row)
+             if (v := canonical(x))}
+    return EdgeMatrix(len(rows), edges)
+
+
+def dense(m: EdgeMatrix) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows of m, zeros filled in."""
+    return tuple(tuple(m[r, c] for c in range(m.dim)) for r in range(m.dim))
+
+
+def identity(dim: int) -> EdgeMatrix:
+    return EdgeMatrix(dim, {(i, i): 1 for i in range(dim)})
+
+
+def transpose(m: EdgeMatrix) -> EdgeMatrix:
+    return EdgeMatrix(m.dim, {(c, r): x for (r, c), x in m.edges.items()})
+
+
+def variable(nvars: int, i: int) -> MultiPoly:
+    """The polynomial x_i (0-indexed)."""
+    return MultiPoly.monomial(nvars, [int(k == i) for k in range(nvars)])
+
+
+def vandermonde(nvars: int, power: int = 1) -> MultiPoly:
+    """Product over i < j of (x_j^power - x_i^power)."""
+    out = MultiPoly.constant(nvars, 1)
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            out = out * (variable(nvars, j) ** power - variable(nvars, i) ** power)
+    return out
+
+
+def doubled_coordinate_forms(nvars: int) -> MultiPoly:
+    """Product over i of (x_1 + ... + 2 x_i + ... + x_n)."""
+    coordinates = [variable(nvars, i) for i in range(nvars)]
+    total = sum(coordinates[1:], coordinates[0])
+    out = MultiPoly.constant(nvars, 1)
+    for x in coordinates:
+        out = out * (total + x)
+    return out
+
+
+def constant_ratio(p: MultiPoly, q: MultiPoly) -> Scalar | None:
+    """The scalar c with p = c q, or None when no such constant exists."""
+    if q.is_zero():
+        return None
+    expo, coeff = next(iter(q.terms.items()))
+    c = ratio(p.terms.get(expo, 0), coeff)
+    return c if p == q.scale(c) else None
 
 
 def basis_of(r: L.AlgebraRealization) -> tuple[EdgeMatrix, ...]:

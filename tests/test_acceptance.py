@@ -9,7 +9,16 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import family_ranks, realization, root_datum, run_cli, weyl_group
+from conftest import (
+    constant_ratio,
+    doubled_coordinate_forms,
+    family_ranks,
+    realization,
+    root_datum,
+    run_cli,
+    vandermonde,
+    weyl_group,
+)
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, CartanMatrix
@@ -24,13 +33,9 @@ from liealg.dynkin import (
 from liealg.invariants import (
     build_suite,
     check_invariance,
-    constant_ratio,
-    doubled_coordinate_forms,
     full_product,
     jacobian,
     jacobian_criterion,
-    vandermonde,
-    vandermonde_squares,
 )
 from liealg.families import weyl_order_formula
 from liealg.matrices import SpanSolver, dot
@@ -250,7 +255,7 @@ def test_criterion_9_invariants():
     for n in range(1, 5):
         suite = build_suite(AlgebraFamily.SP, n)
         assert jacobian_criterion(suite)
-        closed = (full_product(n) * vandermonde_squares(n)).scale(
+        closed = (full_product(n) * vandermonde(n, 2)).scale(
             2**n * math.factorial(n)
         )
         assert jacobian(suite) == closed, n
@@ -259,7 +264,7 @@ def test_criterion_9_invariants():
         suite = build_suite(AlgebraFamily.SO_EVEN, n)
         J = jacobian(suite)
         assert not J.is_zero()
-        ratio = constant_ratio(J, vandermonde_squares(n))
+        ratio = constant_ratio(J, vandermonde(n, 2))
         assert ratio is not None and ratio != 0, n
         reported.append(f"D_{n} constant {ratio} (printed {(-2) ** (n - 1) * math.factorial(n - 1)})")
 

@@ -255,7 +255,7 @@ def test_weight_of_agrees_on_basis_vectors_and_cartan_elements(family, n):
     rd = root_datum(family, n)
     for m in (*basis_of(r), *rd.coroots.values()):
         assert roots.weight_of(r, m) == weight_of(r, m)
-    zero = EdgeMatrix.zero(r.spec.realization_dim)
+    zero = EdgeMatrix(r.spec.realization_dim, {})
     assert outcome(roots.weight_of, r, zero) is outcome(weight_of, r, zero) is ValueError
 
 

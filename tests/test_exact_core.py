@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense, from_rows, identity
+
 from liealg.exact import canonical, format_rational, parse_rational
 from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.matrices import SpanSolver, determinant, dot, is_positive_definite, solve_linear
@@ -83,8 +85,8 @@ class TestMatrixProduct:
 
     def test_identity(self):
         a = E(3, 2, 3) + E(3, 1, 1).scale(Fraction(5, 7))
-        assert EdgeMatrix.identity(3) @ a == a
-        assert a @ EdgeMatrix.identity(3) == a
+        assert identity(3) @ a == a
+        assert a @ identity(3) == a
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -93,11 +95,9 @@ class TestMatrixProduct:
             mat_bracket(E(2, 1, 1), E(3, 1, 1))
 
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            EdgeMatrix.from_rows([[0.5, 0], [0, 0]])
         for c in (0.5, True):
             with pytest.raises(TypeError):
-                EdgeMatrix.zero(2).scale(c)
+                EdgeMatrix(2, {}).scale(c)
 
 
 class TestBracket:
@@ -145,7 +145,7 @@ class TestTrace:
 
     def test_identity_trace(self):
         for n in (1, 4, 9):
-            assert EdgeMatrix.identity(n).trace() == n
+            assert identity(n).trace() == n
 
     def test_off_diagonal_edge(self):
         assert E(2, 1, 2).trace() == 0
@@ -224,7 +224,7 @@ class TestSparseStorage:
         h = E(3, 1, 1) - E(3, 2, 2)
         for m in (a - a, a + (-a), a.scale(0), x @ y, mat_bracket(h, h.scale(5))):
             self.assert_no_zeros(m)
-            assert m == EdgeMatrix.zero(3)
+            assert m == EdgeMatrix(3, {})
         bracket = mat_bracket(E(3, 1, 2), E(3, 2, 1))
         self.assert_no_zeros(bracket)
         assert bracket == h
@@ -233,23 +233,24 @@ class TestSparseStorage:
         rng = random.Random(314)
 
         def sample(dim):
-            return EdgeMatrix.from_rows(
+            return from_rows(
                 [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)] for _ in range(dim)]
             )
 
         for _ in range(200):
             dim = rng.randint(1, 4)
             a, b = sample(dim), sample(dim)
+            da, db = dense(a), dense(b)
             signs = [rng.choice((1, -1)) for _ in range(dim)]
             for m, op in ((a + b, operator.add), (a - b, operator.sub)):
-                assert m.rows == tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.rows, b.rows))
+                assert dense(m) == tuple(tuple(map(op, ra, rb)) for ra, rb in zip(da, db))
             product = a @ b
-            assert product.rows == tuple(
-                tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(dim)) for j in range(dim))
+            assert dense(product) == tuple(
+                tuple(sum(da[i][k] * db[k][j] for k in range(dim)) for j in range(dim))
                 for i in range(dim)
             )
-            for m in (a + b, a - b, -a, a.scale(Fraction(-2, 3)), a.transpose(),
+            for m in (a + b, a - b, -a, a.scale(Fraction(-2, 3)),
                       a.signed_transpose(signs), product, mat_bracket(a, b)):
                 self.assert_no_zeros(m)
-            assert a - a == EdgeMatrix.zero(dim)
-            assert a.trace() == sum(a.rows[i][i] for i in range(dim))
+            assert a - a == EdgeMatrix(dim, {})
+            assert a.trace() == sum(da[i][i] for i in range(dim))

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, root_datum, weyl_group
+from conftest import (
+    constant_ratio,
+    doubled_coordinate_forms,
+    family_ranks,
+    root_datum,
+    vandermonde,
+    variable,
+    weyl_group,
+)
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, invariants
@@ -15,13 +23,9 @@ from liealg.invariants import (
     _jacobian_at_point,
     build_suite,
     check_invariance,
-    constant_ratio,
-    doubled_coordinate_forms,
     full_product,
     jacobian,
     jacobian_criterion,
-    vandermonde,
-    vandermonde_squares,
 )
 from liealg.matrices import determinant
 from liealg.polynomials import MultiPoly
@@ -105,7 +109,7 @@ class TestJacobians:
         for n in range(1, 5):
             s = build_suite(AlgebraFamily.SP, n)
             expected = (
-                full_product(n) * vandermonde_squares(n)
+                full_product(n) * vandermonde(n, 2)
             ).scale(2**n * math.factorial(n))
             assert jacobian(s) == expected
 
@@ -114,7 +118,7 @@ class TestJacobians:
         # recorded and compared with (-2)^(n-1) (n-1)!.
         for n in range(2, 5):
             s = build_suite(AlgebraFamily.SO_EVEN, n)
-            ratio = constant_ratio(jacobian(s), vandermonde_squares(n))
+            ratio = constant_ratio(jacobian(s), vandermonde(n, 2))
             assert ratio is not None and ratio != 0
             assert ratio == Fraction((-2) ** (n - 1) * math.factorial(n - 1))
 
@@ -141,7 +145,7 @@ class TestJacobians:
         assert jacobian(hand_suite([p2, p2 * p2])).is_zero()
 
     def test_coordinate_pair_passes(self):
-        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        x, y = variable(2, 0), variable(2, 1)
         assert jacobian(hand_suite([x, y])) == MultiPoly.constant(2, 1)
 
     def test_evaluation_consistency(self):
@@ -159,7 +163,7 @@ class TestJacobians:
                 nv = s.nvars - 1
                 repl = MultiPoly.zero(nv)
                 for i in range(nv):
-                    repl = repl - MultiPoly.variable(nv, i)
+                    repl = repl - variable(nv, i)
                 polys = tuple(p.eliminate_last(repl) for p in polys)
             J = jacobian(s)
             nv = polys[0].nvars
@@ -209,7 +213,7 @@ class TestPointCertificate:
         assert jacobian_criterion(s) is True
 
     def test_dependent_suites_fall_back_and_fail(self):
-        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        x, y = variable(2, 0), variable(2, 1)
         p2 = x * x + y * y
         for polys in ([p2, p2 * p2], [x, x]):
             s = hand_suite(polys)
@@ -219,7 +223,7 @@ class TestPointCertificate:
     def test_zero_at_the_point_is_not_zero_everywhere(self, monkeypatch):
         # d/dy (y - 2)^2 vanishes at y = 2, so the value at (1, 2) is 0; the
         # symbolic Jacobian 2(y - 2) is nonzero and decides.
-        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        x, y = variable(2, 0), variable(2, 1)
         s = hand_suite([x, (y - MultiPoly.constant(2, 2)) ** 2])
         assert _jacobian_at_point(s) == 0
         calls = []
@@ -229,7 +233,7 @@ class TestPointCertificate:
         assert calls == [s]
 
     def test_suite_size_must_match_the_effective_variables(self):
-        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        x, y = variable(2, 0), variable(2, 1)
         with pytest.raises(ValueError, match="effective variable count"):
             jacobian_criterion(hand_suite([x, y, x * y]))
         with pytest.raises(ValueError, match="effective variable count"):

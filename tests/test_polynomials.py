@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import variable as var
+
 from liealg.matrices import determinant
 from liealg.polynomials import MultiPoly, poly_det
-
-
-def var(nvars, i):
-    return MultiPoly.variable(nvars, i)
 
 
 class TestEvaluation:

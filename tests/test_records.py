@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from conftest import root_datum
+from conftest import root_datum, variable
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
@@ -39,7 +39,7 @@ RECORDS = [
     (L.AlgebraRealization, ("spec", "basis"), True,
      lambda n: L.build(AlgebraSpec(AlgebraFamily.SL, n))),
     (L.EdgeMatrix, ("dim", "edges"), True, lambda n: L.EdgeMatrix.unit(n, 1, n)),
-    (L.MultiPoly, ("nvars", "terms"), True, lambda n: L.MultiPoly.variable(n, n - 1)),
+    (L.MultiPoly, ("nvars", "terms"), True, lambda n: variable(n, n - 1)),
     (L.RootDatum,
      ("realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",
       "coroots", "partners", "fundamental_coroots", "fundamental_weights"),

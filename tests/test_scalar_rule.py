@@ -20,9 +20,9 @@ from operator import add, sub
 
 import pytest
 
-from conftest import family_ranks, realization, root_datum
+from conftest import dense, family_ranks, from_rows, realization, root_datum, variable
 
-from liealg import AlgebraSpec, dynkin, forms, invariants
+from liealg import AlgebraFamily, AlgebraSpec, check_membership, dynkin, forms, invariants
 from liealg.dynkin import build_diagram, check_positive_definite
 from liealg.exact import parse_rational, ratio
 from liealg.edges import EdgeMatrix, mat_bracket
@@ -90,7 +90,7 @@ def entrywise(op, a, b):
 @given(matrix_pairs())
 def test_operations_return_canonical_exact_values(case):
     rows_a, rows_b, c = case
-    a, b = EdgeMatrix.from_rows(rows_a), EdgeMatrix.from_rows(rows_b)
+    a, b = from_rows(rows_a), from_rows(rows_b)
     fa = [[Fraction(x) for x in row] for row in rows_a]
     fb = [[Fraction(x) for x in row] for row in rows_b]
     ab, ba = dense_product(fa, fb), dense_product(fb, fa)
@@ -104,7 +104,7 @@ def test_operations_return_canonical_exact_values(case):
     ]
     for result, reference in expected:
         assert all(map(is_canonical, result.edges.values())), result.edges
-        assert [list(row) for row in result.rows] == reference
+        assert [list(row) for row in dense(result)] == reference
 
 
 @pytest.mark.parametrize("family,n", CASES)
@@ -144,15 +144,27 @@ def test_ratio_is_the_canonical_quotient():
 
 
 A2 = dynkin.CartanMatrix(((2, -1), (-1, 2)))
+
+
+def scaled_root_vector_membership(family: AlgebraFamily, x) -> bool:
+    """Membership of x E_12 in sl_3, or of x (E_12 - E_43) at Lie rank 2 in the
+    other families: a root vector scaled by x, with no entry on the diagonal."""
+    spec = AlgebraSpec(family, 3 if family is AlgebraFamily.SL else 2)
+    edges = {(0, 1): x} if family is AlgebraFamily.SL else {(0, 1): x, (3, 2): -x}
+    return check_membership(EdgeMatrix(spec.realization_dim, edges), spec)
+
+
 SCALAR_READERS = {
     "ratio numerator": lambda x: ratio(x, 1),
     "ratio denominator": lambda x: ratio(1, x),
     "weyl.apply": lambda x: apply((2, 1), (x, 1)),
     "MultiPoly": lambda x: MultiPoly(1, {(1,): x}),
-    "MultiPoly.scale": lambda x: MultiPoly.variable(1, 0).scale(x),
-    "MultiPoly.eval": lambda x: MultiPoly.variable(1, 0).eval([x]),
+    "MultiPoly.scale": lambda x: variable(1, 0).scale(x),
+    "MultiPoly.eval": lambda x: variable(1, 0).eval([x]),
     "build_diagram": lambda x: build_diagram(A2, [x, 2]),
     "check_positive_definite": lambda x: check_positive_definite(A2, [x, 2]),
+    **{f"check_membership {family.value}": lambda x, family=family:
+       scaled_root_vector_membership(family, x) for family in AlgebraFamily},
 }
 
 
