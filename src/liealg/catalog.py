@@ -9,6 +9,14 @@ Every Cartan subalgebra is diagonal, so each edge i -> j of a matrix
 carries its own weight, chi_i - chi_j (``AlgebraRealization.edge_weight``).
 ad(x) is an ``EdgeMatrix`` over the basis too: entry (j, k) is the
 coefficient of b_j in [x, b_k].
+
+sp and so are read off one signed involution (pi, sigma), the structure
+form S with S[p, pi(p)] = sigma_p: slot i pairs with slot n + i, sigma is
+-1 on sp's second block, and odd so fixes its last slot.  S relabels each
+edge r -> c as its partner pi(c) -> pi(r) at sign -sigma_pi(r) sigma_pi(c),
+and the members are exactly the combinations that this relabelling fixes.
+So the orbit of one edge, the edge plus its partner, is a member; an edge
+that is its own partner stands alone at sign +1 and is in no member at -1.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from .digraph import opposite_antimorphism
-from .exact import Scalar, Weight, canonical, format_weight
+from .exact import Scalar, Weight, canonical, format_weight, is_positive, negate
 from .families import AlgebraFamily, AlgebraSpec
 from .edges import EdgeMatrix, mat_bracket
 from .matrices import SpanSolver
@@ -53,27 +61,18 @@ class AlgebraRealization(Record):
     def diag_coords(self, h: EdgeMatrix) -> tuple[Scalar, ...]:
         """Coordinates x_1..x_n of a Cartan element; validates its shape.
 
-        The Cartan subalgebras are diagonal: diag(x) for sl (sum zero),
-        diag(x, -x) for sp and even so, diag(x, -x, 0) for odd so.  The
-        coordinates are h's diagonal entries, so they are canonical scalars:
-        ints for every coroot of the classical families.
+        The Cartan subalgebras are the diagonal members, which
+        ``check_membership`` validates: diag(x) for sl (sum zero); for sp and so
+        the orbit of edge i -> i pairs x_i with -x_i in slot n + i, and odd so's
+        last slot, its own partner at sign -1, holds 0.  The coordinates are
+        h's first n diagonal entries: ints for every coroot of the classical
+        families.  A float or a bool entry raises TypeError.
         """
-        n = self.spec.rank
-        if h.dim != self.spec.realization_dim:
-            raise ValueError("dimension mismatch with realization")
         if any(r != c for (r, c) in h.edges):
             raise ValueError("not a Cartan element: off-diagonal entries present")
-        diag = h.diagonal()
-        if self.spec.family is AlgebraFamily.SL:
-            if sum(diag):
-                raise ValueError("not a Cartan element: nonzero trace")
-            return tuple(diag)
-        coords = diag[:n]
-        if any(diag[n + i] != -coords[i] for i in range(n)):
-            raise ValueError("not a Cartan element: blocks are not opposite")
-        if self.spec.family is AlgebraFamily.SO_ODD and diag[2 * n]:
-            raise ValueError("not a Cartan element: last diagonal entry nonzero")
-        return tuple(coords)
+        if not check_membership(h, self.spec):
+            raise ValueError(f"not a Cartan element: diagonal is not in {self.spec}")
+        return h.diagonal()[: self.spec.rank]
 
     def edge_weight(self, i: int, j: int) -> Weight:
         """The weight chi_i - chi_j of the edge i -> j (0-indexed slots).
@@ -85,71 +84,46 @@ class AlgebraRealization(Record):
 
 
 def _edge_weight(n: int, i: int, j: int) -> Weight:
-    chi = lambda k: [(k == s) - (k == s + n) for s in range(n)]
-    return tuple(a - b for a, b in zip(chi(i), chi(j)))
-
-
-def _positive_root_table(spec: AlgebraSpec) -> list[tuple[Weight, EdgeMatrix]]:
-    """Positive roots with their canonical edge-basis vectors, sorted.
-
-    Each root is read off its vector's edges.
-    """
-    n = spec.rank
-    E = lambda i, j: EdgeMatrix.unit(spec.realization_dim, i, j)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if spec.family is AlgebraFamily.SL:
-        mats = [E(i, j) for i, j in pairs]
-    else:
-        mats = [E(i, j) - E(n + j, n + i) for i, j in pairs]
-        if spec.family is AlgebraFamily.SP:
-            mats += [E(i, n + j) + E(j, n + i) for i, j in pairs]
-            mats += [E(i, n + i) for i in range(1, n + 1)]
-        else:
-            mats += [E(i, n + j) - E(j, n + i) for i, j in pairs]
-            if spec.family is AlgebraFamily.SO_ODD:
-                mats += [E(2 * n + 1, n + i) - E(i, 2 * n + 1) for i in range(1, n + 1)]
-    table = [(_edge_weight(n, *min(mat.edges)), mat) for mat in mats]
-    table.sort(key=lambda item: item[0], reverse=True)
-    return table
-
-
-@cache
-def structure_form(spec: AlgebraSpec) -> EdgeMatrix | None:
-    """The defining bilinear form S (none for sl), built once per spec."""
-    n = spec.rank
-    if spec.family is AlgebraFamily.SL:
-        return None
-    lower_sign = -1 if spec.family is AlgebraFamily.SP else 1
-    edges = {}
-    for i in range(n):
-        edges[(i, n + i)] = 1
-        edges[(n + i, i)] = lower_sign
-    if spec.family is AlgebraFamily.SO_ODD:
-        edges[(2 * n, 2 * n)] = 1
-    return EdgeMatrix(spec.realization_dim, edges)
+    weight = [0] * n
+    for k, sign in ((i, 1), (j, -1)):
+        if k < 2 * n:  # odd so's last slot reads 0
+            weight[k % n] += sign if k < n else -sign
+    return tuple(weight)
 
 
 def build(spec: AlgebraSpec) -> AlgebraRealization:
-    """Construct the canonical basis and Cartan subalgebra for a family."""
+    """Construct the canonical basis and Cartan subalgebra for a family.
+
+    sl takes the differences of adjacent diagonal entries as its Cartan
+    elements.  sp and so take the orbits of the diagonal edges of the first n
+    slots, an edge plus its partner pi(c) -> pi(r) at sign
+    -sigma_pi(r) sigma_pi(c).  The positive root vectors are the orbits of the
+    upper edges r < c of positive weight, each orbit once; for sl an orbit
+    is the edge alone.
+    """
     n = spec.rank
     d = spec.realization_dim
-    E = lambda i, j: EdgeMatrix.unit(d, i, j)
+    involution = _signed_involution(spec)
 
-    basis: list[tuple[str, EdgeMatrix]] = []
-    if spec.family is AlgebraFamily.SL:
-        for i in range(1, n):
-            basis.append((f"h{i}", E(i, i) - E(i + 1, i + 1)))
+    if involution is None:
+        cartan = [EdgeMatrix(d, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
     else:
-        for i in range(1, n + 1):
-            basis.append((f"h{i}", E(i, i) - E(n + i, n + i)))
+        cartan = [EdgeMatrix(d, _orbit(involution, i, i)) for i in range(n)]
+    basis = [(f"h{i}", h) for i, h in enumerate(cartan, 1)]
 
-    positives = _positive_root_table(spec)
+    positives = []
+    for r in range(d):
+        for c in range(r + 1, d):
+            # The orbit test comes first: it is cheaper than the weight.
+            orbit = _orbit(involution, r, c)
+            if orbit and min(orbit) == (r, c) and is_positive(root := _edge_weight(n, r, c)):
+                positives.append((root, EdgeMatrix(d, orbit)))
+    positives.sort(key=lambda item: item[0], reverse=True)
     for root, mat in positives:
         basis.append((f"x({format_weight(root)})", mat))
     for root, mat in positives:
-        neg = tuple(-c for c in root)
         basis.append(
-            (f"x({format_weight(neg)})", opposite_antimorphism(mat, spec.family))
+            (f"x({format_weight(negate(root))})", opposite_antimorphism(mat, spec.family))
         )
 
     realization = AlgebraRealization(spec, tuple(basis))
@@ -177,9 +151,10 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     pi(p), and pi is its own inverse.  Entry (p, q) of X^t S + S X is then
     sigma_pi(q) X[pi(q), p] + sigma_p X[pi(p), q], so the relation holds
     exactly when X[pi(c), pi(r)] = -sigma_pi(r) sigma_pi(c) X[r, c] on every
-    edge r -> c of X: a relabelling of the edges, with no matrix product.
-    Every entry is read through ``canonical``, so a float or a bool raises
-    TypeError in every family.
+    edge r -> c of X: X holds each of its edges with its partner at that
+    sign, and no edge that is its own partner at sign -1.  A relabelling of
+    the edges, with no matrix product.  Every entry is read through
+    ``canonical``, so a float or a bool raises TypeError in every family.
     """
     if x.dim != spec.realization_dim:
         raise ValueError(
@@ -196,16 +171,38 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     )
 
 
+Involution = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @cache
-def _signed_involution(spec: AlgebraSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """pi and sigma of S, read off ``structure_form``: S[p, pi(p)] = sigma_p."""
-    S = structure_form(spec)
-    assert S is not None
-    pi = [0] * S.dim
-    sigma = [0] * S.dim
-    for (p, q), s in S.edges.items():
-        pi[p], sigma[p] = q, s
-    return tuple(pi), tuple(sigma)
+def _signed_involution(spec: AlgebraSpec) -> Involution | None:
+    """pi and sigma of the structure form S, S[p, pi(p)] = sigma_p; None for sl.
+
+    Slot i pairs with slot n + i, sigma is -1 on sp's second block and +1
+    elsewhere, and odd so's last slot is its own pair.
+    """
+    if spec.family is AlgebraFamily.SL:
+        return None
+    n, d = spec.rank, spec.realization_dim
+    pi = (*range(n, 2 * n), *range(n), *range(2 * n, d))
+    second = -1 if spec.family is AlgebraFamily.SP else 1
+    return pi, (1,) * n + (second,) * n + (1,) * (d - 2 * n)
+
+
+def _orbit(involution: Involution | None, r: int, c: int) -> dict[tuple[int, int], int]:
+    """The edges of the smallest member that holds the edge r -> c at 1.
+
+    For sl (r != c) that is the edge alone.  For sp and so it is the edge
+    and its partner; an edge that is its own partner stands alone at sign +1,
+    and at sign -1 no member holds it, so the orbit is empty.
+    """
+    if involution is None:
+        return {(r, c): 1}
+    pi, sigma = involution
+    partner, sign = (pi[c], pi[r]), -sigma[pi[r]] * sigma[pi[c]]
+    if partner != (r, c):
+        return {(r, c): 1, partner: sign}
+    return {(r, c): 1} if sign == 1 else {}
 
 
 def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> EdgeMatrix:

@@ -67,7 +67,7 @@ class EdgeMatrix(Record):
         return EdgeMatrix(self.dim, edges)
 
     def __neg__(self) -> "EdgeMatrix":
-        return EdgeMatrix(self.dim, {rc: -x for rc, x in self.edges.items()})
+        return EdgeMatrix(self.dim, {rc: -canonical(x) for rc, x in self.edges.items()})
 
     def scale(self, c: Scalar) -> "EdgeMatrix":
         if not (c := canonical(c)):
@@ -92,7 +92,7 @@ class EdgeMatrix(Record):
             raise ValueError("sign vector length must equal matrix dimension")
         return EdgeMatrix(
             self.dim,
-            {(c, r): signs[r] * signs[c] * x for (r, c), x in self.edges.items()},
+            {(c, r): signs[r] * signs[c] * canonical(x) for (r, c), x in self.edges.items()},
         )
 
     def trace(self) -> Scalar:

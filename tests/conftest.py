@@ -1,8 +1,10 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
 reference reflection used by the reflection and root-axiom tests, the dense
 structure-constant table used by the catalog tests, a field-replacing copy of
-a record, dense and transposed views of a matrix, and the closed forms that
-the invariant Jacobians are compared with.
+a record, dense and transposed views of a matrix, the closed forms that the
+invariant Jacobians are compared with, and the hand-written root-vector table
+and structure forms that ``catalog`` used before it read every sp and so
+member off one signed involution, kept as the reference for that reading.
 
 The repository-root ``conftest.py`` keeps a test run from writing bytecode
 into src/."""
@@ -13,12 +15,13 @@ import io
 import os
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.edges import EdgeMatrix, mat_bracket
-from liealg.exact import Scalar, canonical, ratio
+from liealg.exact import Scalar, Weight, canonical, ratio
 from liealg.polynomials import MultiPoly
 from liealg.records import InternalConsistencyError
 
@@ -187,3 +190,52 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
         except SystemExit as exc:  # argparse usage errors
             code = exc.code if isinstance(exc.code, int) else 2
     return code, buffer.getvalue()
+
+
+# The reference basis: verbatim copies of the hand-written tables that
+# ``catalog`` held before it built sp and so members as edge orbits.
+
+
+def _edge_weight(n: int, i: int, j: int) -> Weight:
+    chi = lambda k: [(k == s) - (k == s + n) for s in range(n)]
+    return tuple(a - b for a, b in zip(chi(i), chi(j)))
+
+
+def _positive_root_table(spec: AlgebraSpec) -> list[tuple[Weight, EdgeMatrix]]:
+    """Positive roots with their canonical edge-basis vectors, sorted.
+
+    Each root is read off its vector's edges.
+    """
+    n = spec.rank
+    E = lambda i, j: EdgeMatrix.unit(spec.realization_dim, i, j)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if spec.family is AlgebraFamily.SL:
+        mats = [E(i, j) for i, j in pairs]
+    else:
+        mats = [E(i, j) - E(n + j, n + i) for i, j in pairs]
+        if spec.family is AlgebraFamily.SP:
+            mats += [E(i, n + j) + E(j, n + i) for i, j in pairs]
+            mats += [E(i, n + i) for i in range(1, n + 1)]
+        else:
+            mats += [E(i, n + j) - E(j, n + i) for i, j in pairs]
+            if spec.family is AlgebraFamily.SO_ODD:
+                mats += [E(2 * n + 1, n + i) - E(i, 2 * n + 1) for i in range(1, n + 1)]
+    table = [(_edge_weight(n, *min(mat.edges)), mat) for mat in mats]
+    table.sort(key=lambda item: item[0], reverse=True)
+    return table
+
+
+@cache
+def structure_form(spec: AlgebraSpec) -> EdgeMatrix | None:
+    """The defining bilinear form S (none for sl), built once per spec."""
+    n = spec.rank
+    if spec.family is AlgebraFamily.SL:
+        return None
+    lower_sign = -1 if spec.family is AlgebraFamily.SP else 1
+    edges = {}
+    for i in range(n):
+        edges[(i, n + i)] = 1
+        edges[(n + i, i)] = lower_sign
+    if spec.family is AlgebraFamily.SO_ODD:
+        edges[(2 * n, 2 * n)] = 1
+    return EdgeMatrix(spec.realization_dim, edges)

@@ -8,7 +8,7 @@ from conftest import basis_of, dense, family_ranks, identity, realization, struc
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.catalog import ad_matrix
+from liealg.catalog import _signed_involution, ad_matrix
 from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.matrices import SpanSolver
 
@@ -100,7 +100,12 @@ class TestMembership:
             L.check_membership(identity(5), AlgebraSpec(AlgebraFamily.SL, 3))
 
     def test_structure_forms_as_printed(self):
-        from liealg.catalog import structure_form
+        def structure_form(spec):
+            """S rebuilt from the signed involution: S[p, pi(p)] = sigma_p; None for sl."""
+            if (involution := _signed_involution(spec)) is None:
+                return None
+            pi, sigma = involution
+            return EdgeMatrix(len(pi), {(p, q): sigma[p] for p, q in enumerate(pi)})
 
         assert structure_form(AlgebraSpec(AlgebraFamily.SL, 3)) is None
         sp = structure_form(AlgebraSpec(AlgebraFamily.SP, 2))

@@ -2,8 +2,9 @@
 
 For sp and so, ``check_membership`` relabels the edges of X through the
 signed involution of the structure form S instead of forming X^t S + S X.
-The reference below forms the products and tests them for zero; for sl it
-sums the dense diagonal.  Both must agree on random members (rational
+The reference below forms the products with the hand-written S of
+``conftest.structure_form`` and tests them for zero; for sl it sums the
+dense diagonal.  Both must agree on random members (rational
 combinations of the basis) and on random non-members (a member with one
 edge added or changed, a sparse random matrix, the transpose of a member),
 for every family up to n = 5.
@@ -14,11 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import basis_of, family_ranks, realization, transpose
+from conftest import basis_of, family_ranks, realization, structure_form, transpose
 
 import liealg as L
 from liealg import AlgebraFamily
-from liealg.catalog import structure_form
 from liealg.edges import EdgeMatrix
 
 SCALARS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))

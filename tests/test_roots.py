@@ -251,3 +251,13 @@ class TestWeightOf:
         r = realization(AlgebraFamily.SL, 2)
         with pytest.raises(ValueError):
             L.weight_of(r, r.basis[0][1] - r.basis[0][1])
+
+    def test_stored_zeros_carry_no_weight(self):
+        # A stored zero is not an edge: alone it leaves the zero matrix, and
+        # beside a real edge the weight is that edge's.
+        r = realization(AlgebraFamily.SL, 3)
+        with pytest.raises(ValueError, match="zero matrix"):
+            L.weight_of(r, EdgeMatrix(3, {(0, 1): 0, (2, 0): 0}))
+        edge = EdgeMatrix(3, {(0, 1): 1})
+        assert L.weight_of(r, EdgeMatrix(3, {(0, 1): 1, (1, 2): 0})) == L.weight_of(r, edge)
+        assert L.weight_of(r, edge) == r.edge_weight(0, 1)
