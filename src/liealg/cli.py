@@ -6,21 +6,25 @@ failure, 2 usage, parse or output error.  JSON output carries a fixed
 schema tag and serializes every rational as a "p/q" (or plain integer)
 string.
 
-This module holds the parser, the dispatch and the output helpers that the
-commands share.  Each command's code lives in its own module, which ``main``
-imports only when it runs that command: ``cli_info`` (info), ``cli_suites``
-(the check suites, with verify, serre and invariants) and ``cli_classify``
-(classify and its JSON parsing).  A run that prints text never loads
-``json``.
+This module holds the parsers, the dispatch and the output helpers that the
+commands share.  Both parsers read one table of the commands and their
+options.  A well-formed command line (a command, its positionals, then its
+options, each spelled in full) is read by a few lines here and never imports
+argparse, which costs more to import and build than a small command takes to
+run.  Any other command line goes to argparse, which alone writes the help
+texts and every usage error.  Each command's code lives in its own module,
+which ``main`` imports only when it runs that command: ``cli_info`` (info),
+``cli_suites`` (the check suites, with verify, serre and invariants) and
+``cli_classify`` (classify and its JSON parsing).  A run that prints text
+never loads ``json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import catalog, families, records, roots
 
@@ -109,41 +113,114 @@ def root_datum(spec: families.AlgebraSpec) -> roots.RootDatum:
 # ---------------------------------------------------------------------------
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# The command line, which both parsers read.  Each command has its help text, its
+# positional arguments in order (n is the one integer among them) and its options.
+COMMANDS = {
+    "info": ("dimensions, roots, Cartan matrix, diagram",
+             ("family", "n"), ("--format", "--enumerate-weyl", "--max-order")),
+    "verify": ("run verification suites", ("family", "n", "suite"), ("--format", "--max-order")),
+    "classify": ("classify a root-vector or Cartan-matrix JSON file", ("path",), ("--format",)),
+    "serre": ("emit and verify the Serre presentation", ("family", "n"), ("--format",)),
+    "invariants": ("basic invariant polynomials and their checks", ("family", "n"), ("--format",)),
+}
+# Each option's default and the values it takes: a tuple of choices, None for a switch, or
+# an int for an integer of at least that value.
+OPTIONS = {
+    "--format": ("text", ("text", "json")),
+    "--enumerate-weyl": (False, None),
+    "--max-order": (100_000, 1),
+}
 
 
-def _integer(text: str) -> int:
-    """An integer argument: exactly [+-]?[0-9]+, no spaces, underscores or other digits."""
-    try:
-        if _INTEGER.fullmatch(text):
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _integer(text: str) -> int | None:
+    """An integer argument: exactly [+-]?[0-9]+, no spaces, underscores or other digits,
+    within Python's int-conversion digit limit.  None for any other text."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
             return int(text)
-    except ValueError:  # over Python's int-conversion digit limit
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        except ValueError:  # over the int-conversion digit limit
+            pass
+    return None
 
 
-def _order_cap(text: str) -> int:
-    """--max-order value: an integer of at least 1."""
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes that ``build_parser().parse_args(argv)`` sets, for a command line in
+    the canonical order: a command, exactly its positionals, then only its options, each
+    spelled in full with its value in the next token.  None for any other command line.
 
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that writing the help text raises on failure.
-
-    argparse ignores an ``OSError`` from that write; raised, it reaches
-    ``main`` like a failed write of any other output.
+    Help, every usage error and any other spelling are left to argparse.
     """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options = COMMANDS[argv[0]]
+    k = 1 + len(positionals)
+    if len(argv) < k or any(arg.startswith("-") for arg in argv[1:k]):
+        return None
+    args = {"command": argv[0], **dict(zip(positionals, argv[1:k]))}
+    if "n" in args:
+        if (n := _integer(args["n"])) is None:
+            return None
+        args["n"] = n
+    args.update((_dest(flag), OPTIONS[flag][0]) for flag in options)
+    rest = iter(argv[k:])
+    for flag in rest:
+        if flag not in options:
+            return None
+        takes = OPTIONS[flag][1]
+        if takes is None:
+            value = True
+        elif (value := next(rest, None)) is None:
+            return None
+        elif isinstance(takes, tuple):
+            if value not in takes:
+                return None
+        elif (value := _integer(value)) is None or value < takes:
+            return None
+        args[_dest(flag)] = value
+    return SimpleNamespace(**args)
 
-    def print_help(self, file=None) -> None:
-        file = file or sys.stdout
-        file.write(self.format_help())
-        file.flush()
 
+def build_parser():
+    """argparse's parser of the same command line, with its help texts and usage errors."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, except that writing the help text raises on failure.
+
+        argparse ignores an ``OSError`` from that write; raised, it reaches
+        ``main`` like a failed write of any other output.
+        """
+
+        def print_help(self, file=None) -> None:
+            file = file or sys.stdout
+            file.write(self.format_help())
+            file.flush()
+
+    def integer(text: str) -> int:
+        if (value := _integer(text)) is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return value
+
+    def at_least(least: int):
+        def read(text: str) -> int:
+            if (value := integer(text)) < least:
+                raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+            return value
+        return read
+
+    help_texts = {
+        "family": "one of sl, sp, so-even, so-odd",
+        "n": "the classical parameter n: sl_n, sp_2n, so_2n, so_2n+1"
+             " (for sl the Lie rank is n-1)",
+        "suite": f"one of {', '.join(SELECTORS)}",
+        "path": "JSON file with a vectors or cartan key",
+        "--enumerate-weyl": "also enumerate the Weyl group (bounded by --max-order)",
+    }
     parser = _Parser(
         prog="liealg",
         description=(
@@ -153,34 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, family: bool = True):
+    for name, (help_text, positionals, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if family:
-            p.add_argument("family", help="one of sl, sp, so-even, so-odd")
-            p.add_argument(
-                "n",
-                type=_integer,
-                help="the classical parameter n: sl_n, sp_2n, so_2n, so_2n+1"
-                " (for sl the Lie rank is n-1)",
-            )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    p_info = command("info", "dimensions, roots, Cartan matrix, diagram")
-    p_info.add_argument(
-        "--enumerate-weyl",
-        action="store_true",
-        help="also enumerate the Weyl group (bounded by --max-order)",
-    )
-    p_verify = command("verify", "run verification suites")
-    p_verify.add_argument("suite", help=f"one of {', '.join(SELECTORS)}")
-    for p in (p_info, p_verify):
-        p.add_argument("--max-order", type=_order_cap, default=100_000)
-    p_classify = command("classify", "classify a root-vector or Cartan-matrix JSON file", False)
-    p_classify.add_argument("path", help="JSON file with a vectors or cartan key")
-    command("serre", "emit and verify the Serre presentation")
-    command("invariants", "basic invariant polynomials and their checks")
+        for arg in positionals:
+            p.add_argument(arg, type=integer if arg == "n" else None, help=help_texts[arg])
+        for flag in options:
+            default, takes = OPTIONS[flag]
+            if takes is None:
+                p.add_argument(flag, action="store_true", help=help_texts.get(flag))
+            elif isinstance(takes, tuple):
+                p.add_argument(flag, choices=takes, default=default, help=help_texts.get(flag))
+            else:
+                p.add_argument(flag, type=at_least(takes), default=default,
+                               help=help_texts.get(flag))
     return parser
 
 
@@ -200,8 +262,12 @@ def _run(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        code = _run(build_parser().parse_args(argv))  # --help writes and exits 0 here
+        args = _parse_canonical(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)  # --help writes and exits 0 here
+        code = _run(args)
         sys.stdout.flush()
         return code
     except InputError as exc:

@@ -55,15 +55,16 @@ class EdgeMatrix(Record):
         return hash((self.dim, frozenset(self.edges.items())))
 
     def __add__(self, other: "EdgeMatrix") -> "EdgeMatrix":
-        self._require_same_dim(other)
-        edges = dict(self.edges)
-        _add_multiple(edges, other.edges, 1)
-        return EdgeMatrix(self.dim, edges)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "EdgeMatrix") -> "EdgeMatrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "EdgeMatrix", sign: int) -> "EdgeMatrix":
+        """self + sign * other, with every entry of either read through ``canonical``."""
         self._require_same_dim(other)
-        edges = dict(self.edges)
-        _add_multiple(edges, other.edges, -1)
+        edges = {rc: canonical(x) for rc, x in self.edges.items()}
+        _add_multiple(edges, {rc: canonical(x) for rc, x in other.edges.items()}, sign)
         return EdgeMatrix(self.dim, edges)
 
     def __neg__(self) -> "EdgeMatrix":
@@ -101,7 +102,7 @@ class EdgeMatrix(Record):
 
     def diagonal(self) -> tuple[Scalar, ...]:
         """The diagonal entries, in canonical form (ints when integral)."""
-        return tuple(self.edges.get((i, i), 0) for i in range(self.dim))
+        return tuple(canonical(self.edges.get((i, i), 0)) for i in range(self.dim))
 
     def is_zero(self) -> bool:
         return not self.edges

@@ -8,8 +8,8 @@ demos call belongs in ``tests/`` or in the demo that prints it.  The check does 
 left of a dot, so a method passes when any attribute of its spelling is
 loaded in the package.
 
-Exempt: dunders, which Python calls, and ``cli._Parser.print_help``, which
-argparse calls.
+Exempt: dunders, which Python calls, and ``cli.build_parser._Parser.print_help``,
+which argparse calls.
 """
 
 import ast
@@ -26,7 +26,7 @@ KEPT_UNCALLED = {
     "forms.killing_form_roots": "the root-sum route; commands read RootDatum.killing_metric",
     "edges.EdgeMatrix.unit": "documented public API of EdgeMatrix",
 }
-EXEMPT = {"cli._Parser.print_help"}
+EXEMPT = {"cli.build_parser._Parser.print_help"}
 
 
 def definitions(tree: ast.Module, prefix: str):

@@ -9,9 +9,15 @@ with tokens then dropped, inserted or swapped, and as free token lists.  Each ru
 the test.  Every integer that parses is at most 3, so no run builds a large
 algebra.  An exit of 2 prints exactly one stderr line that contains
 ``error:``; exits 0 and 1 print nothing on stderr.
+
+``main`` reads a command line in the canonical order without argparse.  On
+the same lists, whenever that parser returns a namespace it equals the one
+argparse returns; every canonical command line takes that path, and a list
+of other command lines (help, other spellings, bad values) does not.
 """
 
 import io
+import itertools
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -139,3 +145,88 @@ def test_argv_ends_in_an_exit_code(classify_files, argv):
         assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+@pytest.fixture(scope="module")
+def argparser():
+    return cli.build_parser()
+
+
+def argparse_reads(argparser, argv: list[str]) -> dict:
+    """vars() of argparse's namespace for argv; failing if argparse rejects it."""
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            return vars(argparser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}: {err.getvalue()}")
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(ARGV)
+def test_the_fast_parser_reads_what_argparse_reads(classify_files, argparser, argv):
+    argv = [classify_files.get(token, token) for token in argv]
+    fast = cli._parse_canonical(argv)
+    if fast is not None:
+        assert vars(fast) == argparse_reads(argparser, argv), argv
+
+
+# Each command's positionals, with the values that parse, and its options.
+POSITIONALS = {"family": FAMILIES, "n": INTEGERS, "suite": cli.SELECTORS, "path": ("@good",)}
+HEADS = {"info": ("family", "n"), "verify": ("family", "n", "suite"), "classify": ("path",),
+         "serre": ("family", "n"), "invariants": ("family", "n")}
+SPELLINGS = {
+    "--format": (("--format", "text"), ("--format", "json")),
+    "--enumerate-weyl": (("--enumerate-weyl",),),
+    "--max-order": tuple(("--max-order", k) for k in INTEGERS),
+}
+
+
+def canonical_argvs(command: str):
+    """The command with every value of its positionals, then every ordered choice of
+    distinct options, each with every value it takes."""
+    flags = ("--format", *(group[0] for group in OPTIONS.get(command, ())))
+    for head in itertools.product(*(POSITIONALS[name] for name in HEADS[command])):
+        for k in range(len(flags) + 1):
+            for chosen in itertools.permutations(flags, k):
+                for tail in itertools.product(*(SPELLINGS[flag] for flag in chosen)):
+                    yield [command, *head, *itertools.chain.from_iterable(tail)]
+
+
+# A repeated option: the last occurrence wins, as in argparse.
+REPEATED = (
+    ["info", "sl", "3", "--format", "json", "--format", "text"],
+    ["verify", "sp", "2", "weyl", "--max-order", "7", "--format", "json", "--max-order", "02"],
+    ["info", "so-odd", "2", "--enumerate-weyl", "--max-order", "+5", "--enumerate-weyl"],
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_canonical_command_line_takes_the_fast_path(classify_files, argparser, command):
+    argvs = [*canonical_argvs(command), *(argv for argv in REPEATED if argv[0] == command)]
+    for argv in argvs:
+        argv = [classify_files.get(token, token) for token in argv]
+        fast = cli._parse_canonical(argv)
+        assert fast is not None, argv
+        assert vars(fast) == argparse_reads(argparser, argv), argv
+
+
+# Command lines outside the canonical order, or with a value that does not parse: the fast
+# parser returns None and argparse reads them, with its help text or usage error.
+NOT_CANONICAL = (
+    [], ["bogus"], ["--help"], ["-h"], ["info", "--help"], ["verify", "sl", "3", "all", "-h"],
+    ["info", "sl", "3", "--format=json"], ["info", "sl", "3", "--form", "json"],
+    ["info", "sl", "3", "--enum"], ["info", "--", "sl", "3"], ["info", "sl", "3", "--"],
+    ["info", "sl", "-1"], ["info", "-x", "3"], ["verify", "sl", "3", "-"], ["classify", "-"],
+    ["info", "sl"], ["verify", "sl", "3"], ["info", "sl", "3", "4"], ["classify"],
+    ["info", "sl", "x"], ["info", "sl", "1_0"], ["info", "sl", "9" * 5000],
+    ["info", "sl", "3", "--format", "xml"], ["info", "sl", "3", "--format"],
+    ["info", "sl", "3", "--max-order"], ["info", "sl", "3", "--max-order", "0"],
+    ["verify", "sl", "3", "all", "--max-order", "-5"], ["info", "sl", "3", "--max-order", "٣"],
+    ["serre", "sl", "3", "--enumerate-weyl"], ["classify", "f.json", "--max-order", "5"],
+    ["info", "--format", "json", "sl", "3"], ["verify", "sl", "3", "--max-order", "5", "all"],
+)
+
+
+@pytest.mark.parametrize("argv", NOT_CANONICAL, ids=lambda argv: " ".join(argv)[:40] or "empty")
+def test_every_other_command_line_is_left_to_argparse(argv):
+    assert cli._parse_canonical(argv) is None

@@ -12,8 +12,9 @@ weights.
 
 ``diag_coords`` validates a Cartan element with ``check_membership``; the
 reference is its earlier block, trace and last-slot checks, kept verbatim
-below.  On random diagonal matrices both must raise ``ValueError`` on the
-same inputs and otherwise return the same coordinates, types included.
+below, on the entries as stored.  On random diagonal matrices both must raise
+``ValueError`` on the same inputs and otherwise return the same coordinates,
+each in canonical form: an integral ``Fraction`` comes back as an int.
 """
 
 import random
@@ -35,7 +36,7 @@ from liealg import AlgebraFamily, AlgebraSpec
 from liealg.catalog import AlgebraRealization
 from liealg.digraph import opposite_antimorphism
 from liealg.edges import EdgeMatrix
-from liealg.exact import Weight, format_weight, negate
+from liealg.exact import Weight, canonical, format_weight, negate
 
 
 def reference_basis(spec: AlgebraSpec) -> list[tuple[str, Weight | None, EdgeMatrix]]:
@@ -101,20 +102,20 @@ def reference_diag_coords(spec: AlgebraSpec, h: EdgeMatrix):
         raise ValueError("dimension mismatch with realization")
     if any(r != c for (r, c) in h.edges):
         raise ValueError("not a Cartan element: off-diagonal entries present")
-    diag = h.diagonal()
+    diag = [h[i, i] for i in range(h.dim)]
     if spec.family is AlgebraFamily.SL:
         if sum(diag):
             raise ValueError("not a Cartan element: nonzero trace")
-        return tuple(diag)
+        return tuple(map(canonical, diag))
     coords = diag[:n]
     if any(diag[n + i] != -coords[i] for i in range(n)):
         raise ValueError("not a Cartan element: blocks are not opposite")
     if spec.family is AlgebraFamily.SO_ODD and diag[2 * n]:
         raise ValueError("not a Cartan element: last diagonal entry nonzero")
-    return tuple(coords)
+    return tuple(map(canonical, coords))
 
 
-# Fraction(4, 2) is integral but typed Fraction: the coordinates keep its type.
+# Fraction(4, 2) is integral but typed Fraction: its coordinate comes back as the int 2.
 SCALARS = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2))
 
 
@@ -155,3 +156,9 @@ def test_diag_coords_matches_the_per_family_checks(family, n):
         assert outcome(r.diag_coords, h) == expected, h.edges
         verdicts.add(expected == "ValueError")
     assert verdicts == {True, False}
+
+
+def test_diag_coords_reads_an_integral_fraction_as_an_int():
+    coords = realization(AlgebraFamily.SL, 2).diag_coords(
+        EdgeMatrix(2, {(0, 0): Fraction(4, 2), (1, 1): -2}))
+    assert [(type(c), c) for c in coords] == [(int, 2), (int, -2)]

@@ -171,6 +171,9 @@ SCALAR_READERS = {
                                                              AlgebraFamily.SL),
     "diag_coords": lambda x: realization(AlgebraFamily.SL, 2).diag_coords(
         EdgeMatrix(2, {(0, 0): x, (1, 1): -x})),
+    "a + b": lambda x: EdgeMatrix(2, {(0, 0): x}) + EdgeMatrix(2, {(0, 1): 1}),
+    "a - b": lambda x: EdgeMatrix(2, {(0, 0): x}) - EdgeMatrix(2, {}),
+    "b - a": lambda x: EdgeMatrix(2, {}) - EdgeMatrix(2, {(0, 0): x}),
 }
 
 

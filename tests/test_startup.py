@@ -1,5 +1,6 @@
 """What starting a command loads: ``import liealg.cli`` stays off the heavy stdlib,
-and a command executes only the library modules it calls.
+a well-formed command line never imports argparse, and a command executes only the
+library modules it calls.
 
 The interpreter runs as the benchmark runs each command: sources from src/,
 no bytecode cache, and an otherwise empty environment.  The check names
@@ -44,8 +45,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert not loaded.intersection(UNWANTED), sorted(loaded.intersection(UNWANTED))
 
 
-def loaded_by(*argv: str) -> set[str]:
-    """The modules that ``liealg ARGV`` imports, read from ``-X importtime``.
+def run_importtime(*argv: str, env=CHILD_ENV) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """``liealg ARGV`` run under ``-X importtime``: the finished process, with the
+    import log taken out of its stderr, and the modules it imported.
 
     ``-S`` keeps ``site`` from importing modules of its own, which would hide
     whether liealg imports them; the probe itself imports nothing.  A library
@@ -55,13 +57,21 @@ def loaded_by(*argv: str) -> set[str]:
     result = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "liealg", *argv],
         cwd=ROOT,
-        env=CHILD_ENV,
+        env=env,
         capture_output=True,
         text=True,
     )
+    lines = result.stderr.splitlines(keepends=True)
+    log = [line for line in lines if line.startswith("import time:")]
+    result.stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    return result, {line.rsplit("|", 1)[1].strip() for line in log[1:]}
+
+
+def loaded_by(*argv: str) -> set[str]:
+    """The modules that ``liealg ARGV`` imports; the command must exit 0."""
+    result, loaded = run_importtime(*argv)
     assert result.returncode == 0, result.stderr
-    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
-    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+    return loaded
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +111,33 @@ def test_a_command_loads_its_own_module_and_no_typing(argv, module, cartan_file)
 
 def test_json_output_loads_json():
     assert "json" in loaded_by("info", "sl", "3", "--format", "json")
+
+
+# What argparse loads: it imports gettext, which imports locale at the first message that
+# argparse translates, when it builds the parser.
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("argv,module", COMMANDS)
+def test_a_well_formed_command_loads_no_argparse(argv, module, output, cartan_file):
+    argv = [cartan_file if arg == "@file" else arg for arg in argv]
+    loaded = loaded_by(*argv, "--format", output)
+    assert module in loaded
+    assert not loaded & PARSER_MODULES, sorted(loaded & PARSER_MODULES)
+
+
+HELP_GOLDEN = ROOT / "tests" / "golden" / "help_usage.json"
+
+
+@pytest.mark.parametrize("line", ["--help", "serre sl x"])
+def test_help_and_usage_errors_still_come_from_argparse(line):
+    """The help golden's texts and exit codes, from a fresh process that loads argparse."""
+    expected = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))[line]
+    result, loaded = run_importtime(*line.split(), env={**CHILD_ENV, "COLUMNS": "80"})
+    assert "argparse" in loaded
+    assert (result.stdout, result.stderr, result.returncode) == (
+        expected["stdout"], expected["stderr"], expected["exit"])
 
 
 # Runs ``liealg ARGV`` in process (or only ``import liealg`` when ARGV is
