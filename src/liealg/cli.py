@@ -6,21 +6,23 @@ failure, 2 usage, parse or output error.  JSON output carries a fixed
 schema tag and serializes every rational as a "p/q" (or plain integer)
 string.
 
-This module holds the parsers, the dispatch and the output helpers that the
-commands share.  Both parsers read one table of the commands and their
-options.  A well-formed command line (a command, its positionals, then its
-options, each spelled in full) is read by a few lines here and never imports
-argparse, which costs more to import and build than a small command takes to
-run.  Any other command line goes to argparse, which alone writes the help
-texts and every usage error.  Each command's code lives in its own module,
-which ``main`` imports only when it runs that command: ``cli_info`` (info),
-``cli_suites`` (the check suites, with verify, serre and invariants) and
-``cli_classify`` (classify and its JSON parsing).  A run that prints text
-never loads ``json``.
+This module holds the table of the commands and their options, the reader
+of a well-formed command line, the dispatch, the output helpers that the
+commands share and the process's entry point.  A well-formed command line (a
+command, its positionals, then its options, each spelled in full) is read by
+a few lines here and never imports argparse, which costs more to import and
+build than a small command takes to run.  Any other command line goes to
+argparse, whose parser of the same table is built in ``cli_argparse``; it
+alone writes the help texts and every usage error.  Each command's code
+lives in its own module, which ``main`` imports only when it runs that
+command: ``cli_info`` (info), ``cli_suites`` (the check suites, with verify,
+serre and invariants) and ``cli_classify`` (classify and its JSON parsing).
+A run that prints text never loads ``json``.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections.abc import Sequence
@@ -113,8 +115,9 @@ def root_datum(spec: families.AlgebraSpec) -> roots.RootDatum:
 # ---------------------------------------------------------------------------
 
 
-# The command line, which both parsers read.  Each command has its help text, its
-# positional arguments in order (n is the one integer among them) and its options.
+# The command line, which both parsers read: ``_parse_canonical`` and ``cli_argparse``.
+# Each command has its help text, its positional arguments in order (n is the one
+# integer among them) and its options.
 COMMANDS = {
     "info": ("dimensions, roots, Cartan matrix, diagram",
              ("family", "n"), ("--format", "--enumerate-weyl", "--max-order")),
@@ -149,9 +152,10 @@ def _integer(text: str) -> int | None:
 
 
 def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The attributes that ``build_parser().parse_args(argv)`` sets, for a command line in
-    the canonical order: a command, exactly its positionals, then only its options, each
-    spelled in full with its value in the next token.  None for any other command line.
+    """The attributes that ``cli_argparse.build_parser().parse_args(argv)`` sets, for a
+    command line in the canonical order: a command, exactly its positionals, then only its
+    options, each spelled in full with its value in the next token.  None for any other
+    command line.
 
     Help, every usage error and any other spelling are left to argparse.
     """
@@ -185,67 +189,6 @@ def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def build_parser():
-    """argparse's parser of the same command line, with its help texts and usage errors."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse's parser, except that writing the help text raises on failure.
-
-        argparse ignores an ``OSError`` from that write; raised, it reaches
-        ``main`` like a failed write of any other output.
-        """
-
-        def print_help(self, file=None) -> None:
-            file = file or sys.stdout
-            file.write(self.format_help())
-            file.flush()
-
-    def integer(text: str) -> int:
-        if (value := _integer(text)) is None:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        return value
-
-    def at_least(least: int):
-        def read(text: str) -> int:
-            if (value := integer(text)) < least:
-                raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-            return value
-        return read
-
-    help_texts = {
-        "family": "one of sl, sp, so-even, so-odd",
-        "n": "the classical parameter n: sl_n, sp_2n, so_2n, so_2n+1"
-             " (for sl the Lie rank is n-1)",
-        "suite": f"one of {', '.join(SELECTORS)}",
-        "path": "JSON file with a vectors or cartan key",
-        "--enumerate-weyl": "also enumerate the Weyl group (bounded by --max-order)",
-    }
-    parser = _Parser(
-        prog="liealg",
-        description=(
-            "Exact computations with the classical Lie algebras: root systems, "
-            "Killing forms, Cartan matrices, Dynkin diagrams, Weyl groups, "
-            "Serre relations, and invariant polynomials."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, positionals, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for arg in positionals:
-            p.add_argument(arg, type=integer if arg == "n" else None, help=help_texts[arg])
-        for flag in options:
-            default, takes = OPTIONS[flag]
-            if takes is None:
-                p.add_argument(flag, action="store_true", help=help_texts.get(flag))
-            elif isinstance(takes, tuple):
-                p.add_argument(flag, choices=takes, default=default, help=help_texts.get(flag))
-            else:
-                p.add_argument(flag, type=at_least(takes), default=default,
-                               help=help_texts.get(flag))
-    return parser
-
-
 def _run(args) -> int:
     """Run the parsed command, importing the module that holds its code."""
     if args.command == "info":
@@ -266,6 +209,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_canonical(argv)
         if args is None:
+            from .cli_argparse import build_parser
+
             args = build_parser().parse_args(argv)  # --help writes and exits 0 here
         code = _run(args)
         sys.stdout.flush()
@@ -282,5 +227,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def entry():
+    """The process's entry point, for ``python -m liealg`` and the installed ``liealg``:
+    run ``main``, freeze the collector, and exit with ``main``'s code.
+
+    Freezing moves every live object into the collector's permanent generation, so
+    the full collections that the interpreter runs at exit have nothing to traverse.
+    Streams are still flushed and atexit handlers still run.  A caller of ``main``
+    in process keeps a collecting collector.
+    """
+    try:
+        code = main()
+    finally:  # argparse's help and usage errors leave by SystemExit
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import cache
 
 Scalar = int | Fraction
 # A functional on the Cartan, by its coordinates: each an int when integral,
@@ -28,8 +29,6 @@ Scalar = int | Fraction
 Weight = tuple[Scalar, ...]
 # A symmetric bilinear form on weights.
 Inner = Callable[[Weight, Weight], Scalar]
-
-_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
 
 
 def canonical(x: Scalar) -> Scalar:
@@ -48,9 +47,16 @@ def ratio(a: Scalar, b: Scalar) -> Scalar:
     return canonical(Fraction(canonical(a), canonical(b)))
 
 
+@cache
+def _rational() -> re.Pattern[str]:
+    """The text that parse_rational takes, compiled on its first call, not at import:
+    only classify parses rationals."""
+    return re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
+
+
 def parse_rational(text: str) -> Scalar:
     """Parse "p/q" or plain integer strings into an exact rational."""
-    if not _RATIONAL.fullmatch(text):
+    if not _rational().fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
     try:
         return canonical(Fraction(text.strip()))

@@ -31,6 +31,15 @@ _WEYL_GROUPS: dict[tuple[AlgebraFamily, int], frozenset[tuple[int, ...]]] = {}
 
 ALL_FAMILIES = tuple(AlgebraFamily)
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The environment of a benchmark child, a copy of bench/run.py's CHILD_ENV; a test in
+# test_startup keeps the two equal.
+CHILD_ENV = {
+    "PATH": os.defpath,
+    "PYTHONPATH": "src",
+    "PYTHONHASHSEED": "0",
+    "PYTHONDONTWRITEBYTECODE": "1",
+    "LC_ALL": "C.UTF-8",
+}
 
 
 def spec_of(family: AlgebraFamily, n: int) -> AlgebraSpec:

@@ -8,7 +8,7 @@ demos call belongs in ``tests/`` or in the demo that prints it.  The check does 
 left of a dot, so a method passes when any attribute of its spelling is
 loaded in the package.
 
-Exempt: dunders, which Python calls, and ``cli.build_parser._Parser.print_help``,
+Exempt: dunders, which Python calls, and ``cli_argparse._Parser.print_help``,
 which argparse calls.
 """
 
@@ -26,7 +26,7 @@ KEPT_UNCALLED = {
     "forms.killing_form_roots": "the root-sum route; commands read RootDatum.killing_metric",
     "edges.EdgeMatrix.unit": "documented public API of EdgeMatrix",
 }
-EXEMPT = {"cli.build_parser._Parser.print_help"}
+EXEMPT = {"cli_argparse._Parser.print_help"}
 
 
 def definitions(tree: ast.Module, prefix: str):

@@ -23,7 +23,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from liealg import cli
+from liealg import cli, cli_argparse
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -149,7 +149,7 @@ def test_argv_ends_in_an_exit_code(classify_files, argv):
 
 @pytest.fixture(scope="module")
 def argparser():
-    return cli.build_parser()
+    return cli_argparse.build_parser()
 
 
 def argparse_reads(argparser, argv: list[str]) -> dict:

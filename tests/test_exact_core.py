@@ -47,6 +47,20 @@ class TestScalars:
             with pytest.raises(ValueError):
                 parse_rational(text)
 
+    @pytest.mark.parametrize("text,value", [
+        (" 3 ", 3), ("\t-3/4\n", Fraction(-3, 4)), ("+5", 5), ("-0", 0), ("0/7", 0),
+        ("+6/4", Fraction(3, 2)), ("-10/5", -2),
+    ], ids=["spaces", "ascii-whitespace", "plus", "minus-zero", "zero-over", "plus-ratio",
+            "minus-integral-ratio"])
+    def test_parse_accepts_spaces_and_one_sign(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "1.5", "1e3", "1_000", "+-1",
+                                      "--1", "- 1", "1 /2", "1/ 2", "1/+2", "0x10"])
+    def test_parse_rejects_zero_denominators_and_other_numerals(self, text):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
     @pytest.mark.parametrize("text", ["\u0661", "-\u0661", "\uff11/\uff12", "1/2\u2003"],
                              ids=["arabic-indic", "signed-arabic-indic", "full-width", "em-space"])
     def test_parse_accepts_ascii_digits_and_spaces_only(self, text):

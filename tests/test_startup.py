@@ -1,12 +1,13 @@
 """What starting a command loads: ``import liealg.cli`` stays off the heavy stdlib,
-a well-formed command line never imports argparse, and a command executes only the
-library modules it calls.
+a well-formed command line never imports argparse or ``cli_argparse``, and a command
+executes only the library modules it calls.
 
 The interpreter runs as the benchmark runs each command: sources from src/,
 no bytecode cache, and an otherwise empty environment.  The check names
 modules, not times, so a slow or busy host cannot fail it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,19 +16,27 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CHILD_ENV
+
 ROOT = Path(__file__).resolve().parent.parent
 # The record types are __slots__ classes under records.Record, so no command needs these
 # (dataclasses alone pulls in inspect, ast, dis and tokenize).
 UNWANTED = ("dataclasses", "inspect")
-# The environment of a benchmark child (bench/run.py, CHILD_ENV).
-CHILD_ENV = {
-    "PATH": os.defpath,
-    "PYTHONPATH": "src",
-    "PYTHONHASHSEED": "0",
-    "PYTHONDONTWRITEBYTECODE": "1",
-    "LC_ALL": "C.UTF-8",
-}
 COMMAND_MODULES = {"liealg.cli_info", "liealg.cli_suites", "liealg.cli_classify"}
+
+
+def bench_child_env() -> dict[str, str]:
+    """``CHILD_ENV`` as ``bench/run.py`` assigns it, read from its source."""
+    path = ROOT / "bench" / "run.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [ast.unparse(target) for target in node.targets] == ["CHILD_ENV"]]
+    return eval(compile(ast.Expression(value), str(path), "eval"), {"os": os})
+
+
+def test_the_child_environment_is_the_benchmarks():
+    """The probes here and in test_exit_path run as the benchmark's children run."""
+    assert CHILD_ENV == bench_child_env()
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -113,9 +122,10 @@ def test_json_output_loads_json():
     assert "json" in loaded_by("info", "sl", "3", "--format", "json")
 
 
-# What argparse loads: it imports gettext, which imports locale at the first message that
-# argparse translates, when it builds the parser.
-PARSER_MODULES = {"argparse", "gettext", "locale"}
+# What the argparse fallback loads: cli_argparse imports argparse, which imports gettext,
+# which imports locale at the first message that argparse translates, when it builds the
+# parser.
+PARSER_MODULES = {"liealg.cli_argparse", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("output", ["text", "json"])
@@ -135,7 +145,7 @@ def test_help_and_usage_errors_still_come_from_argparse(line):
     """The help golden's texts and exit codes, from a fresh process that loads argparse."""
     expected = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))[line]
     result, loaded = run_importtime(*line.split(), env={**CHILD_ENV, "COLUMNS": "80"})
-    assert "argparse" in loaded
+    assert {"liealg.cli_argparse", "argparse"} <= loaded
     assert (result.stdout, result.stderr, result.returncode) == (
         expected["stdout"], expected["stderr"], expected["exit"])
 
