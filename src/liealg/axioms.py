@@ -3,11 +3,11 @@
 ``verify_root_axioms`` reports, never raises, each axiom's verdict under a
 given inner product, evaluated only on the independent roots (one
 ``matrices.SpanSolver``, whose elimination also gives every root's
-coordinates).  A root system is closed under its reflections and is the
-orbit of a few roots under them, so reflection and integrality are proved
-from the reflections of a few generators; only a set that this proof does
-not pass goes through the check of every ordered pair, which finds the
-failure it reports.  ``simple_roots`` picks a base of the set, and
+coordinates).  A root system is the orbit of a few roots under their
+reflections, so one search over a few generators decides reflection and
+integrality, and reports the first failing pair (a, b) as a check of every
+pair would; a set it does not prove integral is checked on a basis of its
+lattice.  ``simple_roots`` picks a base of the set, and
 ``verify_sl2_triple`` checks one stored triple of a root datum.  Nothing
 here builds a matrix, so ``classify`` runs these on a file's vectors without
 running ``edges``.
@@ -96,16 +96,13 @@ def verify_root_axioms(
     pins the dimension the roots must span; when omitted the span of the
     input is accepted as the ambient space.
 
-    ``inner`` must be a symmetric bilinear form.  It is evaluated only on
-    pairs of independent roots, d * d calls for a span of dimension d: every
-    other inner product is read from that Gram matrix and the roots'
-    coordinates over the independent roots, in exact integers.
-
-    Reflection and integrality are proved for all pairs from a few
-    generators (``_reflections_certified``), with |Phi| * d work per
-    generator; a set the proof does not pass is checked pair by pair
-    (``_pair_loop``), |Phi|^2 * d work, and the first failing pair is
-    reported.
+    ``inner`` must be a symmetric bilinear form; one that is not symmetric
+    on the span raises ValueError.  It is evaluated only on pairs of
+    independent roots, d * d calls for a span of dimension d: every other
+    inner product is read from that Gram matrix and the roots' coordinates
+    over the independent roots, in exact integers.  Reflection and
+    integrality take about (generators) * |Phi| * d work on a set that
+    passes both and |Phi| * d^2 on one that does not.
 
     Coordinates are read through ``exact.canonical``: a float or a bool
     raises TypeError, and roots of different lengths raise ValueError.
@@ -133,6 +130,8 @@ def verify_root_axioms(
     )
 
     gram = [[canonical(inner(u, v)) for v in independent] for u in independent]
+    if any(gram[i][j] != gram[j][i] for i in range(span_dim) for j in range(i)):
+        raise ValueError("inner is not symmetric on the span of the roots")
     euclidean = not gram or is_positive_definite(gram)
     checks.append(
         Check.of(
@@ -178,10 +177,9 @@ def verify_root_axioms(
     # One common factor scales every inner product; no verdict depends on it.
     factor = lcm(*(c.denominator for row in gram for c in row))
     gram_int = [[int(c * factor) for c in row] for row in gram]
-    if _reflections_certified([coords[w] for w in ordered], gram_int, basis):
-        bad_reflection = bad_integral = None
-    else:
-        bad_reflection, bad_integral = _pair_loop(ordered, coords, gram_int)
+    bad_reflection, bad_integral = _reflection_and_integrality(
+        ordered, [coords[w] for w in ordered], gram_int
+    )
     checks.append(
         Check.of(
             "axioms",
@@ -202,111 +200,104 @@ def verify_root_axioms(
     return CheckReport(tuple(checks))
 
 
-def _reflection(
-    g: tuple[int, ...], points: Sequence[tuple[int, ...]], index: dict, gram: list[list[int]]
-) -> list[int] | None:
-    """The permutation that s_g makes of the points, as indices; None unless
-    <g,g> != 0 and every 2<g,b>/<g,g> is an integer that keeps s_g(b) a point."""
-    row = [sum(map(mul, g, column)) for column in zip(*gram)]
-    norm = sum(map(mul, row, g))
-    if not norm:
-        return None
-    twice = [2 * c for c in row]
-    images = []
-    for b in points:
-        n, remainder = divmod(sum(map(mul, twice, b)), norm)
-        image = None if remainder else index.get(tuple(y - n * x for x, y in zip(g, b)))
-        if image is None:
-            return None
-        images.append(image)
-    return images
+def _twice_row(x: tuple[int, ...], gram: list[list[int]]) -> tuple[list[int], int]:
+    """2 x^T G, whose product with y is 2<x,y>, and <x,x>."""
+    row = [sum(map(mul, x, column)) for column in zip(*gram)]
+    return [2 * c for c in row], sum(map(mul, row, x))
 
 
-def _reflections_certified(
-    points: Sequence[tuple[int, ...]], gram: list[list[int]], generators: Sequence[int]
-) -> bool:
-    """True only if every reflection s_a, a a point, has integral Cartan
-    integers and permutes the points, proved from the reflections of a few
-    generators; False proves nothing.
-
-    The points are integer coordinates under the symmetric form ``gram``.
-    Each generator g must pass ``_reflection``; s_g is then an isometry that
-    permutes the points.  Breadth-first search along the s_g reaches the
-    orbit of the generators, and for a = w(g) with w in the group they
-    generate, s_a = w s_g w^-1 and 2<a,b>/<a,a> = 2<g,w^-1 b>/<g,g>.  The
-    search starts from the given generators and adds the first unreached
-    point until every point is reached.
-    """
-    d = len(gram)
-    if any(gram[i][j] != gram[j][i] for i in range(d) for j in range(i)):
-        return False
-    index = {x: k for k, x in enumerate(points)}
-    reached = [False] * len(points)
-    order: list[int] = []  # the reached points, in the order found
-    images: list[list[int]] = []  # one permutation per generator
-    done = 0  # order[:done] has been mapped by every permutation in images
-
-    def visit(k: int) -> None:
-        if not reached[k]:
-            reached[k] = True
-            order.append(k)
-
-    pending = list(generators)
-    unreached = 0
-    while True:
-        for g in pending:
-            permutation = _reflection(points[g], points, index, gram)
-            if permutation is None:
-                return False
-            for k in order[:done]:
-                visit(permutation[k])
-            images.append(permutation)
-            visit(g)
-        while done < len(order):
-            k = order[done]
-            done += 1
-            for permutation in images:
-                visit(permutation[k])
-        while unreached < len(points) and reached[unreached]:
-            unreached += 1
-        if unreached == len(points):
-            return True
-        pending = [unreached]
-
-
-def _pair_loop(
-    ordered: Sequence[Weight], coords: dict[Weight, tuple[int, ...]], gram_int: list[list[int]]
+def _reflection_and_integrality(
+    ordered: Sequence[Weight], points: Sequence[tuple[int, ...]], gram: list[list[int]]
 ) -> tuple[str | None, str | None]:
-    """The first reflection and integrality failures over all ordered pairs
-    (a, b), as their fail texts; None where that axiom holds."""
-    coordinate_set = set(coords.values())
+    """The fail texts of reflection and integrality, None where one holds,
+    for ``ordered`` with integer coordinates ``points`` under the symmetric
+    ``gram``: the first a of zero norm, else the first pair (a, b) where
+    S_a(b) = b - n a, n = 2<a,b>/<a,a>, is not a root; the first pair, with
+    a before any zero norm, where n is not an integer.
+
+    Each generator g is the first point not yet reached.  If S_g permutes the
+    points, it is an isometry, and each a = w(g) reached has S_a = w S_g w^-1
+    and 2<a,b>/<a,a> = 2<g,w^-1 b>/<g,g> (Humphreys 1972, Lemma 9.2).  So a
+    failing generator is the first failing a, and integral generators that
+    reach every point prove integrality.  Otherwise, as n mod 1 is additive
+    in b, each a is paired with a basis of the lattice, and only the first a
+    that fails with every b.
+    """
+    index = {x: k for k, x in enumerate(points)}
+    reached: set[int] = set()  # closed under every permutation in images
+    images: list[list[int]] = []  # one permutation per generator
+    integral = True
     bad_reflection = None
-    bad_integral = None
-    # Read each root's coordinates once: the pair loop then hashes no weights.
-    table = [(w, coords[w]) for w in ordered]
-    for a, xa in table:
-        row = [sum(map(mul, xa, column)) for column in zip(*gram_int)]
-        norm = sum(map(mul, row, xa))
-        if not norm:
-            bad_reflection = f"{format_weight(a)} has zero norm"
-            break
-        twice = [2 * g for g in row]
-        for b, xb in table:
+    for g, xg in enumerate(points):
+        if g in reached:
+            continue
+        twice, norm = _twice_row(xg, gram)
+        permutation: list[int] = []
+        for xb in points if norm else ():
             pairing = sum(map(mul, twice, xb))
             n, remainder = divmod(pairing, norm)
             if remainder:
+                integral = False
                 n = ratio(pairing, norm)
-                if bad_integral is None:
-                    bad_integral = (
-                        f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {format_rational(n)}"
-                    )
-            if bad_reflection is None:
-                image = tuple(y - n * x for x, y in zip(xa, xb))
-                if image not in coordinate_set:
-                    bad_reflection = (
-                        f"S_{{{format_weight(a)}}}({format_weight(b)}) leaves the set"
-                    )
+            image = index.get(tuple(y - n * x for x, y in zip(xg, xb)))
+            if image is None:
+                b = ordered[len(permutation)]
+                bad_reflection = (
+                    f"S_{{{format_weight(ordered[g])}}}({format_weight(b)}) leaves the set"
+                )
+                break
+            permutation.append(image)
+        if len(permutation) < len(points):
+            break
+        images.append(permutation)
+        pending = [permutation[k] for k in reached] + [g]
+        while pending:
+            k = pending.pop()
+            if k not in reached:
+                reached.add(k)
+                pending.extend(image_of[k] for image_of in images)
+    complete = len(reached) == len(points)
+    if complete and integral:
+        return None, None
+
+    lattice = _lattice_basis(points)
+    bad_integral = None
+    for a, xa in enumerate(points):
+        twice, norm = _twice_row(xa, gram)
+        if not norm:
+            return f"{format_weight(ordered[a])} has zero norm", bad_integral
+        if bad_integral is None and any(sum(map(mul, twice, v)) % norm for v in lattice):
+            pairing, b = next(
+                (p, b) for b, xb in enumerate(points) if (p := sum(map(mul, twice, xb))) % norm
+            )
+            bad_integral = (
+                f"2<{format_weight(ordered[a])},{format_weight(ordered[b])}>/<a,a>"
+                f" = {format_rational(ratio(pairing, norm))}"
+            )
+            if complete:  # every point was reached, so no norm is zero
+                break
     return bad_reflection, bad_integral
+
+
+def _lattice_basis(points: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """A Z-basis of the lattice that the integer vectors generate, in echelon
+    form: Euclid's algorithm on each pivot column keeps the gcd in the pivot
+    row and leaves the other vector zero there."""
+    rows: dict[int, list[int]] = {}  # pivot column -> row
+    for x in points:
+        v = list(x)
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            row = rows.get(c)
+            if row is None:
+                rows[c] = v
+                break
+            while v[c]:
+                q = row[c] // v[c]
+                row, v = v, [r - q * y for r, y in zip(row, v)]
+            rows[c] = row
+    return list(rows.values())
 
 
 def verify_sl2_triple(rd: roots.RootDatum, alpha: Weight) -> bool:

@@ -42,9 +42,10 @@ CHECK_FIELDS: Fields = tuple((field, field) for field in ("suite", "name", "stat
 # Digits per classify vector, numerators and denominators summed: a printed Cartan integer
 # has at most about four times as many, which stays under Python's 4300-digit str(int) limit.
 MAX_VECTOR_DIGITS = 1000
-# Vectors per classify file.  A root system passes reflection and integrality by a proof
-# from a few reflections, but a set that does not pass it is checked on every ordered pair,
-# so the count bounds the work.  It is checked before any entry is parsed.
+# Vectors per classify file, checked before any entry is parsed.  The count bounds the
+# work: the reflection and integrality axioms take about count * d^2 products in dimension
+# d, passing or failing, and the one elimination that gives every vector's coordinates
+# takes more on long entries.
 MAX_VECTORS = 1000
 
 

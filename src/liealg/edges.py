@@ -73,16 +73,19 @@ class EdgeMatrix(Record):
     def scale(self, c: Scalar) -> "EdgeMatrix":
         if not (c := canonical(c)):
             return EdgeMatrix(self.dim, {})
-        return EdgeMatrix(self.dim, {rc: canonical(c * x) for rc, x in self.edges.items()})
+        return EdgeMatrix(
+            self.dim, {rc: canonical(c * canonical(x)) for rc, x in self.edges.items()}
+        )
 
     def __matmul__(self, other: "EdgeMatrix") -> "EdgeMatrix":
         """Product; on edges, (i->k)(k->j) = (i->j), and 0 when the ends differ."""
         self._require_same_dim(other)
         out_of: dict[int, list[tuple[int, Scalar]]] = {}
         for (k, j), b in other.edges.items():
-            out_of.setdefault(k, []).append((j, b))
+            out_of.setdefault(k, []).append((j, canonical(b)))
         acc: dict[Position, Scalar] = {}
         for (i, k), a in self.edges.items():
+            a = canonical(a)
             for j, b in out_of.get(k, ()):
                 acc[(i, j)] = acc.get((i, j), 0) + a * b
         return EdgeMatrix(self.dim, {rc: canonical(x) for rc, x in acc.items() if x})

@@ -42,6 +42,8 @@ class AlgebraSpec(Record):
     rank: int
 
     def __init__(self, family: AlgebraFamily, rank: int) -> None:
+        if type(rank) is not int:
+            raise TypeError(f"n must be an int, got {type(rank).__name__}")
         minimum = 2 if family in (AlgebraFamily.SL, AlgebraFamily.SO_EVEN) else 1
         if rank < minimum:
             raise ValueError(f"{family.cli_name} requires n >= {minimum}, got {rank}")

@@ -1,5 +1,5 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
-reference reflection used by the reflection and root-axiom tests, the dense
+reference reflection used by the forms tests, the dense
 structure-constant table used by the catalog tests, a field-replacing copy of
 a record, dense and transposed views of a matrix, the closed forms that the
 invariant Jacobians are compared with, and the hand-written root-vector table

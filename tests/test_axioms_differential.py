@@ -9,19 +9,21 @@ sign flips, rational rescaling and shuffling, on broken variants of them,
 under an indefinite form, and under the Killing inner product of every
 family up to Lie rank 5.
 
-The reflection and integrality verdicts come from a certificate over a few
-generators whenever it passes, and from the pair loop otherwise; the last
-section checks certificate-or-loop against the loop alone on systems A-G in
-skewed coordinates, perturbed or not.
+The reflection and integrality verdicts come from one search over a few
+generators, with a lattice basis only where the search does not prove both;
+the later sections check that route against the reference on systems A-G in
+skewed coordinates, perturbed or not, on pinned failing sets, and bound its
+work by counting the products of its integer pairings.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from unittest import mock
 
 import pytest
 
-from conftest import family_ranks, reflect, root_datum
+from conftest import family_ranks, root_datum
 
 import liealg as L
 from liealg import axioms
@@ -110,10 +112,11 @@ def reference_verify_root_axioms(roots, inner, expected_dim=None):
             bad_reflection = f"{format_weight(a)} has zero norm"
             break
         for b in ordered:
-            image = reflect(inner, a, b)
+            # One call of the form per pair: S_a(b) = b - (2<a,b>/<a,a>) a.
+            cartan_integer = 2 * Fraction(inner(a, b)) / norm
+            image = tuple(y - cartan_integer * x for x, y in zip(a, b))
             if image not in root_set and bad_reflection is None:
                 bad_reflection = f"S_{{{format_weight(a)}}}({format_weight(b)}) leaves the set"
-            cartan_integer = 2 * Fraction(inner(a, b)) / norm
             if cartan_integer.denominator != 1 and bad_integral is None:
                 bad_integral = f"2<{format_weight(a)},{format_weight(b)}>/<a,a> = {cartan_integer}"
     checks.append(
@@ -302,29 +305,8 @@ def test_killing_inner_matches_reference(family, n):
 
 
 # ---------------------------------------------------------------------------
-# The reflection certificate against the pair loop alone.
+# One route for reflection and integrality, against the pair loop.
 # ---------------------------------------------------------------------------
-
-
-def loop_only_report(roots, inner, expected_dim=None):
-    """``verify_root_axioms`` with the certificate turned off: the pair loop
-    decides reflection and integrality on every input."""
-    with mock.patch.object(axioms, "_reflections_certified", lambda *args: False):
-        return verify_root_axioms(roots, inner, expected_dim)
-
-
-def certified_report(roots, inner):
-    """``verify_root_axioms`` and the certificate's verdict on the way."""
-    verdicts = []
-    certify = axioms._reflections_certified
-
-    def spy(*args):
-        verdicts.append(certify(*args))
-        return verdicts[-1]
-
-    with mock.patch.object(axioms, "_reflections_certified", spy):
-        report = verify_root_axioms(roots, inner)
-    return report, verdicts
 
 
 PERTURBATIONS = ("none", "drop", "add", "scale", "move")
@@ -332,8 +314,10 @@ PERTURBATIONS = ("none", "drop", "add", "scale", "move")
 
 def pulled_back(form, columns):
     """The form (u, v) -> form(M^-1 u, M^-1 v), for M given by its columns'
-    inverse images: ``columns[i]`` is M^-1 e_i."""
+    inverse images: ``columns[i]`` is M^-1 e_i.  M^-1 u is computed once per
+    u, since the reference calls the form on every pair."""
 
+    @cache
     def inverse(u):
         return tuple(sum(c * x for c, x in zip(u, row)) for row in zip(*columns))
 
@@ -346,9 +330,9 @@ def perturbed_systems(draw):
 
     M is a signed permutation times a unitriangular matrix, so it is
     invertible, and the inner product is carried along; the change of
-    coordinates changes which roots the greedy pick of independent roots
-    finds first.  A perturbation drops a root, adds a sum of two roots,
-    scales a root or moves one by a unit vector.
+    coordinates changes which roots come first in order.  A perturbation
+    drops a root, adds a sum of two roots, scales a root or moves one by a
+    unit vector.
     """
     letter, r = draw(st.sampled_from(TYPES))
     roots = textbook(letter, r)
@@ -379,31 +363,30 @@ def perturbed_systems(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(perturbed_systems())
-def test_certificate_or_loop_matches_the_loop_alone(case):
+def test_perturbed_systems_match_reference(case):
     roots, inner, drawn = case
-    report, verdicts = certified_report(roots, inner)
-    assert report == loop_only_report(roots, inner)
-    # Only a pass is ever proved: a certified set passes both checks.
-    if verdicts == [True]:
-        assert report.results[3].status == report.results[4].status == "pass"
-    # Under the Lorentz form a root may have norm 0, and then nothing is proved.
+    report = verify_root_axioms(roots, inner)
+    assert report == reference_verify_root_axioms(roots, inner)
+    # Under the Lorentz form a root may have norm 0.
     if drawn == ("none", dot):
-        assert verdicts == [True]
+        assert report.all_passed
 
 
 @pytest.mark.parametrize("letter,r", TYPES)
-def test_textbook_systems_are_certified(letter, r):
+def test_textbook_systems_are_decided_by_the_search_alone(letter, r):
     roots = textbook(letter, r)
-    report, verdicts = certified_report(roots, dot)
-    assert verdicts == [True] and report.all_passed
+    with mock.patch.object(axioms, "_lattice_basis", side_effect=AssertionError):
+        report = verify_root_axioms(roots, dot)
+    assert report.all_passed
+    assert report == reference_verify_root_axioms(roots, dot)
 
 
 # B3 in coordinates x -> M x, under the form u.G.v that makes it the usual
-# B3.  The three greedy independent roots are long, and reflections in long
-# roots map long roots to long roots, so the certificate adds the first short
-# root, (1, 0, 0), as a fourth generator.  (No B2 does this: in any
-# lexicographic order the first two roots of B2 are a long and a short root,
-# since a short root lies halfway between two long roots on its line.)
+# B3.  The first three roots are long, and reflections in long roots map long
+# roots to long roots, so the search takes the first short root, (1, 0, 0),
+# as a fourth generator.  (No B2 does this: in any lexicographic order the
+# first two roots of B2 are a long and a short root, since a short root lies
+# halfway between two long roots on its line.)
 B3_GRAM = ((1, 1, 1), (1, 2, 1), (1, 1, 2))
 B3_SKEWED = [(2, 0, -1), (2, -1, 0), (2, -1, -1), (1, 0, 0), (1, 0, -1), (1, -1, 0),
              (0, 1, 0), (0, 1, -1), (0, 0, 1), (0, 0, -1), (0, -1, 1), (0, -1, 0),
@@ -414,36 +397,144 @@ def gram_form(gram):
     return lambda u, v: sum(u[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
 
 
-def test_certificate_adds_a_short_root_the_greedy_basis_does_not_reach():
+def test_the_search_reaches_the_short_roots_from_a_fourth_generator():
     inner = gram_form(B3_GRAM)
     norms = {w: inner(w, w) for w in B3_SKEWED}
     assert [norms[w] for w in B3_SKEWED[:3]] == [2, 2, 2]
     assert sorted(norms.values()) == [1] * 6 + [2] * 12
-    reflected = []
-    reflection = axioms._reflection
-    with mock.patch.object(axioms, "_reflection",
-                           lambda g, *args: reflected.append(g) or reflection(g, *args)):
-        report, verdicts = certified_report(B3_SKEWED, inner)
-    assert verdicts == [True] and report.all_passed
+    generators = []
+    twice_row = axioms._twice_row
+    with mock.patch.object(axioms, "_twice_row",
+                           lambda x, gram: generators.append(x) or twice_row(x, gram)):
+        report = verify_root_axioms(B3_SKEWED, inner)
+    assert report.all_passed
     # Coordinates over the independent roots, scaled to integers: the fourth
     # generator is (1, 0, 0), whose coordinates are not a unit vector.
-    assert len(reflected) == 4
-    assert report == loop_only_report(B3_SKEWED, inner)
+    assert generators == [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, -1)]
+    assert report == reference_verify_root_axioms(B3_SKEWED, inner)
 
 
-def test_certificate_refuses_an_asymmetric_form():
-    """The proof needs reflections that are isometries.  Under this form the
-    greedy generators a1+a2 and a1 reflect as in A2 and reach every root, but
-    s_{a2} does not permute the set; the pair loop decides, as it always did."""
+def test_an_asymmetric_form_raises():
+    """The route needs reflections that are isometries.  Under this form the
+    roots a1+a2 and a1 reflect as in A2 and reach every root, but s_{a2}
+    does not permute the set."""
     roots = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
 
     def skew(u, v):
         return 4 * u[0] * v[0] - 2 * u[0] * v[1] - 3 * u[1] * v[0] + 3 * u[1] * v[1]
 
-    report, verdicts = certified_report(roots, skew)
-    assert verdicts == [False]
-    assert report == loop_only_report(roots, skew)
-    assert report.results[3].detail == "S_{a2}(a1) leaves the set"
+    assert reference_verify_root_axioms(roots, skew).results[3].detail == (
+        "S_{a2}(a1) leaves the set"
+    )
+    with pytest.raises(ValueError, match="not symmetric"):
+        verify_root_axioms(roots, skew)
+
+
+def skewed(roots):
+    """The roots in coordinates x -> M x, M upper unitriangular with every
+    entry above the diagonal 1, and the dot product carried along: M^-1
+    takes the differences of neighbouring coordinates."""
+
+    @cache
+    def back(u):
+        return tuple(x - y for x, y in zip(u, u[1:] + (0,)))
+
+    moved = [tuple(sum(w[i:]) for i in range(len(w))) for w in roots]
+    return moved, lambda u, v: dot(back(u), back(v))
+
+
+def dropped(roots, k=0):
+    return roots[:k] + roots[k + 1 :]
+
+
+def doubled(roots, k=0):
+    return roots + [tuple(2 * c for c in roots[k])]
+
+
+# Each case with its (reflection, integrality) statuses.
+PINNED = {
+    # (3, 0) fails both axioms first, but the loop reports the zero norm of
+    # the later a1+a2 for reflection, and stops its integrality scan there.
+    "zero norm after a failing root": (([(3, 0), (-3, 0), (1, 1), (-1, -1)], lorentz),
+                                       ("fail", "fail")),
+    "A7 dropped, skewed": (skewed(dropped(textbook("A", 7), 5)), ("fail", "pass")),
+    "A7 doubled, skewed": (skewed(doubled(textbook("A", 7), 9)), ("fail", "fail")),
+    "D5 dropped, skewed": (skewed(dropped(textbook("D", 5), 17)), ("fail", "pass")),
+    "D5 doubled, skewed": (skewed(doubled(textbook("D", 5), 2)), ("fail", "fail")),
+    # Every reflection permutes the set, so the search reaches every root,
+    # but a long generator has a Cartan integer 1/3.
+    "reflection closed, one length scaled": (
+        ([vector(w) for w in EDGE_CASES["reflection closed, one length scaled"]], dot),
+        ("pass", "fail"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_cases_match_reference(name):
+    (roots, inner), statuses = PINNED[name]
+    report = verify_root_axioms(roots, inner)
+    assert report == reference_verify_root_axioms(roots, inner)
+    assert (report.results[3].status, report.results[4].status) == statuses
+
+
+def test_the_zero_norm_root_overrides_the_earlier_failure():
+    (roots, inner), _ = PINNED["zero norm after a failing root"]
+    report = verify_root_axioms(roots, inner)
+    assert report.results[3].detail == "a1+a2 has zero norm"
+    assert report.results[4].detail == "2<3a1,a1+a2>/<a,a> = 2/3"
+
+
+# ---------------------------------------------------------------------------
+# Work, counted as the products in the integer pairings: every
+# sum(map(mul, ...)) in axioms reads axioms.mul.
+# ---------------------------------------------------------------------------
+
+
+def multiplications(roots):
+    """``verify_root_axioms``'s report on the roots under the dot product, and
+    the number of products its integer pairings form."""
+    count = 0
+
+    def counted(x, y):
+        nonlocal count
+        count += 1
+        return x * y
+
+    with mock.patch.object(axioms, "mul", counted):
+        report = verify_root_axioms(roots, dot)
+    return report, count
+
+
+# Each with the dimension d of its span.
+LARGE = {"A15": ("A", 15), "D8": ("D", 8), "E8": ("E", 8)}
+# Measured: 15, 8 and 9 generators, each |Phi| d + d^2 + d products.
+PASSING_MULTIPLICATIONS = {"A15": 57_600, "D8": 7_744, "E8": 17_928}
+
+
+def large(name):
+    letter, d = LARGE[name]
+    return (e8() if letter == "E" else textbook(letter, d)), d
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_a_passing_system_costs_no_more_than_its_generators(name):
+    roots, _ = large(name)
+    report, count = multiplications(roots)
+    assert report.all_passed
+    assert count <= PASSING_MULTIPLICATIONS[name]
+
+
+@pytest.mark.parametrize("change", [dropped, doubled], ids=["dropped", "doubled"])
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_a_failing_system_costs_at_most_four_roots_times_d_squared(name, change):
+    roots, d = large(name)
+    roots = change(roots)
+    report, count = multiplications(roots)
+    assert report.results[3].status == "fail"
+    # Measured: 2.13-2.18 |Phi| d^2 dropped, 1.07-1.14 doubled.  The pair loop
+    # took 15-31.
+    assert count <= 4 * len(roots) * d * d
 
 
 @pytest.mark.parametrize("inner", [dot, lambda u, v: sum(x * y for x, y in zip(u, v))],

@@ -30,6 +30,12 @@ class TestSpec:
         assert AlgebraSpec(AlgebraFamily.SP, 1).realization_dim == 2
         assert AlgebraSpec(AlgebraFamily.SO_ODD, 1).realization_dim == 3
 
+    @pytest.mark.parametrize("n", [2.0, True, Fraction(2), "2"], ids=repr)
+    def test_n_that_is_not_an_int_raises_naming_n(self, n):
+        # A float once constructed, and build then failed with an opaque TypeError.
+        with pytest.raises(TypeError, match="^n must be an int"):
+            AlgebraSpec(AlgebraFamily.SL, n)
+
     def test_sl_rank_bookkeeping(self):
         spec = AlgebraSpec(AlgebraFamily.SL, 4)
         assert spec.realization_dim == 4

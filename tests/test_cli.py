@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -60,7 +62,26 @@ CHECK_GOLDENS = [
     ("invariants_so-even_4.json", ["invariants", "so-even", "4", "--format", "json"]),
 ]
 
-# One classify input per outcome: (payload, exit code).
+def scaled(vectors, scale):
+    """The vectors times ``scale``, each entry a "p/q" string."""
+    return [[str(Fraction(c) * scale) for c in w] for w in vectors]
+
+
+# The roots of A7 in R^8, e_i - e_j, and of E6 in R^8: the roots of E8 whose
+# last three coordinates are equal.
+A7_ROOTS = [[int(k == i) - int(k == j) for k in range(8)]
+            for i in range(8) for j in range(8) if i != j]
+E6_ROOTS = [w for w in (
+    [[s * (k == i) + t * (k == j) for k in range(8)]
+     for i, j in combinations(range(8), 2) for s, t in product((1, -1), repeat=2)]
+    + [list(c) for c in product((Fraction(1, 2), Fraction(-1, 2)), repeat=8)
+       if sum(x < 0 for x in c) % 2 == 0]
+) if w[5] == w[6] == w[7]]
+A7_SCALED = scaled(A7_ROOTS, Fraction(3, 2))
+E6_SCALED = scaled(E6_ROOTS, Fraction(2, 3))
+
+# One classify input per outcome: (payload, exit code).  The last two are
+# larger failing sets, whose texts are those of a check of every pair.
 CLASSIFY_GOLDENS = {
     "b2_vectors": (
         {"vectors": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]]},
@@ -73,6 +94,8 @@ CLASSIFY_GOLDENS = {
     "inconsistent_lengths": ({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}, 1),
     "multiplicity_four": ({"cartan": [[2, -2], [-2, 2]]}, 1),
     "affine_triangle": ({"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}, 1),
+    "a7_dropped_root": ({"vectors": A7_SCALED[:5] + A7_SCALED[6:]}, 1),
+    "e6_doubled_root": ({"vectors": E6_SCALED + scaled(E6_ROOTS[10:11], Fraction(4, 3))}, 1),
 }
 
 

@@ -174,6 +174,9 @@ SCALAR_READERS = {
     "a + b": lambda x: EdgeMatrix(2, {(0, 0): x}) + EdgeMatrix(2, {(0, 1): 1}),
     "a - b": lambda x: EdgeMatrix(2, {(0, 0): x}) - EdgeMatrix(2, {}),
     "b - a": lambda x: EdgeMatrix(2, {}) - EdgeMatrix(2, {(0, 0): x}),
+    "a.scale": lambda x: EdgeMatrix(2, {(0, 0): x}).scale(3),
+    "a @ b": lambda x: EdgeMatrix(2, {(0, 0): x}) @ EdgeMatrix(2, {(0, 1): 1}),
+    "b @ a": lambda x: EdgeMatrix(2, {(0, 1): 1}) @ EdgeMatrix(2, {(1, 1): x}),
 }
 
 
