@@ -1,7 +1,7 @@
 """Serre presentations checked inside the matrix realizations.
 
-The generators are the fundamental root vectors X_i, their rescaled images
-Y_i under the opposite-graph antimorphism, and the coroots H_i.  The
+The generators are the fundamental root vectors X_i, their opposite root
+vectors Y_i rescaled so that [X_i, Y_i] = H_i, and the coroots H_i.  The
 relation coefficients come from the coroot pairing matrix a_j(h_i); note
 the depth-3 nilpotency relations wherever that matrix has a -2 entry.
 """

@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 _MODULES = {
     "axioms": ("verify_root_axioms", "verify_sl2_triple"),
     "catalog": ("AlgebraRealization", "build", "check_membership"),
-    "digraph": ("opposite_antimorphism",),
     "dynkin": ("CartanMatrix", "DynkinDiagram", "SerrePresentation", "ascii_diagram",
                "build_diagram", "check_positive_definite", "classify",
                "serre_presentation", "verify_serre"),

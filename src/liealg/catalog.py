@@ -2,8 +2,9 @@
 
 Each realization carries a labelled basis in a fixed deterministic order:
 the diagonal Cartan elements first, then one vector per positive root
-(sorted by root coordinates), then their images under the opposite-graph
-antimorphism, which span the negative root spaces.
+(sorted by root coordinates), then one per negative root in the same order.
+In the paper's picture x(-a) is x(a) with every edge reversed: the orbit of
+the reversed edge, which is the transpose of x(a).
 
 Every Cartan subalgebra is diagonal, so each edge i -> j of a matrix
 carries its own weight, chi_i - chi_j (``AlgebraRealization.edge_weight``).
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
-from .digraph import opposite_antimorphism
 from .exact import Scalar, Weight, canonical, format_weight, is_positive, negate
 from .families import AlgebraFamily, AlgebraSpec
 from .edges import EdgeMatrix, mat_bracket
@@ -99,7 +99,8 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
     slots, an edge plus its partner pi(c) -> pi(r) at sign
     -sigma_pi(r) sigma_pi(c).  The positive root vectors are the orbits of the
     upper edges r < c of positive weight, each orbit once; for sl an orbit
-    is the edge alone.
+    is the edge alone.  x(-a) is the orbit of the reversed edge c -> r, the
+    transpose of x(a): the partner pi(r) -> pi(c) carries the same sign.
     """
     n = spec.rank
     d = spec.realization_dim
@@ -117,13 +118,13 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
             # The orbit test comes first: it is cheaper than the weight.
             orbit = _orbit(involution, r, c)
             if orbit and min(orbit) == (r, c) and is_positive(root := _edge_weight(n, r, c)):
-                positives.append((root, EdgeMatrix(d, orbit)))
-    positives.sort(key=lambda item: item[0], reverse=True)
-    for root, mat in positives:
-        basis.append((f"x({format_weight(root)})", mat))
-    for root, mat in positives:
+                positives.append((root, r, c))
+    positives.sort(reverse=True)  # the roots are distinct, so the edges never decide
+    for root, r, c in positives:
+        basis.append((f"x({format_weight(root)})", EdgeMatrix(d, _orbit(involution, r, c))))
+    for root, r, c in positives:
         basis.append(
-            (f"x({format_weight(negate(root))})", opposite_antimorphism(mat, spec.family))
+            (f"x({format_weight(negate(root))})", EdgeMatrix(d, _orbit(involution, c, r)))
         )
 
     realization = AlgebraRealization(spec, tuple(basis))

@@ -106,7 +106,7 @@ def _parse_cartan(data: object, path: str) -> dynkin.CartanMatrix:
         ):
             raise InputError(f"{path}: \"cartan\" must be a square integer matrix")
     try:
-        return dynkin.CartanMatrix(tuple(tuple(row) for row in data))
+        return dynkin.CartanMatrix(data)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

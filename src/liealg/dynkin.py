@@ -29,15 +29,28 @@ from .records import Check, CheckReport, InternalConsistencyError, Record
 
 
 class CartanMatrix(Record):
-    """Integer matrix with diagonal 2 and nonpositive off-diagonal entries."""
+    """Integer matrix with diagonal 2 and nonpositive off-diagonal entries.
+
+    The rows are stored as tuples, so a matrix given as lists equals and
+    hashes as the same one given as tuples.  Every entry must be an int: a
+    bool, a float or a Fraction raises TypeError naming its position (i,j),
+    counted from 1 as in A_ij.
+    """
 
     __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise ValueError("Cartan matrix must be square and nonempty")
+        for i, row in enumerate(entries, 1):
+            for j, a in enumerate(row, 1):
+                if type(a) is not int:
+                    raise TypeError(
+                        f"Cartan entry ({i},{j}) must be an int, got {type(a).__name__}"
+                    )
         for i in range(n):
             if entries[i][i] != 2:
                 raise ValueError("Cartan matrix diagonal entries must equal 2")

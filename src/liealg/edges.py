@@ -11,8 +11,6 @@ this module.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .exact import Scalar, canonical
 from .matrices import _add_multiple
 from .records import Record
@@ -89,15 +87,6 @@ class EdgeMatrix(Record):
             for j, b in out_of.get(k, ()):
                 acc[(i, j)] = acc.get((i, j), 0) + a * b
         return EdgeMatrix(self.dim, {rc: canonical(x) for rc, x in acc.items() if x})
-
-    def signed_transpose(self, signs: Sequence[int]) -> "EdgeMatrix":
-        """Transpose with each entry (i,j) multiplied by signs[i]*signs[j]."""
-        if len(signs) != self.dim:
-            raise ValueError("sign vector length must equal matrix dimension")
-        return EdgeMatrix(
-            self.dim,
-            {(c, r): signs[r] * signs[c] * canonical(x) for (r, c), x in self.edges.items()},
-        )
 
     def trace(self) -> Scalar:
         """Sum of diagonal entries; an edge i->j contributes iff i = j."""

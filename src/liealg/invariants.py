@@ -61,8 +61,11 @@ def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
     """The classical basic invariants for Weyl type A_n, B_n/C_n, or D_n.
 
     ``n`` is the rank of the reflection group (the Lie rank); the A-family
-    suite lives on n+1 variables, the others on n.
+    suite lives on n+1 variables, the others on n.  ``n`` must be an int (a
+    bool is not), as ``AlgebraSpec`` requires of its rank.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < 1:
         raise ValueError("rank must be at least 1")
     if family is AlgebraFamily.SL:

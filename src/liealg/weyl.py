@@ -79,10 +79,10 @@ def _source(positions: Sequence[int]) -> Callable[[Window], Window]:
 def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     """The group of the generators, enumerated by whole cosets (Dimino).
 
-    Raises ValueError unless ``cap`` is positive and the generators are
-    windows of one length n >= 1, each a signed permutation of 1..n, and
-    WeylOverflowError exactly when the group is larger than ``cap``;
-    truncation is never silent.
+    Raises TypeError unless ``cap`` is an int (a bool is not), ValueError
+    unless it is positive and the generators are windows of one length
+    n >= 1, each a signed permutation of 1..n, and WeylOverflowError exactly
+    when the group is larger than ``cap``; truncation is never silent.
 
     The generators are taken in the order given.  With H the group of those
     before g, the group of H and g is the union of the right cosets H r, where
@@ -95,6 +95,8 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     copy is formed once per H, and only when a signed r needs it.  The cap is
     checked after each coset, so at most cap + |H| elements are formed.
     """
+    if type(cap) is not int:
+        raise TypeError(f"cap must be an int, got {type(cap).__name__}")
     if not gens:
         raise ValueError("at least one generator required")
     if cap <= 0:

@@ -2,9 +2,11 @@
 reference reflection used by the forms tests, the dense
 structure-constant table used by the catalog tests, a field-replacing copy of
 a record, dense and transposed views of a matrix, the closed forms that the
-invariant Jacobians are compared with, and the hand-written root-vector table
+invariant Jacobians are compared with, the hand-written root-vector table
 and structure forms that ``catalog`` used before it read every sp and so
-member off one signed involution, kept as the reference for that reading.
+member off one signed involution, kept as the reference for that reading,
+and the per-family sign table and opposite-graph antimorphism that gave each
+negative root vector before it was the orbit of the reversed edge.
 
 The repository-root ``conftest.py`` keeps a test run from writing bytecode
 into src/."""
@@ -248,3 +250,48 @@ def structure_form(spec: AlgebraSpec) -> EdgeMatrix | None:
     if spec.family is AlgebraFamily.SO_ODD:
         edges[(2 * n, 2 * n)] = 1
     return EdgeMatrix(spec.realization_dim, edges)
+
+
+# The opposite-graph map: verbatim copies of ``digraph.vertex_signs`` and
+# ``digraph.opposite_antimorphism``, which gave x(-a) before ``catalog`` built it
+# as the orbit of the reversed edge, with the one call of the deleted
+# ``EdgeMatrix.signed_transpose`` written out.
+
+
+def vertex_signs(family: AlgebraFamily, dim: int) -> tuple[int, ...]:
+    """Vertex sign vector defining this family's opposite-graph map.
+
+    For sp and even so the sign is -1 on the second block of vertices, so an
+    edge picks up -1 exactly when it crosses the block boundary.  For sl and
+    odd so all signs are +1 (for the odd orthogonal realization a crossing
+    sign cannot map the border root vectors onto their opposites, so the
+    plain transpose is the map satisfying the contract).
+    """
+    if family is AlgebraFamily.SL:
+        if dim < 1:
+            raise ValueError("sl needs dimension >= 1")
+        return (1,) * dim
+    if family in (AlgebraFamily.SP, AlgebraFamily.SO_EVEN):
+        if dim < 2 or dim % 2:
+            raise ValueError(f"{family.cli_name} needs even dimension, got {dim}")
+        half = dim // 2
+        return (1,) * half + (-1,) * half
+    if family is AlgebraFamily.SO_ODD:
+        if dim < 3 or dim % 2 == 0:
+            raise ValueError(f"so-odd needs odd dimension >= 3, got {dim}")
+        return (1,) * dim
+    raise ValueError(f"unknown family {family}")
+
+
+def opposite_antimorphism(x: EdgeMatrix, family: AlgebraFamily) -> EdgeMatrix:
+    """Send each edge to its reverse with the family's sign rule.
+
+    Antimorphism on products (T(ab) = T(b)T(a)) and an involution; on each
+    canonical realization it maps the root vector for a to a nonzero multiple
+    of the root vector for -a.
+    """
+    signs = vertex_signs(family, x.dim)
+    return EdgeMatrix(
+        x.dim,
+        {(c, r): signs[r] * signs[c] * canonical(v) for (r, c), v in x.edges.items()},
+    )

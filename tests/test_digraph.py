@@ -1,12 +1,11 @@
-"""Elementary edge matrices and the opposite-graph antimorphism per family."""
+"""Elementary edge matrices, and the opposite root vectors as the reversed edges."""
 
 import pytest
 
-from conftest import basis_of, family_ranks, identity, realization, root_datum
+from conftest import basis_of, family_ranks, realization, root_datum, transpose
 
 import liealg as L
 from liealg import AlgebraFamily
-from liealg.digraph import opposite_antimorphism
 from liealg.exact import negate
 from liealg.edges import EdgeMatrix
 from liealg.roots import weight_of
@@ -30,48 +29,40 @@ class TestEdges:
             EdgeMatrix.unit(2, 1, 3)
 
 
-class TestOppositeAntimorphism:
-    def test_sl_is_plain_transpose(self):
-        e12 = EdgeMatrix.unit(2, 1, 2)
-        assert opposite_antimorphism(e12, AlgebraFamily.SL) == EdgeMatrix.unit(2, 2, 1)
+class TestReversedEdges:
+    """x(-a) is x(a) with every edge reversed: the plain transpose, in every family."""
 
-    def test_dimension_parity_enforced(self):
-        with pytest.raises(ValueError):
-            opposite_antimorphism(identity(3), AlgebraFamily.SP)
-        with pytest.raises(ValueError):
-            opposite_antimorphism(identity(4), AlgebraFamily.SO_ODD)
-
-    @pytest.mark.parametrize("family,n", family_ranks(4))
-    def test_antimorphism_on_canonical_basis(self, family, n):
-        r = realization(family, n)
-        mats = basis_of(r)
-        for a in mats:
-            for b in mats:
-                assert opposite_antimorphism(a @ b, family) == opposite_antimorphism(
-                    b, family
-                ) @ opposite_antimorphism(a, family)
-
-    @pytest.mark.parametrize("family,n", family_ranks(4))
-    def test_involution(self, family, n):
-        r = realization(family, n)
-        for _, m in r.basis:
-            assert opposite_antimorphism(opposite_antimorphism(m, family), family) == m
-
-    @pytest.mark.parametrize("family,n", family_ranks(4))
-    def test_maps_root_space_to_opposite(self, family, n):
-        r = realization(family, n)
+    @pytest.mark.parametrize("family,n", family_ranks(6))
+    def test_transpose_maps_each_root_vector_to_the_opposite_one(self, family, n):
         rd = root_datum(family, n)
         for root in rd.roots:
-            image = opposite_antimorphism(rd.root_vector(root), family)
-            assert weight_of(r, image) == negate(root)
+            assert transpose(rd.root_vector(root)) == rd.root_vector(negate(root)), root
+
+    @pytest.mark.parametrize("family,n", family_ranks(6))
+    def test_transpose_keeps_every_basis_vector_a_member(self, family, n):
+        r = realization(family, n)
+        for label, m in r.basis:
+            assert L.check_membership(transpose(m), r.spec), label
+
+    @pytest.mark.parametrize("family,n", family_ranks(6))
+    def test_antimorphism_on_canonical_basis(self, family, n):
+        mats = basis_of(realization(family, n))
+        for a in mats:
+            for b in mats:
+                assert transpose(a @ b) == transpose(b) @ transpose(a)
+
+    @pytest.mark.parametrize("family,n", family_ranks(6))
+    def test_involution(self, family, n):
+        for m in basis_of(realization(family, n)):
+            assert transpose(transpose(m)) == m
+
+    def test_sl_reverses_the_edge(self):
+        assert transpose(EdgeMatrix.unit(2, 1, 2)) == EdgeMatrix.unit(2, 2, 1)
 
     def test_sp4_double_root_example(self):
-        # The adjoint eigenvalue of T(x_{2a_1}) is -2a_1.
+        # The opposite of x(2a_1) is its transpose, of weight -2a_1.
         rd = root_datum(AlgebraFamily.SP, 2)
         r = rd.realization
-        from fractions import Fraction
-
-        two_a1 = (Fraction(2), Fraction(0))
-        image = opposite_antimorphism(rd.root_vector(two_a1), AlgebraFamily.SP)
-        assert weight_of(r, image) == (Fraction(-2), Fraction(0))
-        assert L.check_membership(image, r.spec)
+        image = transpose(rd.root_vector((2, 0)))
+        assert weight_of(r, image) == (-2, 0)
+        assert image == rd.root_vector((-2, 0))

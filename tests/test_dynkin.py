@@ -1,5 +1,6 @@
 """Diagram construction, classification, definiteness, Serre presentations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ def diagram_for(family, n):
 
 def chain_cartan(m):
     rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(m)] for i in range(m)]
-    return CartanMatrix(tuple(tuple(r) for r in rows))
+    return CartanMatrix(rows)
 
 
 def fork_cartan(branches):
@@ -44,7 +45,7 @@ def fork_cartan(branches):
             rows[prev][at] = rows[at][prev] = -1
             prev = at
             at += 1
-    return CartanMatrix(tuple(tuple(r) for r in rows))
+    return CartanMatrix(rows)
 
 
 def edges_cartan(size, edges):
@@ -52,7 +53,7 @@ def edges_cartan(size, edges):
     rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
     for i, j, aij, aji in edges:
         rows[i][j], rows[j][i] = aij, aji
-    return CartanMatrix(tuple(tuple(r) for r in rows))
+    return CartanMatrix(rows)
 
 
 def simple_edges(*pairs):
@@ -88,6 +89,26 @@ NOT_SIMPLE_SHAPES = {
 def shape_diagram(name):
     A, _ = NOT_SIMPLE_SHAPES[name]
     return build_diagram(A, lengths_from_cartan(A))
+
+
+class TestCartanMatrixEntries:
+    @pytest.mark.parametrize("rows,position,kind", [
+        (((2.0, -1), (-1, 2)), "(1,1)", "float"),
+        (((2, False), (0, 2)), "(1,2)", "bool"),
+        (((Fraction(2), -1), (-1, 2)), "(1,1)", "Fraction"),
+        (((2, -1), (-1.0, 2)), "(2,1)", "float"),
+    ])
+    def test_an_entry_that_is_not_an_int_raises_naming_its_position(self, rows, position, kind):
+        with pytest.raises(TypeError, match=rf"{re.escape(position)}.*{kind}"):
+            CartanMatrix(rows)
+
+    def test_rows_given_as_lists_are_stored_as_tuples(self):
+        from_lists = CartanMatrix([[2, -1], [-1, 2]])
+        from_tuples = CartanMatrix(((2, -1), (-1, 2)))
+        assert from_lists.entries == ((2, -1), (-1, 2))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert len({from_lists, from_tuples}) == 1
 
 
 class TestBuildDiagram:

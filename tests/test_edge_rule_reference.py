@@ -4,8 +4,9 @@
 ``verify_serre`` and ``_relation_holds`` are the package's previous
 implementations, kept verbatim as oracles, except that ``EdgeMatrix.ratio``,
 which no library code needs any more, is the module function ``ratio`` here,
-and that the sl lift expands over a ``SpanSolver`` instead of the deleted
-``LinearSolver``.
+that the sl lift expands over a ``SpanSolver`` instead of the deleted
+``LinearSolver``, and that Y_i starts from the transpose of X_i instead of
+the deleted opposite-graph map (the rescaling absorbs the sign).
 The edge-rule ``roots.weight_of`` and the bracket-word Serre code must agree
 with them: the same weights, the same errors, the same relation texts and
 the same verdicts.
@@ -22,12 +23,11 @@ from typing import Sequence
 
 import pytest
 
-from conftest import basis_of, family_ranks, realization, root_datum
+from conftest import basis_of, family_ranks, realization, root_datum, transpose
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, dynkin, roots
 from liealg.catalog import AlgebraRealization
-from liealg.digraph import opposite_antimorphism
 from liealg.exact import Weight
 from liealg.dynkin import CartanMatrix
 from liealg.edges import EdgeMatrix, mat_bracket
@@ -168,9 +168,9 @@ def verify_serre(
     """Substitute the canonical triples into a presentation and check it.
 
     H_i is the i-th fundamental coroot, X_i the fundamental root vector, and
-    Y_i the image of X_i under the opposite-graph map rescaled so that
-    [X_i, Y_i] = H_i; the rescaling decouples the verdicts from the sign
-    convention of that map.
+    Y_i the transpose of X_i rescaled so that [X_i, Y_i] = H_i; the
+    rescaling decouples the verdicts from the sign of the opposite root
+    vector.
     """
     if p.rank != r.spec.lie_rank:
         raise ValueError(
@@ -180,7 +180,7 @@ def verify_serre(
     X = [rd.root_vector(a) for a in rd.fundamental_roots]
     Y = []
     for h, x in zip(H, X):
-        image = opposite_antimorphism(x, r.spec.family)
+        image = transpose(x)
         bracket = mat_bracket(x, image)
         scale = ratio(bracket, h)
         if scale is None or not scale:

@@ -18,8 +18,8 @@ def test_export_is_the_defining_module_attribute(name):
     assert value is getattr(sys.modules[value.__module__], name)
 
 
-def test_all_has_49_distinct_sorted_names():
-    assert len(liealg.__all__) == len(set(liealg.__all__)) == 49
+def test_all_has_48_distinct_sorted_names():
+    assert len(liealg.__all__) == len(set(liealg.__all__)) == 48
     assert liealg.__all__ == sorted(liealg.__all__)
 
 

@@ -65,6 +65,13 @@ class TestSuites:
         with pytest.raises(ValueError):
             build_suite(AlgebraFamily.SO_EVEN, 1)
 
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2)])
+    @pytest.mark.parametrize("family", list(AlgebraFamily))
+    def test_a_rank_that_is_not_an_int_raises(self, family, n):
+        # True would build a rank-1 suite, and 2.0 fail inside range() without naming n.
+        with pytest.raises(TypeError, match="n must be an int"):
+            build_suite(family, n)
+
     @pytest.mark.parametrize("family,n", family_ranks(6))
     def test_degree_product_equals_weyl_formula(self, family, n):
         rd = root_datum(family, n)

@@ -1,14 +1,17 @@
 """The orbit-built basis and ``diag_coords`` against the hand-written tables.
 
 ``catalog.build`` reads every sp and so member off one signed involution:
-the orbit of an edge r -> c is the edge plus its partner.  The reference is
-the basis that the hand-written root-vector table of ``conftest`` gives
-(Cartan elements, then the sorted positive table, then its opposite-graph
-images), checked against the hand-written structure form S.  For every
+the orbit of an edge r -> c is the edge plus its partner, and x(-a) is the
+orbit of the reversed edge.  The reference is the basis that the
+hand-written root-vector table of ``conftest`` gives (Cartan elements, then
+the sorted positive table, then its images under the opposite-graph map of
+``conftest``), checked against the hand-written structure form S.  For every
 family up to n = 6 the two bases must have the same labels in the same
 order, the same vectors up to sign, with the sign flipped exactly at odd
-so's short roots x(+-a_i), and the same roots, coroots and fundamental
-weights.
+so's short roots x(+-a_i) and at sp's and even so's x(-(e_i + e_j)), i <= j:
+the reference map negates the edges that cross the two blocks, the orbit of
+the reversed edge is the plain transpose.  The roots, coroots and
+fundamental weights must be the same.
 
 ``diag_coords`` validates a Cartan element with ``check_membership``; the
 reference is its earlier block, trace and last-slot checks, kept verbatim
@@ -25,6 +28,7 @@ import pytest
 from conftest import (
     _positive_root_table,
     family_ranks,
+    opposite_antimorphism,
     realization,
     root_datum,
     structure_form,
@@ -34,7 +38,6 @@ from conftest import (
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.catalog import AlgebraRealization
-from liealg.digraph import opposite_antimorphism
 from liealg.edges import EdgeMatrix
 from liealg.exact import Weight, canonical, format_weight, negate
 
@@ -59,13 +62,20 @@ def is_short_so_odd_root(spec: AlgebraSpec, root) -> bool:
     return spec.family is AlgebraFamily.SO_ODD and root is not None and sum(map(abs, root)) == 1
 
 
+def is_crossing_negative_root(spec: AlgebraSpec, root) -> bool:
+    """-(e_i + e_j), i <= j, in sp or even so: its vector lives on edges across the blocks."""
+    return (spec.family in (AlgebraFamily.SP, AlgebraFamily.SO_EVEN) and root is not None
+            and sum(root) == -2)
+
+
 @pytest.mark.parametrize("family,n", family_ranks(6))
 def test_basis_matches_the_hand_written_table(family, n):
     r = realization(family, n)
     reference = reference_basis(r.spec)
     assert [label for label, _ in r.basis] == [label for label, _, _ in reference]
     for (label, mat), (_, root, ref) in zip(r.basis, reference):
-        expected = -ref if is_short_so_odd_root(r.spec, root) else ref
+        flipped = is_short_so_odd_root(r.spec, root) or is_crossing_negative_root(r.spec, root)
+        expected = -ref if flipped else ref
         assert mat == expected, label
 
 

@@ -23,7 +23,7 @@ import pytest
 from conftest import dense, family_ranks, from_rows, realization, root_datum, variable
 
 from liealg import (AlgebraFamily, AlgebraSpec, check_membership, dynkin, forms, invariants,
-                    opposite_antimorphism, weight_of)
+                    weight_of)
 from liealg.dynkin import build_diagram, check_positive_definite
 from liealg.exact import parse_rational, ratio
 from liealg.edges import EdgeMatrix, mat_bracket
@@ -162,13 +162,12 @@ SCALAR_READERS = {
     "MultiPoly": lambda x: MultiPoly(1, {(1,): x}),
     "MultiPoly.scale": lambda x: variable(1, 0).scale(x),
     "MultiPoly.eval": lambda x: variable(1, 0).eval([x]),
+    "CartanMatrix": lambda x: dynkin.CartanMatrix(((x, -1), (-1, 2))),
     "build_diagram": lambda x: build_diagram(A2, [x, 2]),
     "check_positive_definite": lambda x: check_positive_definite(A2, [x, 2]),
     **{f"check_membership {family.value}": lambda x, family=family:
        scaled_root_vector_membership(family, x) for family in AlgebraFamily},
     "weight_of": lambda x: weight_of(realization(AlgebraFamily.SL, 2), EdgeMatrix(2, {(0, 1): x})),
-    "opposite_antimorphism": lambda x: opposite_antimorphism(EdgeMatrix(2, {(0, 1): x}),
-                                                             AlgebraFamily.SL),
     "diag_coords": lambda x: realization(AlgebraFamily.SL, 2).diag_coords(
         EdgeMatrix(2, {(0, 0): x, (1, 1): -x})),
     "a + b": lambda x: EdgeMatrix(2, {(0, 0): x}) + EdgeMatrix(2, {(0, 1): 1}),

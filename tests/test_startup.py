@@ -189,12 +189,39 @@ def test_info_executes_neither_invariants_nor_polynomials():
     assert not executed & {"liealg.invariants", "liealg.polynomials"}, sorted(executed)
 
 
+def modules(names: str) -> set[str]:
+    return {f"liealg.{name}" for name in names.split()}
+
+
+# Exactly what each command executes, as ROADMAP's "What a command runs" lists it.
+CLASSIFY_CARTAN = modules("cli cli_classify dynkin exact matrices records")
+EXECUTED = [
+    pytest.param(("info", "sl", "3"), modules(
+        "catalog cli cli_info dynkin edges exact families forms matrices records roots"),
+        id="info"),
+    pytest.param(("classify", "@vectors"), CLASSIFY_CARTAN | modules("axioms"),
+                 id="classify-vectors"),
+    pytest.param(("classify", "@cartan"), CLASSIFY_CARTAN, id="classify-cartan"),
+    pytest.param(("verify", "sp", "2", "all"), modules(
+        "axioms catalog cli cli_suites dynkin edges exact families forms invariants matrices"
+        " polynomials records roots weyl"), id="verify"),
+    pytest.param(("invariants", "sl", "3"), modules(
+        "catalog cli cli_suites edges exact families invariants matrices polynomials records"
+        " roots weyl"), id="invariants"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", EXECUTED)
+def test_a_command_executes_exactly_its_modules(argv, expected, cartan_file, vectors_file):
+    files = {"@cartan": cartan_file, "@vectors": vectors_file}
+    assert executed_by(*(files.get(arg, arg) for arg in argv)) == expected
+
+
 # Modules that a classify command never calls: it reads vectors or a Cartan matrix
 # from its file, so it builds no realization and no matrix, derives no root datum
 # and measures no Killing form.
-NOT_CLASSIFY = {"liealg.roots", "liealg.forms", "liealg.catalog", "liealg.digraph",
-                "liealg.edges", "liealg.families", "liealg.weyl", "liealg.invariants",
-                "liealg.polynomials"}
+NOT_CLASSIFY = {"liealg.roots", "liealg.forms", "liealg.catalog", "liealg.edges",
+                "liealg.families", "liealg.weyl", "liealg.invariants", "liealg.polynomials"}
 
 
 def test_classify_vectors_executes_the_axioms_and_no_derivation(vectors_file):

@@ -188,6 +188,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="cap must be positive"):
             generate(gens, cap=cap)
 
+    @pytest.mark.parametrize("cap", [1.5, 2.0, True, Fraction(2)])
+    def test_rejects_a_cap_that_is_not_an_int(self, cap):
+        # Compared as a number, 1.5 would read as a cap in an overflow message and True as 1.
+        with pytest.raises(TypeError, match="cap must be an int"):
+            generate([(2, 1)], cap=cap)
+
     def test_cap_overflow_raises(self):
         rd = root_datum(AlgebraFamily.SP, 3)
         with pytest.raises(WeylOverflowError):
