@@ -197,7 +197,7 @@ def verify_root_axioms(
         )
     )
 
-    return CheckReport(tuple(checks))
+    return CheckReport(checks)
 
 
 def _twice_row(x: tuple[int, ...], gram: list[list[int]]) -> tuple[list[int], int]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
-from .exact import Scalar, Weight, canonical, format_weight, is_positive, negate
+from .exact import Scalar, Weight, format_weight, is_positive, negate
 from .families import AlgebraFamily, AlgebraSpec
 from .edges import EdgeMatrix, mat_bracket
 from .matrices import SpanSolver
@@ -66,7 +66,7 @@ class AlgebraRealization(Record):
         the orbit of edge i -> i pairs x_i with -x_i in slot n + i, and odd so's
         last slot, its own partner at sign -1, holds 0.  The coordinates are
         h's first n diagonal entries: ints for every coroot of the classical
-        families.  A float or a bool entry raises TypeError.
+        families.
         """
         if any(r != c for (r, c) in h.edges):
             raise ValueError("not a Cartan element: off-diagonal entries present")
@@ -154,21 +154,19 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     exactly when X[pi(c), pi(r)] = -sigma_pi(r) sigma_pi(c) X[r, c] on every
     edge r -> c of X: X holds each of its edges with its partner at that
     sign, and no edge that is its own partner at sign -1.  A relabelling of
-    the edges, with no matrix product.  Every entry is read through
-    ``canonical``, so a float or a bool raises TypeError in every family.
+    the edges, with no matrix product.
     """
     if x.dim != spec.realization_dim:
         raise ValueError(
             f"dimension mismatch: matrix has dim {x.dim}, "
             f"{spec} is realized in dim {spec.realization_dim}"
         )
-    edges = {rc: canonical(v) for rc, v in x.edges.items()}
     if spec.family is AlgebraFamily.SL:
         return x.trace() == 0
     pi, sigma = _signed_involution(spec)
     return all(
-        edges.get((pi[c], pi[r]), 0) == -sigma[pi[r]] * sigma[pi[c]] * v
-        for (r, c), v in edges.items()
+        x.edges.get((pi[c], pi[r]), 0) == -sigma[pi[r]] * sigma[pi[c]] * v
+        for (r, c), v in x.edges.items()
     )
 
 

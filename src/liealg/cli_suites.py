@@ -134,9 +134,7 @@ def cmd_verify(args) -> int:
         )
     rd = root_datum(spec)
     selected = SUITES if args.suite == "all" else (args.suite,)
-    report = CheckReport(
-        tuple(c for suite in selected for c in SUITES[suite](rd, args.max_order))
-    )
+    report = CheckReport(c for suite in selected for c in SUITES[suite](rd, args.max_order))
     payload = {**header("verify", spec), "suite": args.suite}
     return emit_report(args, payload, [], report, "{suite}: {name}: {status} ({detail})")
 
@@ -145,7 +143,7 @@ def cmd_serre(args) -> int:
     spec = spec_from_args(args)
     rd = root_datum(spec)
     pairing = forms.coroot_pairing_matrix(rd)
-    report = CheckReport(tuple(_checks_serre(rd, pairing)))
+    report = CheckReport(_checks_serre(rd, pairing))
     payload = {
         **header("serre", spec),
         "cartan_pairing_matrix": [list(row) for row in pairing.entries],
@@ -161,7 +159,7 @@ def cmd_invariants(args) -> int:
     spec = spec_from_args(args)
     rd = root_datum(spec)
     suite = invariants.build_suite(spec.family, spec.lie_rank)
-    report = CheckReport(tuple(_checks_invariants(rd, suite)))
+    report = CheckReport(_checks_invariants(rd, suite))
     order = weyl_order_formula(spec)
     payload = {
         **header("invariants", spec),

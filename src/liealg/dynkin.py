@@ -260,7 +260,10 @@ def _layout(d: DynkinDiagram, comp: list[int]) -> tuple[list[int], int | None] |
 
 
 def _shorter(d: DynkinDiagram, u: int, v: int) -> int:
-    return next(shorter for longer, shorter in d.arrows if {longer, shorter} == {u, v})
+    for longer, shorter in d.arrows:
+        if {longer, shorter} == {u, v}:
+            return shorter
+    raise ValueError(f"multiple edge {u + 1}~{v + 1} has no arrow")
 
 
 def _classify_component(d: DynkinDiagram, comp: list[int]) -> str:
@@ -418,8 +421,6 @@ def verify_serre(rd: roots.RootDatum, p: SerrePresentation) -> CheckReport:
         "Y": [rd.partners[a] for a in rd.fundamental_roots],
     }
     return CheckReport(
-        tuple(
-            Check.of("serre", rel.describe(), rel.holds(generators), "exact matrix identity")
-            for rel in p.relations
-        )
+        Check.of("serre", rel.describe(), rel.holds(generators), "exact matrix identity")
+        for rel in p.relations
     )

@@ -12,7 +12,6 @@ this module.
 from __future__ import annotations
 
 from .exact import Scalar, canonical
-from .matrices import _add_multiple
 from .records import Record
 
 Position = tuple[int, int]  # (row, column), 0-indexed
@@ -24,30 +23,35 @@ class EdgeMatrix(Record):
     The name records the reading: the elementary matrix with a 1 in row i,
     column j is the directed edge i -> j, and a general matrix is a rational
     linear combination of such edges.  ``edges`` maps (row, column),
-    0-indexed, to the nonzero entries only and must not be mutated; every
-    operation keeps explicit zeros out, so equal matrices have equal maps,
-    and returns each entry in canonical form: an int when it is an integer,
-    a Fraction otherwise.
+    0-indexed, to the nonzero entries only and must not be mutated.  Only the
+    constructor checks and normalizes them: a dim that is not an int >= 1 or
+    an edge outside the matrix is a ValueError, entries go through
+    ``canonical`` and zeros drop out.  So operations hand it raw sums, and
+    equal matrices have equal maps.
     """
 
     __slots__ = ("dim", "edges")
     dim: int
     edges: dict[Position, Scalar]
 
+    def __init__(self, dim: int, edges: dict[Position, Scalar]) -> None:
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"matrix dimension must be an int >= 1, got {dim!r}")
+        clean: dict[Position, Scalar] = {}
+        for (r, c), x in edges.items():
+            if not (type(r) is int and type(c) is int and 0 <= r < dim and 0 <= c < dim):
+                raise ValueError(f"edge {(r, c)!r} lies outside a {dim}x{dim} matrix")
+            if x := canonical(x):
+                clean[r, c] = x
+        super().__init__(dim, clean)
+
     @staticmethod
     def unit(dim: int, i: int, j: int) -> "EdgeMatrix":
         """Elementary matrix with a single 1 at (row i, column j), 1-indexed."""
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ValueError(f"unit index ({i},{j}) out of range for dim {dim}")
         return EdgeMatrix(dim, {(i - 1, j - 1): 1})
 
     def __getitem__(self, rc: Position) -> Scalar:
         return self.edges.get(rc, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.edges == other.edges
 
     def __hash__(self) -> int:
         return hash((self.dim, frozenset(self.edges.items())))
@@ -59,34 +63,31 @@ class EdgeMatrix(Record):
         return self._plus(other, -1)
 
     def _plus(self, other: "EdgeMatrix", sign: int) -> "EdgeMatrix":
-        """self + sign * other, with every entry of either read through ``canonical``."""
+        """self + sign * other."""
         self._require_same_dim(other)
-        edges = {rc: canonical(x) for rc, x in self.edges.items()}
-        _add_multiple(edges, {rc: canonical(x) for rc, x in other.edges.items()}, sign)
+        edges = dict(self.edges)
+        for rc, x in other.edges.items():
+            edges[rc] = edges.get(rc, 0) + sign * x
         return EdgeMatrix(self.dim, edges)
 
     def __neg__(self) -> "EdgeMatrix":
-        return EdgeMatrix(self.dim, {rc: -canonical(x) for rc, x in self.edges.items()})
+        return EdgeMatrix(self.dim, {rc: -x for rc, x in self.edges.items()})
 
     def scale(self, c: Scalar) -> "EdgeMatrix":
-        if not (c := canonical(c)):
-            return EdgeMatrix(self.dim, {})
-        return EdgeMatrix(
-            self.dim, {rc: canonical(c * canonical(x)) for rc, x in self.edges.items()}
-        )
+        c = canonical(c)
+        return EdgeMatrix(self.dim, {rc: c * x for rc, x in self.edges.items()})
 
     def __matmul__(self, other: "EdgeMatrix") -> "EdgeMatrix":
         """Product; on edges, (i->k)(k->j) = (i->j), and 0 when the ends differ."""
         self._require_same_dim(other)
         out_of: dict[int, list[tuple[int, Scalar]]] = {}
         for (k, j), b in other.edges.items():
-            out_of.setdefault(k, []).append((j, canonical(b)))
+            out_of.setdefault(k, []).append((j, b))
         acc: dict[Position, Scalar] = {}
         for (i, k), a in self.edges.items():
-            a = canonical(a)
             for j, b in out_of.get(k, ()):
                 acc[(i, j)] = acc.get((i, j), 0) + a * b
-        return EdgeMatrix(self.dim, {rc: canonical(x) for rc, x in acc.items() if x})
+        return EdgeMatrix(self.dim, acc)
 
     def trace(self) -> Scalar:
         """Sum of diagonal entries; an edge i->j contributes iff i = j."""
@@ -94,7 +95,7 @@ class EdgeMatrix(Record):
 
     def diagonal(self) -> tuple[Scalar, ...]:
         """The diagonal entries, in canonical form (ints when integral)."""
-        return tuple(canonical(self.edges.get((i, i), 0)) for i in range(self.dim))
+        return tuple(self.edges.get((i, i), 0) for i in range(self.dim))
 
     def is_zero(self) -> bool:
         return not self.edges

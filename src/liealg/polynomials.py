@@ -22,12 +22,15 @@ class MultiPoly(Record):
     terms: dict[Exponent, Scalar]
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar]) -> None:
+        if type(nvars) is not int:
+            raise TypeError(f"nvars must be an int, got {type(nvars).__name__}")
         if nvars <= 0:
             raise ValueError("polynomial needs a positive number of variables")
         clean: dict[Exponent, Scalar] = {}
         for expo, coeff in terms.items():
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo} for {nvars} variables")
+            if len(expo) != nvars or not all(type(e) is int and e >= 0 for e in expo):
+                error = ValueError if all(type(e) is int for e in expo) else TypeError
+                raise error(f"bad exponent vector {expo} for {nvars} variables")
             if c := canonical(coeff):
                 clean[tuple(expo)] = c
         super().__init__(nvars, clean)
@@ -56,11 +59,6 @@ class MultiPoly(Record):
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -165,6 +163,8 @@ class MultiPoly(Record):
         """
         if len(window) != self.nvars:
             raise ValueError("carrier size does not match variable count")
+        if any(type(v) is not int for v in window):
+            raise TypeError(f"window entries must be ints, got {window}")
         if sorted(abs(v) for v in window) != list(range(1, self.nvars + 1)):
             raise ValueError(f"not a signed permutation of 1..{self.nvars}: {window}")
         terms: dict[Exponent, Scalar] = {}

@@ -20,6 +20,8 @@ module, so reading them executes no other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 
 class Record:
     """Immutable fields, value equality and hash, a repr, and copies rebuilt by ``__init__``."""
@@ -98,10 +100,13 @@ class Check(Record):
 
 
 class CheckReport(Record):
-    """An ordered run of checks; it passes when none of them failed."""
+    """An ordered run of checks, stored as a tuple; it passes when none of them failed."""
 
     __slots__ = ("results",)
     results: tuple[Check, ...]
+
+    def __init__(self, results: Iterable[Check]) -> None:
+        super().__init__(tuple(results))
 
     @property
     def all_passed(self) -> bool:

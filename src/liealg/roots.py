@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from . import axioms, catalog, forms
-from .exact import Weight, canonical, format_weight, is_positive, negate, ratio
+from .exact import Weight, format_weight, is_positive, negate, ratio
 from .families import AlgebraFamily, AlgebraSpec
 from .edges import EdgeMatrix, mat_bracket
 from .matrices import SpanSolver, dot, solve_linear, sparse_vector
@@ -36,12 +36,11 @@ def weight_of(r: catalog.AlgebraRealization, m: EdgeMatrix) -> Weight:
 
     For diagonal h, [h, E_ij] = (h_ii - h_jj) E_ij, so a is the common
     weight of m's edges.  Raises InternalConsistencyError if the edges carry
-    more than one weight: m is then not a simultaneous eigenvector.  Every
-    entry is read through ``canonical``, so a float or a bool raises TypeError.
+    more than one weight: m is then not a simultaneous eigenvector.
     """
     if m.dim != r.spec.realization_dim:
         raise ValueError(f"dimension mismatch: {r.spec.realization_dim} vs {m.dim}")
-    weights = {r.edge_weight(i, j) for (i, j), x in m.edges.items() if canonical(x)}
+    weights = {r.edge_weight(i, j) for i, j in m.edges}
     if not weights:
         raise ValueError("zero matrix has no well-defined weight")
     if len(weights) != 1:

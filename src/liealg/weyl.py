@@ -79,10 +79,10 @@ def _source(positions: Sequence[int]) -> Callable[[Window], Window]:
 def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     """The group of the generators, enumerated by whole cosets (Dimino).
 
-    Raises TypeError unless ``cap`` is an int (a bool is not), ValueError
-    unless it is positive and the generators are windows of one length
-    n >= 1, each a signed permutation of 1..n, and WeylOverflowError exactly
-    when the group is larger than ``cap``; truncation is never silent.
+    Raises TypeError unless ``cap`` and every window entry are ints (a bool
+    is not), ValueError unless ``cap`` > 0 and the generators are windows of
+    one length n >= 1, each a signed permutation of 1..n, and
+    WeylOverflowError exactly when the group exceeds ``cap``, never silently.
 
     The generators are taken in the order given.  With H the group of those
     before g, the group of H and g is the union of the right cosets H r, where
@@ -107,6 +107,8 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
     if n == 0:
         raise ValueError("generators must act on at least one coordinate")
     for g in gens:
+        if any(type(v) is not int for v in g):
+            raise TypeError(f"window entries must be ints, got {g}")
         if sorted(abs(v) for v in g) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation of 1..{n}: {g}")
     identity = tuple(range(1, n + 1))

@@ -287,6 +287,13 @@ class TestAscii:
         assert ascii_diagram(shape_diagram(name)) == NOT_SIMPLE_SHAPES[name][1]
 
 
+@pytest.mark.parametrize("reader", [classify, ascii_diagram])
+def test_a_multiple_edge_without_an_arrow_raises(reader):
+    d = L.DynkinDiagram(3, ((0, 1, 0), (1, 0, 2), (0, 2, 0)), ())
+    with pytest.raises(ValueError, match="^multiple edge 2~3 has no arrow$"):
+        reader(d)
+
+
 class TestLengthsFromCartan:
     def test_simply_laced_all_equal(self):
         lengths = lengths_from_cartan(chain_cartan(4))

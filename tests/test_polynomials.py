@@ -29,6 +29,20 @@ class TestEvaluation:
             var(2, 0).eval([1])
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("nvars", [2.0, True, Fraction(2)])
+    def test_a_variable_count_that_is_not_an_int_raises(self, nvars):
+        # True would equal 1, and 2.0 would construct.
+        with pytest.raises(TypeError, match="nvars must be an int"):
+            MultiPoly(nvars, {(1,) * int(nvars): 1})
+
+    @pytest.mark.parametrize("expo", [(1.5, 0), (1.0, 0), (0, True), (Fraction(1), 0)])
+    def test_an_exponent_that_is_not_an_int_raises(self, expo):
+        # (1.5, 0) would report degree 1.5.
+        with pytest.raises(TypeError, match=r"^bad exponent vector \(.*\) for 2 variables$"):
+            MultiPoly(2, {expo: 1})
+
+
 class TestArithmetic:
     def test_canonical_terms(self):
         p = var(2, 0) - var(2, 0)
@@ -78,6 +92,11 @@ class TestArithmetic:
         p = var(2, 0) - var(2, 1)
         with pytest.raises(ValueError, match=r"not a signed permutation of 1\.\.2"):
             p.transform(window)
+
+    @pytest.mark.parametrize("window", [(True, 2), (1.0, 2), (2, Fraction(1))])
+    def test_transform_rejects_a_window_entry_that_is_not_an_int(self, window):
+        with pytest.raises(TypeError, match="window entries must be ints"):
+            MultiPoly.monomial(2, (1, 0)).transform(window)
 
     def test_str_is_deterministic(self):
         p = var(2, 0) ** 2 - var(2, 1).scale(3) + MultiPoly.constant(2, 1)

@@ -156,15 +156,23 @@ def test_a_missing_extra_or_unknown_field_is_a_type_error(cls, fields, hashable,
 def test_the_generic_constructor_text():
     def text(*args, **kwargs) -> str:
         with pytest.raises(TypeError) as info:
-            L.EdgeMatrix(*args, **kwargs)
+            KillingMetric(*args, **kwargs)
         return str(info.value)
 
-    fields = "EdgeMatrix takes the fields (dim, edges); got"
-    assert text(2) == f"{fields} 1 by position and [] by keyword"
-    assert text(2, {}, 3) == f"{fields} 3 by position and [] by keyword"
-    assert text(2, edges={}, size=2) == f"{fields} 1 by position and ['edges', 'size'] by keyword"
-    assert text(2, {}, dim=2) == f"{fields} 2 by position and ['dim'] by keyword"
-    assert L.EdgeMatrix(edges={}, dim=2) == L.EdgeMatrix(2, {})
+    fields = "KillingMetric takes the fields (gram, sigma, trace); got"
+    assert text(()) == f"{fields} 1 by position and [] by keyword"
+    assert text((), 2, 1, 3) == f"{fields} 4 by position and [] by keyword"
+    assert text((), sigma=2, size=1) == f"{fields} 1 by position and ['sigma', 'size'] by keyword"
+    assert text((), 2, 1, gram=()) == f"{fields} 3 by position and ['gram'] by keyword"
+    assert KillingMetric(trace=1, sigma=2, gram=()) == KillingMetric((), 2, 1)
+
+
+def test_a_check_report_stores_its_checks_as_a_tuple():
+    checks = [_check(2), _check(3)]
+    report = L.CheckReport(checks)
+    assert report.results == tuple(checks)
+    assert report == L.CheckReport(tuple(checks))
+    assert hash(L.CheckReport([])) == hash(L.CheckReport(()))
 
 
 def _raises(text: str):

@@ -9,12 +9,18 @@ inner products, root lengths, determinants, Weyl images, invariant
 polynomials and parsed rationals) must be canonical in the same sense, and
 every entry point that reads a scalar must reject a float or a bool.
 
-On matrices whose entries mix ints, proper Fractions and integral Fractions,
-``+``, ``-``, ``@``, ``scale`` and ``mat_bracket`` must store each entry as
-an int when it is integral and as a Fraction otherwise, and must agree with
-the same operation computed densely on all-Fraction rows in the test.
+A matrix's entries are read once, by the ``EdgeMatrix`` constructor: it
+stores each entry as an int when it is integral and as a Fraction otherwise,
+drops zeros, and rejects a float or a bool entry, a dimension that is not an
+int >= 1 and an edge outside the matrix.  The matrix rows of
+``SCALAR_READERS`` (``a + b``, ``a @ b``, ``weight_of``, ``check_membership``,
+``diag_coords``) raise because they build a matrix.  On matrices whose
+entries mix ints, proper Fractions and integral Fractions, ``+``, ``-``,
+``@``, ``scale`` and ``mat_bracket`` must return canonical entries and agree
+with the same operation computed densely on all-Fraction rows in the test.
 """
 
+import re
 from fractions import Fraction
 from operator import add, sub
 
@@ -167,6 +173,7 @@ SCALAR_READERS = {
     "check_positive_definite": lambda x: check_positive_definite(A2, [x, 2]),
     **{f"check_membership {family.value}": lambda x, family=family:
        scaled_root_vector_membership(family, x) for family in AlgebraFamily},
+    "EdgeMatrix": lambda x: EdgeMatrix(2, {(0, 1): x}),
     "weight_of": lambda x: weight_of(realization(AlgebraFamily.SL, 2), EdgeMatrix(2, {(0, 1): x})),
     "diag_coords": lambda x: realization(AlgebraFamily.SL, 2).diag_coords(
         EdgeMatrix(2, {(0, 0): x, (1, 1): -x})),
@@ -184,3 +191,23 @@ SCALAR_READERS = {
 def test_float_and_bool_scalars_raise(reader, bad):
     with pytest.raises(TypeError):
         SCALAR_READERS[reader](bad)
+
+
+def test_the_constructor_normalizes_entries():
+    m = EdgeMatrix(2, {(0, 0): Fraction(4, 2), (0, 1): 0, (1, 0): Fraction(1, 2)})
+    assert m.edges == {(0, 0): 2, (1, 0): Fraction(1, 2)}
+    assert all(map(is_canonical, m.edges.values()))
+    assert EdgeMatrix(2, {(0, 0): 0}).is_zero()
+    assert m == EdgeMatrix(2, {(0, 0): 2, (1, 0): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 2.0, Fraction(2), "2"])
+def test_a_dimension_that_is_not_an_int_of_at_least_one_raises(dim):
+    with pytest.raises(ValueError, match="matrix dimension must be an int >= 1"):
+        EdgeMatrix(dim, {})
+
+
+@pytest.mark.parametrize("edge", [(5, 5), (2, 0), (0, 2), (-1, 0), (0, -1), (0.0, 1), (0, True)])
+def test_an_edge_outside_the_matrix_raises(edge):
+    with pytest.raises(ValueError, match=f"edge {re.escape(repr(edge))} lies outside a 2x2 matrix"):
+        EdgeMatrix(2, {edge: 1})

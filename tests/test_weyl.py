@@ -8,7 +8,7 @@ import pytest
 from conftest import family_ranks, replace, root_datum, weyl_group
 
 import liealg as L
-from liealg import AlgebraFamily, WeylOverflowError
+from liealg import AlgebraFamily, AlgebraSpec, WeylOverflowError, weyl
 from liealg.edges import EdgeMatrix
 from liealg.records import InternalConsistencyError
 from liealg.weyl import apply, compose, generate, simple_reflections
@@ -188,6 +188,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="cap must be positive"):
             generate(gens, cap=cap)
 
+    @pytest.mark.parametrize("window", [(True, 2), (2.0, 1), (2, Fraction(1))])
+    def test_rejects_a_window_entry_that_is_not_an_int(self, window):
+        # Each passes the signed-permutation check by value.
+        with pytest.raises(TypeError, match="window entries must be ints"):
+            generate([(2, -1), window])
+
     @pytest.mark.parametrize("cap", [1.5, 2.0, True, Fraction(2)])
     def test_rejects_a_cap_that_is_not_an_int(self, cap):
         # Compared as a number, 1.5 would read as a cap in an overflow message and True as 1.
@@ -230,3 +236,43 @@ class TestGenerate:
         for g in simple_reflections(rd):
             assert all(v > 0 for v in g)
             assert sum(apply(g, (1, 2, 3, -6))) == 0
+
+
+def formed_by(monkeypatch) -> list[int]:
+    """A one-entry counter of the elements ``generate`` forms from now on: each is one
+    call of a map that ``weyl._source`` returns."""
+    count = [0]
+    source = weyl._source
+
+    def counting(positions):
+        getter = source(positions)
+
+        def read(w):
+            count[0] += 1
+            return getter(w)
+
+        return read
+
+    monkeypatch.setattr(weyl, "_source", counting)
+    return count
+
+
+@pytest.mark.parametrize("family,n", [(family, n) for family, n in family_ranks(5)
+                                      if 2 <= AlgebraSpec(family, n).lie_rank <= 4])
+def test_each_element_is_formed_once(family, n, monkeypatch):
+    # The identity is seeded, not formed.  Measured: sl 5, 23, 119; sp and so-odd
+    # 7, 47, 383; so-even 3, 23, 191.
+    gens = simple_reflections(root_datum(family, n))
+    count = formed_by(monkeypatch)
+    group = generate(gens)
+    assert len(group) == L.weyl_order_formula(AlgebraSpec(family, n))
+    assert count[0] == len(group) - 1
+
+
+def test_an_overflow_forms_at_most_cap_plus_the_subgroup(monkeypatch):
+    # The cap is checked after each coset of H = W(A6), |H| = 7! = 5040.
+    gens = simple_reflections(root_datum(AlgebraFamily.SL, 8))
+    count = formed_by(monkeypatch)
+    with pytest.raises(WeylOverflowError):
+        generate(gens, cap=10_000)
+    assert count[0] == 10_079 <= 10_000 + 5040
