@@ -78,8 +78,15 @@ class AlgebraRealization(Record):
         """The weight chi_i - chi_j of the edge i -> j (0-indexed slots).
 
         chi_k reads slot k as ``diag_coords`` does: x_k in the first n slots,
-        -x_(k-n) in the next n, and 0 in the last slot of odd so.
+        -x_(k-n) in the next n, and 0 in the last slot of odd so.  Raises
+        TypeError unless both slots are ints (a bool is not), and ValueError
+        for a slot outside the realization.
         """
+        for slot in (i, j):
+            if type(slot) is not int:
+                raise TypeError(f"slot must be an int, got {type(slot).__name__}")
+            if not 0 <= slot < self.spec.realization_dim:
+                raise ValueError(f"slot {slot} is outside 0..{self.spec.realization_dim - 1}")
         return _edge_weight(self.spec.rank, i, j)
 
 

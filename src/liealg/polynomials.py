@@ -96,6 +96,8 @@ class MultiPoly(Record):
         return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, power: int) -> "MultiPoly":
+        if type(power) is not int:
+            raise TypeError(f"power must be an int, got {type(power).__name__}")
         if power < 0:
             raise ValueError("negative power")
         result = MultiPoly.constant(self.nvars, 1)
@@ -111,6 +113,8 @@ class MultiPoly(Record):
 
     def derivative(self, index: int) -> "MultiPoly":
         """Exact partial derivative with respect to x_index (0-indexed)."""
+        if type(index) is not int:
+            raise TypeError(f"variable index must be an int, got {type(index).__name__}")
         if not (0 <= index < self.nvars):
             raise ValueError(f"variable index {index} out of range")
         terms: dict[Exponent, Scalar] = {}

@@ -9,7 +9,8 @@ takes the fields in slot order, by position or by keyword, and sets each
 once; a record that validates its input or supplies defaults defines its
 own ``__init__``, which ends in ``super().__init__``.  A record is not a
 tuple: it equals only a record of its own type with equal fields, and it
-cannot be iterated.
+cannot be iterated.  ``weyl.WeylGroup`` is the one exception: it is also a
+``Set``, equal to the frozenset of its elements.
 
 ``Check`` and ``CheckReport`` are the one verdict record and the one run of
 verdicts, from the library's verifiers to the command line's output, and

@@ -40,7 +40,8 @@ def weight_of(r: catalog.AlgebraRealization, m: EdgeMatrix) -> Weight:
     """
     if m.dim != r.spec.realization_dim:
         raise ValueError(f"dimension mismatch: {r.spec.realization_dim} vs {m.dim}")
-    weights = {r.edge_weight(i, j) for i, j in m.edges}
+    # A stored edge lies inside the matrix, so it skips edge_weight's slot check.
+    weights = {catalog._edge_weight(r.spec.rank, i, j) for i, j in m.edges}
     if not weights:
         raise ValueError("zero matrix has no well-defined weight")
     if len(weights) != 1:

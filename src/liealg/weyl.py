@@ -5,16 +5,17 @@ which w_k = +i or -i means e_k -> +e_i or -e_i.  The action on coordinate
 vectors is (w x)_{|w_k|} = sign(w_k) x_k, and g after h has window
 (sign(h_k) g_{|h_k|})_k.  Windows are checked where they come in (the simple
 reflections and the generators of a closure); composition keeps them valid.
+A ``WeylGroup`` holds a subgroup and one window per coset of it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence, Set
 from operator import itemgetter
 
 from . import roots
 from .exact import Scalar, canonical
-from .records import InternalConsistencyError
+from .records import InternalConsistencyError, Record
 
 Window = tuple[int, ...]
 
@@ -76,8 +77,46 @@ def _source(positions: Sequence[int]) -> Callable[[Window], Window]:
     return itemgetter(*positions)
 
 
-def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
-    """The group of the generators, enumerated by whole cosets (Dimino).
+class WeylGroup(Record, Set):
+    """A subgroup H and one representative per right coset H r, the identity first.
+
+    A ``Set`` equal to, and hashed like, the frozenset of its elements.  Its
+    length is |H| times the number of cosets, and w is a member when w r^-1 =
+    apply(r, w) is in H for some r; what is not a tuple of n ints is not.
+    Iterating yields H, then forms each other coset by one ``itemgetter``
+    over H: h r reads h at |r_k| - 1, or a doubled copy (h, -h), formed once
+    per pass when some r negates a coordinate, at n + |r_k| - 1 where r_k < 0.
+    """
+
+    __slots__ = ("subgroup", "representatives")
+    subgroup: frozenset[Window]
+    representatives: tuple[Window, ...]
+
+    __eq__ = Set.__eq__  # not the fields: other generators of one group give other fields
+    __hash__ = Set._hash
+    _from_iterable = frozenset  # what the set operators return
+
+    def __len__(self) -> int:
+        return len(self.subgroup) * len(self.representatives)
+
+    def __contains__(self, w: object) -> bool:
+        n = len(self.representatives[0])
+        if type(w) is not tuple or len(w) != n or any(type(v) is not int for v in w):
+            return False
+        return any(apply(r, w) in self.subgroup for r in self.representatives)
+
+    def __iter__(self) -> Iterator[Window]:
+        yield from self.subgroup
+        n, doubled = len(self.representatives[0]), None
+        for r in self.representatives[1:]:
+            if min(r) < 0 and doubled is None:
+                doubled = [h + tuple(-v for v in h) for h in self.subgroup]
+            elements = self.subgroup if min(r) > 0 else doubled
+            yield from map(_source([v - 1 if v > 0 else n - v - 1 for v in r]), elements)
+
+
+def generate(gens: Sequence[Window], cap: int = 100_000) -> WeylGroup:
+    """The group of the generators, as a subgroup and its cosets (Dimino).
 
     Raises TypeError unless ``cap`` and every window entry are ints (a bool
     is not), ValueError unless ``cap`` > 0 and the generators are windows of
@@ -86,14 +125,12 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
 
     The generators are taken in the order given.  With H the group of those
     before g, the group of H and g is the union of the right cosets H r, where
-    r runs over the products ``compose(r, s)`` (r the identity or an earlier
-    representative, s a generator so far) that the group does not yet hold.
-    Each coset is added whole as soon as r is found, so every element is
-    formed once, and it is one ``itemgetter`` mapped over H: h r reads h at
-    the positions |r_k| - 1.  When r negates some coordinates, the map reads
-    a doubled copy (h, -h) of H instead, at n + |r_k| - 1 where r_k < 0; the
-    copy is formed once per H, and only when a signed r needs it.  The cap is
-    checked after each coset, so at most cap + |H| elements are formed.
+    r runs over the products p = ``compose(r, s)`` (r the identity or an
+    earlier representative, s a generator so far) with p q^-1 outside H for
+    every representative q so far, tried newest first, where p mostly lies.
+    Each H is the frozenset of the group before it, so the last H is formed,
+    each element once, and the last cosets only when the group is iterated.
+    The cap is checked against |H| times the number of representatives.
     """
     if type(cap) is not int:
         raise TypeError(f"cap must be an int, got {type(cap).__name__}")
@@ -112,25 +149,18 @@ def generate(gens: Sequence[Window], cap: int = 100_000) -> frozenset[Window]:
         if sorted(abs(v) for v in g) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation of 1..{n}: {g}")
     identity = tuple(range(1, n + 1))
-    group = {identity}
+    group = WeylGroup(frozenset([identity]), (identity,))
     for i in range(len(gens)):
-        subgroup = list(group)
-        doubled = None
-        representatives = [identity]
+        subgroup = frozenset(group)
+        representatives, inverses = [identity], [identity]
         for r in representatives:
             for s in gens[: i + 1]:
                 product = compose(r, s)
-                if product in group:
+                if any(compose(product, q) in subgroup for q in reversed(inverses)):
                     continue
-                if min(product) > 0:
-                    elements = subgroup
-                else:
-                    if doubled is None:
-                        doubled = [h + tuple(-v for v in h) for h in subgroup]
-                    elements = doubled
-                positions = [v - 1 if v > 0 else n - v - 1 for v in product]
-                group.update(map(_source(positions), elements))
-                if len(group) > cap:
-                    raise WeylOverflowError(f"group order exceeds cap {cap}")
                 representatives.append(product)
-    return frozenset(group)
+                inverses.append(apply(product, identity))
+                if len(subgroup) * len(representatives) > cap:
+                    raise WeylOverflowError(f"group order exceeds cap {cap}")
+        group = WeylGroup(subgroup, tuple(representatives))
+    return group

@@ -25,6 +25,8 @@ KEPT_UNCALLED = {
     "forms.killing_form_ad": "the ad-trace route; `verify ... killing` reads cartan_killing_gram_ad",
     "forms.killing_form_roots": "the root-sum route; commands read RootDatum.killing_metric",
     "edges.EdgeMatrix.unit": "documented public API of EdgeMatrix",
+    "catalog.AlgebraRealization.edge_weight":
+        "documented public API; weight_of reads stored edges through the unchecked _edge_weight",
 }
 EXEMPT = {"cli_argparse._Parser.print_help"}
 

@@ -88,6 +88,26 @@ class TestBuild:
             assert any(not mat_bracket(h, m).is_zero() for h in cartan)
 
 
+class TestEdgeWeight:
+    def test_reads_each_slot_as_diag_coords_does(self):
+        r = realization(AlgebraFamily.SO_ODD, 2)
+        assert r.edge_weight(0, 1) == (1, -1)
+        assert r.edge_weight(0, 3) == (1, 1)
+        assert r.edge_weight(4, 2) == (1, 0)
+
+    @pytest.mark.parametrize("i,j", [(5, 0), (0, 3), (-1, 0), (0, -3)])
+    def test_a_slot_outside_the_realization_raises(self, i, j):
+        # sl 3 has slots 0..2; unchecked, slot 5 would read as slot 2 and -1 as slot 2.
+        slot = i if not 0 <= i < 3 else j
+        with pytest.raises(ValueError, match=rf"^slot {slot} is outside 0\.\.2$"):
+            realization(AlgebraFamily.SL, 3).edge_weight(i, j)
+
+    @pytest.mark.parametrize("i,j", [(True, 0), (0, 1.0), (Fraction(1), 0)])
+    def test_a_slot_that_is_not_an_int_raises(self, i, j):
+        with pytest.raises(TypeError, match="slot must be an int"):
+            realization(AlgebraFamily.SL, 3).edge_weight(i, j)
+
+
 class TestMembership:
     def test_identity_not_in_sl(self):
         spec = AlgebraSpec(AlgebraFamily.SL, 3)

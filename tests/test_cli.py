@@ -142,6 +142,18 @@ class TestInfoContent:
         assert code == 0
         assert "skipped" in out
 
+    def test_enumerate_weyl_of_a8_at_its_order(self):
+        # |W(A8)| = 9! = 362,880: H = W(A7) is formed, the other 8 cosets only counted.
+        code, out = run_cli(["info", "sl", "9", "--enumerate-weyl", "--max-order", "362880"])
+        assert code == 0
+        assert "weyl order (enumerated): 362880" in out.splitlines()
+
+    def test_enumerate_weyl_of_a8_one_below_its_order(self):
+        code, out = run_cli(["info", "sl", "9", "--enumerate-weyl", "--max-order", "362879"])
+        assert code == 0
+        assert ("weyl order (enumerated): skipped; order 362880 exceeds --max-order 362879"
+                in out.splitlines())
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -73,6 +73,19 @@ class TestArithmetic:
         assert dp == MultiPoly.monomial(2, (2, 1), 3)
         assert p.derivative(1) == MultiPoly.monomial(2, (3, 0))
 
+    @pytest.mark.parametrize("power", [True, 2.0, Fraction(2)])
+    def test_a_power_that_is_not_an_int_raises(self, power):
+        # True would return p itself, as the first power.
+        with pytest.raises(TypeError, match="power must be an int"):
+            var(2, 0) ** power
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, Fraction(0)])
+    def test_a_variable_index_that_is_not_an_int_raises(self, index):
+        # True would differentiate by x2, and Fraction(0) by x1.
+        p = MultiPoly(2, {(1, 1): 1})
+        with pytest.raises(TypeError, match="variable index must be an int"):
+            p.derivative(index)
+
     def test_eliminate_last(self):
         # x^2 + y^2 with y = -x becomes 2x^2
         p = var(2, 0) ** 2 + var(2, 1) ** 2

@@ -1,7 +1,9 @@
 """Signed permutations as windows, simple reflections, and group enumeration."""
 
+import tracemalloc
+from collections.abc import Set
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -212,10 +214,10 @@ class TestGenerate:
             generate(gens)
 
     def test_b_and_c_generate_identical_sets(self):
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             b = weyl_group(AlgebraFamily.SO_ODD, n)
             c = weyl_group(AlgebraFamily.SP, n)
-            assert b == c
+            assert b == c and hash(b) == hash(c)
 
     def test_so_even_elements_have_even_sign_changes(self):
         for n in (2, 3, 4):
@@ -260,19 +262,87 @@ def formed_by(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("family,n", [(family, n) for family, n in family_ranks(5)
                                       if 2 <= AlgebraSpec(family, n).lie_rank <= 4])
 def test_each_element_is_formed_once(family, n, monkeypatch):
-    # The identity is seeded, not formed.  Measured: sl 5, 23, 119; sp and so-odd
-    # 7, 47, 383; so-even 3, 23, 191.
+    # The identity is seeded, not formed.  ``generate`` forms the group H of every
+    # generator but the last, which has order (Lie rank)! here.  Measured: 1, 5, 23 at
+    # Lie rank 2, 3, 4 in every family; then iterating forms the other cosets, for
+    # |W| - 1 in all: sl 5, 23, 119; sp and so-odd 7, 47, 383; so-even 3, 23, 191.
     gens = simple_reflections(root_datum(family, n))
     count = formed_by(monkeypatch)
     group = generate(gens)
-    assert len(group) == L.weyl_order_formula(AlgebraSpec(family, n))
+    assert count[0] == factorial(AlgebraSpec(family, n).lie_rank) - 1 == len(group.subgroup) - 1
+    elements = frozenset(group)
+    assert len(elements) == len(group) == L.weyl_order_formula(AlgebraSpec(family, n))
     assert count[0] == len(group) - 1
 
 
-def test_an_overflow_forms_at_most_cap_plus_the_subgroup(monkeypatch):
-    # The cap is checked after each coset of H = W(A6), |H| = 7! = 5040.
+def test_an_overflow_forms_the_subgroup_and_no_other_coset(monkeypatch):
+    # H = W(A6), |H| = 7! = 5040, is formed (5039 elements, the identity seeded);
+    # the second representative of W(A7) brings |H| * 2 = 10080 over the cap.
     gens = simple_reflections(root_datum(AlgebraFamily.SL, 8))
     count = formed_by(monkeypatch)
     with pytest.raises(WeylOverflowError):
         generate(gens, cap=10_000)
-    assert count[0] == 10_079 <= 10_000 + 5040
+    assert count[0] == 5039 <= 10_000
+
+
+def traced(function):
+    """The result of one call of ``function`` and its tracemalloc peak in MB."""
+    tracemalloc.start()
+    try:
+        result = function()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_holds_only_the_subgroup():
+    # |W(D6)| = 23,040, |H| = 6! = 720: measured 0.19 MB, where holding every
+    # element took 5.04 MB.
+    gens = simple_reflections(root_datum(AlgebraFamily.SO_EVEN, 6))
+    group, peak = traced(lambda: generate(gens))
+    assert len(group) == 23_040 and peak < 1
+
+
+def test_generate_reaches_a8_in_bounded_memory():
+    # |W(A8)| = 9! = 362,880 with H = W(A7), |H| = 40,320: measured 6.8 MB, where
+    # holding every element took 71 MB.
+    gens = simple_reflections(root_datum(AlgebraFamily.SL, 9))
+    group, peak = traced(lambda: generate(gens, cap=362_880))
+    assert len(group) == 362_880 and len(group.representatives) == 9
+    assert peak < 16
+
+
+class TestWeylGroupIsASet:
+    def test_equal_to_and_hashed_like_the_frozenset_of_its_elements(self):
+        group = weyl_group(AlgebraFamily.SO_EVEN, 4)
+        elements = frozenset(group)
+        assert isinstance(group, Set)
+        assert group == elements and elements == group
+        assert not group != elements and not elements != group
+        assert hash(group) == hash(elements)
+        assert group | elements == elements and group - elements == frozenset()
+
+    def test_other_generators_of_one_group_give_an_equal_group(self):
+        # Record equality would compare the fields, which differ here.
+        gens = simple_reflections(root_datum(AlgebraFamily.SP, 3))
+        ordered, reversed_ = generate(gens), generate(gens[::-1])
+        assert ordered.subgroup != reversed_.subgroup
+        assert ordered == reversed_ and hash(ordered) == hash(reversed_)
+
+    @pytest.mark.parametrize("value", [[1, 2], (1, 2, 3), (1,), (1.0, 2), (True, 2),
+                                       (Fraction(1), 2), ("a", 2), None],
+                             ids=["list", "long", "short", "float", "bool", "fraction",
+                                  "str", "none"])
+    def test_what_is_not_a_window_of_the_carrier_size_is_not_a_member(self, value):
+        # Every signed permutation of size 2 is in W(B2); the list, float, bool and
+        # Fraction values equal (1, 2) as a list or by value.
+        group = weyl_group(AlgebraFamily.SP, 2)
+        assert (1, 2) in group and (-2, 1) in group
+        assert value not in group
+
+    def test_its_length_forms_nothing(self, monkeypatch):
+        gens = simple_reflections(root_datum(AlgebraFamily.SO_EVEN, 5))
+        group = generate(gens)
+        count = formed_by(monkeypatch)
+        assert len(group) == 1920
+        assert count[0] == 0

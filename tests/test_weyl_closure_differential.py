@@ -4,8 +4,11 @@
 coset H r of the group H of the earlier generators is one index map applied
 to H, or to a doubled copy (h, -h) of it when r negates a coordinate.  The
 reference below is the plain closure, one ``compose(element, g)`` per
-candidate; both must give the same frozenset, and ``generate`` must overflow
-exactly when the group is larger than the cap.  The generators are the simple
+candidate; both must give the same set of windows, and ``generate`` must
+overflow exactly when the group is larger than the cap.  Membership in the
+``WeylGroup`` that ``generate`` returns, a subgroup and its coset
+representatives, must agree with the reference set on every signed
+permutation of carrier size <= 4.  The generators are the simple
 reflections of every family with |W| <= 10^5, then shuffled lists, every
 order of the generators of A3, B3 and D4, lists with repeated, identity and
 redundant generators, random words in them, and arbitrary signed
@@ -77,6 +80,20 @@ def test_simple_reflections_close_to_the_reference_group(family, n):
     assert generate(gens, cap=order) == group
     with pytest.raises(WeylOverflowError, match=f"cap {order - 1}$"):
         generate(gens, cap=order - 1)
+
+
+def signed_permutations(n):
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(sign * v for sign, v in zip(signs, perm))
+
+
+@pytest.mark.parametrize("family,n", [(family, n) for family, n in FAMILY_SIZES if n <= 4])
+def test_membership_matches_the_reference_on_every_signed_permutation(family, n):
+    gens = simple_reflections(root_datum(family, n))
+    for order in (gens, gens[::-1]):
+        group, expected = generate(order), reference_generate(order)
+        assert all((w in group) == (w in expected) for w in signed_permutations(n))
 
 
 @pytest.mark.parametrize("family,n", SMALL)
