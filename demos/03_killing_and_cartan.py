@@ -21,7 +21,7 @@ def show(family, n):
     P = L.coroot_pairing_matrix(rd)
     print("  cartan matrix (printed convention):", A.entries)
     print("  coroot pairing (Serre convention): ", P.entries)
-    diagram = L.build_diagram(A, L.root_lengths(rd))
+    diagram = L.build_diagram(A)
     names = "+".join(L.classify(diagram))
     print(f"  dynkin diagram {names}:")
     for line in L.ascii_diagram(diagram).splitlines():

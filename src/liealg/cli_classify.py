@@ -148,7 +148,7 @@ def cmd_classify(args) -> int:
         payload["cartan_matrix"] = [list(row) for row in A.entries]
         lines.append("cartan matrix:")
         lines.extend("  " + row for row in format_matrix(A.entries))
-        diagram = dynkin.build_diagram(A, lengths)
+        diagram = dynkin.build_diagram(A)
         if not dynkin.check_positive_definite(A, lengths):
             raise ValueError("positive definiteness fails")
     except ValueError as exc:

@@ -27,7 +27,7 @@ def cmd_info(args) -> int:
     rd = root_datum(spec)
     A = forms.cartan_matrix(rd)
     lengths = forms.root_lengths(rd)
-    diagram = dynkin.build_diagram(A, lengths)
+    diagram = dynkin.build_diagram(A)
     classification = "+".join(dynkin.classify(diagram))
     art = dynkin.ascii_diagram(diagram)
     metric = rd.killing_metric

@@ -1,7 +1,8 @@
 """Cartan matrices, Dynkin diagrams, their classification, and Serre presentations.
 
 ``CartanMatrix`` is the one Cartan-matrix record: ``forms`` builds it from a
-root datum, ``classify`` from a file's vectors or matrix.
+root datum, ``classify`` from a file's vectors or matrix.  A ``DynkinDiagram``
+holds one and reads its edges and their arrows off the entries.
 
 Each connected component is walked once, into a layout: a main chain in
 drawing order plus at most one vertex hung under a fork.  Classification
@@ -21,6 +22,7 @@ generator or to 0, checked on the stored sl2 triples of the fundamental roots.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations
 
 from . import edges, roots
 from .exact import Inner, Scalar, Weight, canonical, ratio
@@ -96,18 +98,29 @@ def integer_rows(what: str, rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[int
 
 
 class DynkinDiagram(Record):
-    """Vertices with edge multiplicities 0..3 and arrows toward shorter roots."""
+    """The diagram of a Cartan matrix: n_ij = A_ij A_ji <= 3 edges between i and j."""
 
-    __slots__ = ("nvertices", "multiplicities", "arrows")
-    nvertices: int
-    multiplicities: tuple[tuple[int, ...], ...]
-    arrows: tuple[tuple[int, int], ...]  # (longer, shorter), 0-indexed
+    __slots__ = ("cartan",)
+    cartan: CartanMatrix
+
+    def __init__(self, cartan: CartanMatrix) -> None:
+        if type(cartan) is not CartanMatrix:
+            raise TypeError(f"DynkinDiagram needs a CartanMatrix, got {type(cartan).__name__}")
+        super().__init__(cartan)
+        for i, j in combinations(range(cartan.rank), 2):
+            if (m := self.multiplicity(i, j)) > 3:
+                raise ValueError(f"edge multiplicity {m} between vertices {i + 1},{j + 1} exceeds 3")
+
+    @property
+    def nvertices(self) -> int:
+        return self.cartan.rank
 
     def multiplicity(self, i: int, j: int) -> int:
-        return self.multiplicities[i][j]
+        A = self.cartan.entries
+        return A[i][j] * A[j][i] if i != j else 0
 
     def neighbors(self, i: int) -> list[int]:
-        return [j for j in range(self.nvertices) if j != i and self.multiplicities[i][j]]
+        return [j for j, a in enumerate(self.cartan.entries[i]) if a and j != i]
 
     def components(self) -> list[list[int]]:
         seen: set[int] = set()
@@ -129,40 +142,9 @@ class DynkinDiagram(Record):
         return out
 
 
-def build_diagram(A: CartanMatrix, lengths: Sequence[Scalar]) -> DynkinDiagram:
-    """Diagram with n_ij = A_ij A_ji edges and arrows toward shorter roots.
-
-    A multiple edge between roots of equal length is rejected: the arrow
-    rule requires a strictly shorter endpoint.
-    """
-    n = A.rank
-    if len(lengths) != n:
-        raise ValueError("lengths must match the Cartan matrix rank")
-    lens = [canonical(x) for x in lengths]
-    if any(x <= 0 for x in lens):
-        raise ValueError("root lengths must be positive")
-    mult = [[0] * n for _ in range(n)]
-    arrows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = A[i, j] * A[j, i]
-            if m > 3:
-                raise ValueError(
-                    f"edge multiplicity {m} between vertices {i + 1},{j + 1} exceeds 3"
-                )
-            mult[i][j] = mult[j][i] = m
-            if m >= 2:
-                if lens[i] == lens[j]:
-                    raise ValueError(
-                        f"multiple edge between equal-length roots {i + 1},{j + 1}"
-                    )
-                longer, shorter = (i, j) if lens[i] > lens[j] else (j, i)
-                arrows.append((longer, shorter))
-    return DynkinDiagram(
-        nvertices=n,
-        multiplicities=tuple(tuple(row) for row in mult),
-        arrows=tuple(sorted(arrows)),
-    )
+# The same as DynkinDiagram(A); kept because bench/traced.py spans it by name.
+def build_diagram(A: CartanMatrix) -> DynkinDiagram:
+    return DynkinDiagram(A)
 
 
 def lengths_from_cartan(A: CartanMatrix) -> list[Scalar]:
@@ -260,10 +242,8 @@ def _layout(d: DynkinDiagram, comp: list[int]) -> tuple[list[int], int | None] |
 
 
 def _shorter(d: DynkinDiagram, u: int, v: int) -> int:
-    for longer, shorter in d.arrows:
-        if {longer, shorter} == {u, v}:
-            return shorter
-    raise ValueError(f"multiple edge {u + 1}~{v + 1} has no arrow")
+    # The arrow points at the shorter root: A_uv / A_vu = <a_u,a_u> / <a_v,a_v> (Humphreys 11.4).
+    return v if d.cartan[u, v] < d.cartan[v, u] else u
 
 
 def _classify_component(d: DynkinDiagram, comp: list[int]) -> str:
@@ -334,7 +314,7 @@ class SerreRelation(Record):
     (g_1, ..., g_k) is the right-nested bracket [g_1,[g_2,[...,g_k]]].  The
     relation states word = coefficient * target; it states word = 0 when
     ``target`` is None, and word = target when ``coefficient`` is None.  Both
-    default to None.
+    default to None.  The word is nonempty, and every index an int >= 0.
     """
 
     __slots__ = ("word", "target", "coefficient")
@@ -343,7 +323,10 @@ class SerreRelation(Record):
     coefficient: int | None
 
     def __init__(self, word, target=None, coefficient=None) -> None:
-        super().__init__(word, target, coefficient)
+        word = tuple(map(_generator, word))
+        if not word:
+            raise ValueError("a Serre relation needs a nonempty word")
+        super().__init__(word, None if target is None else _generator(target), coefficient)
 
     def describe(self) -> str:
         name = lambda g: f"{g[0]}{g[1] + 1}"
@@ -368,12 +351,32 @@ class SerreRelation(Record):
         return value == (target if self.coefficient is None else target.scale(self.coefficient))
 
 
+def _generator(g: Sequence) -> tuple[str, int]:
+    letter, index = g
+    if type(index) is not int:
+        raise TypeError(f"Serre generator index must be an int, got {type(index).__name__}")
+    if letter not in ("H", "X", "Y") or index < 0:
+        raise ValueError(f"Serre generator {g!r} is not a letter H, X or Y and an index >= 0")
+    return letter, index
+
+
 class SerrePresentation(Record):
-    """Generators H_i, X_i, Y_i and the full relation list."""
+    """Generators H_i, X_i, Y_i, i below the rank of ``cartan``, and a tuple of relations."""
 
     __slots__ = ("cartan", "relations")
     cartan: CartanMatrix
     relations: tuple[SerreRelation, ...]
+
+    def __init__(self, cartan: CartanMatrix, relations: tuple[SerreRelation, ...]) -> None:
+        if type(cartan) is not CartanMatrix:
+            raise TypeError(f"SerrePresentation needs a CartanMatrix, got {type(cartan).__name__}")
+        if type(relations) is not tuple or any(type(r) is not SerreRelation for r in relations):
+            raise TypeError("Serre relations must be a tuple of SerreRelation")
+        for rel in relations:
+            named = rel.word if rel.target is None else (*rel.word, rel.target)
+            if any(i >= cartan.rank for _, i in named):
+                raise ValueError(f"{rel.describe()} names a generator beyond rank {cartan.rank}")
+        super().__init__(cartan, relations)
 
     @property
     def rank(self) -> int:

@@ -28,12 +28,29 @@ from .records import Record
 
 
 class InvariantSuite(Record):
-    """An ordered generating set for one family's invariant ring."""
+    """An ordered generating set for one family's invariant ring: ``MultiPoly``s on ``nvars``
+    variables, one per effective variable (``nvars - 1`` for sl), so the Jacobian is square."""
 
     __slots__ = ("family", "nvars", "polys")
     family: AlgebraFamily
     nvars: int
     polys: tuple[MultiPoly, ...]
+
+    def __init__(self, family: AlgebraFamily, nvars: int, polys: tuple[MultiPoly, ...]) -> None:
+        if type(family) is not AlgebraFamily:
+            raise TypeError(f"family must be an AlgebraFamily, got {type(family).__name__}")
+        if type(nvars) is not int:
+            raise TypeError(f"nvars must be an int, got {type(nvars).__name__}")
+        least = 2 if family is AlgebraFamily.SL else 1
+        if nvars < least:
+            raise ValueError(f"a {family.cli_name} suite needs nvars >= {least}, got {nvars}")
+        if type(polys) is not tuple or any(type(p) is not MultiPoly for p in polys):
+            raise TypeError("suite polynomials must be a tuple of MultiPoly")
+        if any(p.nvars != nvars for p in polys):
+            raise ValueError(f"suite polynomials must be on {nvars} variables")
+        if len(polys) != nvars - least + 1:
+            raise ValueError("suite size must match the effective variable count")
+        super().__init__(family, nvars, polys)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -62,25 +79,22 @@ def build_suite(family: AlgebraFamily, n: int) -> InvariantSuite:
 
     ``n`` is the rank of the reflection group (the Lie rank); the A-family
     suite lives on n+1 variables, the others on n.  ``n`` must be an int (a
-    bool is not), as ``AlgebraSpec`` requires of its rank.
+    bool is not), as ``AlgebraSpec`` requires of its rank; ``InvariantSuite``
+    rejects a rank below 1 and a family that is not an ``AlgebraFamily``.
     """
     if type(n) is not int:
         raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
     if family is AlgebraFamily.SL:
         nvars = n + 1
         polys = tuple(_power_sum(nvars, k) for k in range(2, n + 2))
-    elif family in (AlgebraFamily.SP, AlgebraFamily.SO_ODD):
-        nvars = n
-        polys = tuple(_power_sum(nvars, 2 * k) for k in range(1, n + 1))
     elif family is AlgebraFamily.SO_EVEN:
         if n < 2:
             raise ValueError("the even orthogonal family needs rank >= 2")
         nvars = n
         polys = tuple(_power_sum(nvars, 2 * k) for k in range(1, n)) + (full_product(nvars),)
     else:
-        raise ValueError(f"unknown family {family}")
+        nvars = n
+        polys = tuple(_power_sum(nvars, 2 * k) for k in range(1, n + 1))
     return InvariantSuite(family=family, nvars=nvars, polys=polys)
 
 
@@ -115,8 +129,6 @@ def jacobian(s: InvariantSuite) -> MultiPoly:
     """
     polys = _restrict_to_effective(s)
     nv = polys[0].nvars
-    if len(polys) != nv:
-        raise ValueError("suite size must match the effective variable count")
     matrix = [[p.derivative(j) for j in range(nv)] for p in polys]
     return poly_det(matrix)
 
@@ -129,14 +141,8 @@ def _jacobian_at_point(s: InvariantSuite) -> exact.Scalar:
     the restricted matrix is d_j f - d_(m+1) f there (the chain rule), so
     the polynomials are never restricted symbolically.
     """
-    if s.family is AlgebraFamily.SL:
-        nv = s.nvars
-        m = nv - 1
-    else:
-        nv = s.polys[0].nvars
-        m = nv
-    if m < 1 or len(s.polys) != m:
-        raise ValueError("suite size must match the effective variable count")
+    nv = s.nvars
+    m = len(s.polys)
     point = list(range(1, m + 1))
     if m < nv:
         point.append(-sum(point))

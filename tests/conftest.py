@@ -1,7 +1,8 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
 reference reflection used by the forms tests, the dense
 structure-constant table used by the catalog tests, a field-replacing copy of
-a record, dense and transposed views of a matrix, the closed forms that the
+a record, a Dynkin diagram's multiplicity table and arrow list, dense and
+transposed views of a matrix, the closed forms that the
 invariant Jacobians are compared with, the hand-written root-vector table
 and structure forms that ``catalog`` used before it read every sp and so
 member off one signed involution, kept as the reference for that reading,
@@ -18,10 +19,12 @@ import os
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
+from liealg.dynkin import _shorter
 from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.exact import Scalar, Weight, canonical, ratio
 from liealg.polynomials import MultiPoly
@@ -78,6 +81,23 @@ def replace(record, **changes):
     """
     fields = {name: getattr(record, name) for name in record._names}
     return type(record)(**{**fields, **changes})
+
+
+def multiplicities(d: L.DynkinDiagram) -> tuple[tuple[int, ...], ...]:
+    """The table of edge multiplicities, zero on the diagonal."""
+    n = d.nvertices
+    return tuple(tuple(d.multiplicity(i, j) for j in range(n)) for i in range(n))
+
+
+def arrows(d: L.DynkinDiagram) -> tuple[tuple[int, int], ...]:
+    """The (longer, shorter) pair of each multiple edge, sorted, as ``classify`` and
+    ``ascii_diagram`` read it."""
+    out = []
+    for u, v in combinations(range(d.nvertices), 2):
+        if d.multiplicity(u, v) >= 2:
+            shorter = _shorter(d, u, v)
+            out.append((u + v - shorter, shorter))
+    return tuple(sorted(out))
 
 
 def reflect(inner, alpha, beta):

@@ -93,6 +93,8 @@ CLASSIFY_GOLDENS = {
     "missing_negative": ({"vectors": [[1, 1], [-1, -1], [1, -1], [-1, 1], [2, 0]]}, 1),
     "inconsistent_lengths": ({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}, 1),
     "multiplicity_four": ({"cartan": [[2, -2], [-2, 2]]}, 1),
+    # Both reasons apply; the length check runs first, before build_diagram.
+    "inconsistent_and_multiplicity_four": ({"cartan": [[2, -2, -1], [-2, 2, -2], [-1, -1, 2]]}, 1),
     "affine_triangle": ({"cartan": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}, 1),
     "a7_dropped_root": ({"vectors": A7_SCALED[:5] + A7_SCALED[6:]}, 1),
     "e6_doubled_root": ({"vectors": E6_SCALED + scaled(E6_ROOTS[10:11], Fraction(4, 3))}, 1),

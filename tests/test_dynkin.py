@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, root_datum
+from conftest import arrows, family_ranks, multiplicities, root_datum
 
 import liealg as L
 from liealg import AlgebraFamily, CartanMatrix
 from liealg.dynkin import (
+    SerrePresentation,
+    SerreRelation,
     ascii_diagram,
     build_diagram,
     check_positive_definite,
@@ -24,7 +26,7 @@ def diagram_for(family, n):
     rd = root_datum(family, n)
     A = L.cartan_matrix(rd)
     lengths = L.root_lengths(rd)
-    return build_diagram(A, lengths), A, lengths
+    return build_diagram(A), A, lengths
 
 
 def chain_cartan(m):
@@ -60,6 +62,10 @@ def simple_edges(*pairs):
     return [(i, j, -1, -1) for i, j in pairs]
 
 
+def raises_text(error, text):
+    return pytest.raises(error, match=f"^{re.escape(text)}$")
+
+
 # Shapes outside the simple list, each with its Cartan matrix and drawing.
 # A shape that is neither a path nor one fork with a length-1 arm is drawn
 # as its edge list.
@@ -88,7 +94,7 @@ NOT_SIMPLE_SHAPES = {
 
 def shape_diagram(name):
     A, _ = NOT_SIMPLE_SHAPES[name]
-    return build_diagram(A, lengths_from_cartan(A))
+    return build_diagram(A)
 
 
 class TestCartanMatrixEntries:
@@ -114,7 +120,7 @@ class TestCartanMatrixEntries:
 class TestBuildDiagram:
     def test_a_chain_no_arrows(self):
         d, _, _ = diagram_for(AlgebraFamily.SL, 4)
-        assert d.arrows == ()
+        assert arrows(d) == ()
         assert all(
             d.multiplicity(i, j) == (1 if abs(i - j) == 1 else 0)
             for i in range(3)
@@ -126,31 +132,66 @@ class TestBuildDiagram:
         for n in (2, 3, 4):
             d, _, lengths = diagram_for(AlgebraFamily.SP, n)
             assert d.multiplicity(n - 2, n - 1) == 2
-            assert d.arrows == ((n - 1, n - 2),)
+            assert arrows(d) == ((n - 1, n - 2),)
             assert lengths[n - 2] < lengths[n - 1]
 
     def test_b_family_arrow_points_to_last(self):
         for n in (2, 3, 4):
             d, _, lengths = diagram_for(AlgebraFamily.SO_ODD, n)
-            assert d.arrows == ((n - 2, n - 1),)
+            assert arrows(d) == ((n - 2, n - 1),)
             assert lengths[n - 2] > lengths[n - 1]
 
     def test_b_c_opposite_arrows(self):
         for n in range(2, 9):
             db, _, _ = diagram_for(AlgebraFamily.SO_ODD, n)
             dc, _, _ = diagram_for(AlgebraFamily.SP, n)
-            assert db.multiplicities == dc.multiplicities
-            assert db.arrows == tuple((b, a) for a, b in dc.arrows)
+            assert multiplicities(db) == multiplicities(dc)
+            assert arrows(db) == tuple((b, a) for a, b in arrows(dc))
 
     def test_equal_length_multi_edge_rejected(self):
+        # A_12 = A_21 = -2 is the one multiple edge between equal lengths
+        # that a Cartan matrix admits, and its multiplicity is 4.
         A = CartanMatrix(((2, -2), (-2, 2)))
-        with pytest.raises(ValueError):
-            build_diagram(A, [Fraction(2), Fraction(2)])
+        with raises_text(ValueError, "edge multiplicity 4 between vertices 1,2 exceeds 3"):
+            build_diagram(A)
 
     def test_multiplicity_above_three_rejected(self):
-        A = CartanMatrix(((2, -2), (-2, 2)))
-        with pytest.raises(ValueError):
-            build_diagram(A, [Fraction(2), Fraction(4)])
+        A = CartanMatrix(((2, -2), (-3, 2)))
+        with raises_text(ValueError, "edge multiplicity 6 between vertices 1,2 exceeds 3"):
+            build_diagram(A)
+
+
+class TestDynkinDiagramConstructor:
+    @pytest.mark.parametrize("args", [
+        (2, ((0, 7), (7, 0)), ((0, 1),)),  # the fields a diagram once held
+        (2, ((0, 2), (2, 0)), ()),
+        (((2, -1), (-1, 2)),),  # entries, not a CartanMatrix
+        (None,),
+    ], ids=["three_fields", "no_arrow", "entries", "none"])
+    def test_anything_but_a_cartan_matrix_is_a_type_error(self, args):
+        with pytest.raises(TypeError):
+            L.DynkinDiagram(*args)
+
+    @pytest.mark.parametrize("pair,m", [((-2, -2), 4), ((-2, -3), 6), ((-3, -3), 9)])
+    def test_a_multiplicity_above_three_raises(self, pair, m):
+        A = edges_cartan(3, [(0, 1, -1, -1), (1, 2, *pair)])
+        with raises_text(ValueError, f"edge multiplicity {m} between vertices 2,3 exceeds 3"):
+            L.DynkinDiagram(A)
+
+    def test_the_first_pair_in_row_major_order_is_named(self):
+        A = edges_cartan(3, [(0, 2, -2, -2), (1, 2, -3, -3)])
+        with raises_text(ValueError, "edge multiplicity 4 between vertices 1,3 exceeds 3"):
+            L.DynkinDiagram(A)
+
+    def test_the_diagram_holds_its_matrix(self):
+        A = edges_cartan(3, [(0, 1, -1, -1), (1, 2, -1, -3)])
+        d = L.DynkinDiagram(A)
+        assert d.cartan is A and d.nvertices == 3
+        assert multiplicities(d) == ((0, 1, 0), (1, 0, 3), (0, 3, 0))
+        assert arrows(d) == ((2, 1),)
+        assert d == L.DynkinDiagram(CartanMatrix(A.entries))
+        flipped = L.DynkinDiagram(CartanMatrix(tuple(zip(*A.entries))))
+        assert flipped != d and arrows(flipped) == ((1, 2),)
 
 
 class TestPositiveDefinite:
@@ -220,29 +261,29 @@ class TestClassify:
     def test_e_series_patterns(self):
         for c, name in ((2, "E6"), (3, "E7"), (4, "E8")):
             A = fork_cartan((1, 2, c))
-            d = build_diagram(A, lengths_from_cartan(A))
+            d = build_diagram(A)
             assert classify(d) == (name,)
 
     def test_f4_pattern(self):
         A = CartanMatrix(
             ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
         )
-        d = build_diagram(A, lengths_from_cartan(A))
+        d = build_diagram(A)
         assert classify(d) == ("F4",)
 
     def test_g2_pattern(self):
         A = CartanMatrix(((2, -3), (-1, 2)))
-        d = build_diagram(A, lengths_from_cartan(A))
+        d = build_diagram(A)
         assert classify(d) == ("G2",)
 
     def test_cycle_not_simple(self):
         A = CartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
-        d = build_diagram(A, lengths_from_cartan(A))
+        d = build_diagram(A)
         assert classify(d) == ("NotSimple",)
 
     def test_five_branch_star_not_simple(self):
         A = fork_cartan((1, 1, 1, 1))
-        d = build_diagram(A, lengths_from_cartan(A))
+        d = build_diagram(A)
         assert classify(d) == ("NotSimple",)
 
     @pytest.mark.parametrize("name", sorted(NOT_SIMPLE_SHAPES))
@@ -285,13 +326,6 @@ class TestAscii:
     @pytest.mark.parametrize("name", sorted(NOT_SIMPLE_SHAPES))
     def test_unlisted_shapes(self, name):
         assert ascii_diagram(shape_diagram(name)) == NOT_SIMPLE_SHAPES[name][1]
-
-
-@pytest.mark.parametrize("reader", [classify, ascii_diagram])
-def test_a_multiple_edge_without_an_arrow_raises(reader):
-    d = L.DynkinDiagram(3, ((0, 1, 0), (1, 0, 2), (0, 2, 0)), ())
-    with pytest.raises(ValueError, match="^multiple edge 2~3 has no arrow$"):
-        reader(d)
 
 
 class TestLengthsFromCartan:
@@ -356,3 +390,50 @@ class TestSerrePresentation:
         rd = root_datum(AlgebraFamily.SL, 3)
         with pytest.raises(ValueError):
             verify_serre(rd, serre_presentation(CartanMatrix(((2,),))))
+
+
+class TestSerreRecords:
+    def test_a_presentation_needs_a_cartan_matrix(self):
+        with raises_text(TypeError, "SerrePresentation needs a CartanMatrix, got NoneType"):
+            SerrePresentation(None, ())
+
+    @pytest.mark.parametrize("relations", [[], (None,), ("[X1,Y1] = H1",)],
+                             ids=["list", "none", "text"])
+    def test_the_relations_are_a_tuple_of_serre_relations(self, relations):
+        with raises_text(TypeError, "Serre relations must be a tuple of SerreRelation"):
+            SerrePresentation(chain_cartan(2), relations)
+
+    def test_a_relation_beyond_the_rank_is_rejected(self):
+        # The A2 relations name generators 1 and 2; a rank-1 matrix has only 1,
+        # as does sl2, so the presentation would pass verify_serre's rank check.
+        relations = serre_presentation(chain_cartan(2)).relations
+        with raises_text(ValueError, "[H1,H2] = 0 names a generator beyond rank 1"):
+            verify_serre(
+                root_datum(AlgebraFamily.SL, 2), SerrePresentation(CartanMatrix([[2]]), relations)
+            )
+        target = SerreRelation((("X", 0), ("Y", 0)), ("H", 1))
+        with pytest.raises(ValueError, match="beyond rank 1$"):
+            SerrePresentation(CartanMatrix([[2]]), (target,))
+        assert SerrePresentation(chain_cartan(2), (target,)).relations == (target,)
+
+    @pytest.mark.parametrize("word,target,error", [
+        ((("Z", 0),), None, ValueError),
+        ((("x", 0),), None, ValueError),
+        ((("X", -1),), None, ValueError),
+        ((("X", True),), None, TypeError),
+        ((("X", 0.0),), None, TypeError),
+        ((("X", 0, 1),), None, ValueError),
+        (("X0",), None, TypeError),
+        ((), None, ValueError),
+        ((("X", 0),), ("Z", 0), ValueError),
+        ((("X", 0),), ("H", False), TypeError),
+    ])
+    def test_a_relation_names_generators_h_x_y_with_int_indices(self, word, target, error):
+        with pytest.raises(error):
+            SerreRelation(word, target)
+
+    def test_generators_given_as_lists_are_stored_as_tuples(self):
+        rel = SerreRelation([["X", 0], ["Y", 1]], ["H", 0], 2)
+        assert rel == SerreRelation((("X", 0), ("Y", 1)), ("H", 0), 2)
+        assert rel.word == (("X", 0), ("Y", 1)) and rel.target == ("H", 0)
+        assert hash(rel) == hash(SerreRelation((("X", 0), ("Y", 1)), ("H", 0), 2))

@@ -6,6 +6,10 @@ own.  The library now reads both from one layout per component; the output
 must not change on every diagram up to four vertices (multiplicities 0-3,
 both arrow directions), on seeded random cycles, stars, trees and graphs on
 5-10 vertices, and on the diagram of every classical family up to rank 8.
+
+A diagram is built from the Cartan matrix of an edge table, and the
+reference reads each arrow from that table (or, for a family, from its root
+lengths) rather than from the matrix the library reads it off.
 """
 
 import random
@@ -16,7 +20,7 @@ import pytest
 from conftest import family_ranks, root_datum
 
 import liealg as L
-from liealg.dynkin import DynkinDiagram, ascii_diagram, build_diagram, classify
+from liealg.dynkin import CartanMatrix, DynkinDiagram, ascii_diagram, build_diagram, classify
 
 NOT_SIMPLE = "NotSimple"
 
@@ -177,15 +181,31 @@ def _render_edge_list(d: DynkinDiagram, comp: list[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def diagram(n: int, edges: dict[tuple[int, int], tuple[int, bool]]) -> DynkinDiagram:
-    """Edges {(i, j): (multiplicity, arrow i -> j)}; the arrow counts only when m >= 2."""
-    mult = [[0] * n for _ in range(n)]
+class Drawn:
+    """A library diagram, read by the reference through its multiplicities and
+    neighbours, with the (longer, shorter) arrows of the table it was drawn from."""
+
+    def __init__(self, d: DynkinDiagram, arrows: tuple[tuple[int, int], ...]):
+        self.diagram, self.arrows = d, arrows
+        self.multiplicity, self.neighbors, self.components = (
+            d.multiplicity, d.neighbors, d.components)
+
+
+def diagram(n: int, edges: dict[tuple[int, int], tuple[int, bool]]) -> Drawn:
+    """Edges {(i, j): (multiplicity, arrow i -> j)}; the arrow counts only when m >= 2.
+
+    A simple edge is A_ij = A_ji = -1; a multiple edge with its arrow i -> j,
+    toward the shorter root j, is A_ij = -m, A_ji = -1.
+    """
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     arrows = []
     for (i, j), (m, forward) in edges.items():
-        mult[i][j] = mult[j][i] = m
+        if m:
+            longer, shorter = (i, j) if forward else (j, i)
+            rows[longer][shorter], rows[shorter][longer] = -m, -1
         if m >= 2:
-            arrows.append((i, j) if forward else (j, i))
-    return DynkinDiagram(n, tuple(map(tuple, mult)), tuple(sorted(arrows)))
+            arrows.append((longer, shorter))
+    return Drawn(DynkinDiagram(CartanMatrix(rows)), tuple(sorted(arrows)))
 
 
 EDGE_STATES = ((0, True), (1, True), (2, True), (2, False), (3, True), (3, False))
@@ -222,7 +242,7 @@ def random_edges(rng: random.Random, n: int) -> set[tuple[int, int]]:
     return edges
 
 
-def random_diagram(rng: random.Random) -> DynkinDiagram:
+def random_diagram(rng: random.Random) -> Drawn:
     n = rng.randint(5, 10)
     label = list(range(n))
     rng.shuffle(label)
@@ -234,9 +254,10 @@ def random_diagram(rng: random.Random) -> DynkinDiagram:
     return diagram(n, edges)
 
 
-def assert_same(d: DynkinDiagram):
-    assert classify(d) == reference_classify(d), d
-    assert ascii_diagram(d) == reference_ascii(d), d
+def assert_same(drawn: Drawn):
+    d = drawn.diagram
+    assert classify(d) == reference_classify(drawn), d
+    assert ascii_diagram(d) == reference_ascii(drawn), d
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +277,9 @@ def test_seeded_random_diagrams():
     rng = random.Random(20051)
     names = set()
     for _ in range(6_000):
-        d = random_diagram(rng)
-        assert_same(d)
-        names.update(name[0] for name in classify(d))
+        drawn = random_diagram(rng)
+        assert_same(drawn)
+        names.update(name[0] for name in classify(drawn.diagram))
     # The sample reaches every letter that has a rank between 5 and 10.
     assert names >= {"A", "B", "C", "D", "E", "N"}
 
@@ -266,4 +287,8 @@ def test_seeded_random_diagrams():
 @pytest.mark.parametrize("family,n", family_ranks(8))
 def test_classical_family_diagrams(family, n):
     rd = root_datum(family, n)
-    assert_same(build_diagram(L.cartan_matrix(rd), L.root_lengths(rd)))
+    lengths = L.root_lengths(rd)
+    d = build_diagram(L.cartan_matrix(rd))
+    arrows = [(i, j) if lengths[i] > lengths[j] else (j, i)
+              for i, j in combinations(range(len(lengths)), 2) if d.multiplicity(i, j) >= 2]
+    assert_same(Drawn(d, tuple(sorted(arrows))))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,15 @@ class TestSuites:
             build_suite(AlgebraFamily.SP, 0)
         with pytest.raises(ValueError):
             build_suite(AlgebraFamily.SO_EVEN, 1)
+        for family in AlgebraFamily:
+            for n in (-3, 0):
+                with pytest.raises(ValueError):
+                    build_suite(family, n)
+
+    def test_a_family_that_is_not_an_algebra_family_raises(self):
+        # The InvariantSuite constructor names it.
+        with pytest.raises(TypeError, match="^family must be an AlgebraFamily, got str$"):
+            build_suite("sp", 2)
 
     @pytest.mark.parametrize("n", [True, 2.0, Fraction(2)])
     @pytest.mark.parametrize("family", list(AlgebraFamily))
@@ -240,13 +250,63 @@ class TestPointCertificate:
         assert calls == [s]
 
     def test_suite_size_must_match_the_effective_variables(self):
+        # The constructor rejects such a suite, so the Jacobian is always square.
         x, y = variable(2, 0), variable(2, 1)
         with pytest.raises(ValueError, match="effective variable count"):
-            jacobian_criterion(hand_suite([x, y, x * y]))
+            hand_suite([x, y, x * y])
         with pytest.raises(ValueError, match="effective variable count"):
-            jacobian_criterion(InvariantSuite(AlgebraFamily.SL, 2, (x, y)))
+            InvariantSuite(AlgebraFamily.SL, 2, (x, y))
         with pytest.raises(ValueError):
-            jacobian_criterion(InvariantSuite(AlgebraFamily.SL, 1, ()))
+            InvariantSuite(AlgebraFamily.SL, 1, ())
+
+
+def _text(text: str) -> str:
+    return f"^{re.escape(text)}$"
+
+
+class TestInvariantSuiteRecord:
+    def test_the_built_suites_are_accepted(self):
+        for family, n in family_ranks(6):
+            s = build_suite(family, root_datum(family, n).spec.lie_rank)
+            assert InvariantSuite(s.family, s.nvars, s.polys) == s
+
+    @pytest.mark.parametrize("family,nvars,text", [
+        (AlgebraFamily.SP, 0, "a sp suite needs nvars >= 1, got 0"),
+        (AlgebraFamily.SO_ODD, -1, "a so-odd suite needs nvars >= 1, got -1"),
+        (AlgebraFamily.SL, 1, "a sl suite needs nvars >= 2, got 1"),
+    ])
+    def test_too_few_variables(self, family, nvars, text):
+        # InvariantSuite(SP, 0, ()) was once accepted; jacobian_criterion then raised IndexError.
+        with pytest.raises(ValueError, match=_text(text)):
+            InvariantSuite(family, nvars, ())
+
+    @pytest.mark.parametrize("family,nvars,polys,text", [
+        ("sp", 2, (), "family must be an AlgebraFamily, got str"),
+        (None, 2, (), "family must be an AlgebraFamily, got NoneType"),
+        (AlgebraFamily.SP, True, (), "nvars must be an int, got bool"),
+        (AlgebraFamily.SP, 2.0, (), "nvars must be an int, got float"),
+        (AlgebraFamily.SP, 1, [variable(1, 0)], "suite polynomials must be a tuple of MultiPoly"),
+        (AlgebraFamily.SP, 1, ("x",), "suite polynomials must be a tuple of MultiPoly"),
+    ])
+    def test_wrong_types(self, family, nvars, polys, text):
+        with pytest.raises(TypeError, match=_text(text)):
+            InvariantSuite(family, nvars, polys)
+
+    def test_every_polynomial_is_on_nvars_variables(self):
+        with pytest.raises(ValueError, match=_text("suite polynomials must be on 2 variables")):
+            InvariantSuite(AlgebraFamily.SO_EVEN, 2, (variable(2, 0), variable(3, 1)))
+        with pytest.raises(ValueError, match=_text("suite polynomials must be on 3 variables")):
+            InvariantSuite(AlgebraFamily.SL, 3, (variable(2, 0), variable(2, 1)))
+
+    @pytest.mark.parametrize("family,nvars,count", [
+        (AlgebraFamily.SL, 3, 3), (AlgebraFamily.SL, 3, 1), (AlgebraFamily.SP, 2, 1),
+        (AlgebraFamily.SO_EVEN, 2, 3),
+    ])
+    def test_one_polynomial_per_effective_variable(self, family, nvars, count):
+        polys = tuple(variable(nvars, 0) ** (k + 1) for k in range(count))
+        text = "suite size must match the effective variable count"
+        with pytest.raises(ValueError, match=_text(text)):
+            InvariantSuite(family, nvars, polys)
 
 
 class TestDegreeProductsAgainstEnumeration:

@@ -17,7 +17,7 @@ from conftest import root_datum, variable
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.dynkin import SerreRelation, lengths_from_cartan
+from liealg.dynkin import SerreRelation
 from liealg.invariants import InvariantSuite
 from liealg.forms import KillingMetric
 
@@ -47,8 +47,7 @@ RECORDS = [
     (KillingMetric, ("gram", "sigma", "trace"), True,
      lambda n: root_datum(AlgebraFamily.SP, n).killing_metric),
     (L.CartanMatrix, ("entries",), True, _cartan),
-    (L.DynkinDiagram, ("nvertices", "multiplicities", "arrows"), True,
-     lambda n: L.build_diagram(_cartan(n), lengths_from_cartan(_cartan(n)))),
+    (L.DynkinDiagram, ("cartan",), True, lambda n: L.build_diagram(_cartan(n))),
     (SerreRelation, ("word", "target", "coefficient"), True,
      lambda n: L.serre_presentation(_cartan(2)).relations[n]),
     (L.SerrePresentation, ("cartan", "relations"), True,
@@ -129,8 +128,9 @@ def test_a_record_equals_no_record_of_another_type(cls, fields, hashable, make):
 
 
 def test_records_with_equal_fields_differ_by_type():
-    assert KillingMetric(1, 2, 3) != InvariantSuite(1, 2, 3)
-    assert InvariantSuite(1, 2, 3) != KillingMetric(1, 2, 3)
+    suite = L.build_suite(AlgebraFamily.SP, 2)
+    metric = KillingMetric(suite.family, suite.nvars, suite.polys)
+    assert metric != suite and suite != metric
 
 
 @pytest.mark.parametrize("cls,fields,hashable,make", RECORDS, ids=IDS)

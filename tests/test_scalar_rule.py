@@ -30,7 +30,7 @@ from conftest import dense, family_ranks, from_rows, realization, root_datum, va
 
 from liealg import (AlgebraFamily, AlgebraSpec, check_membership, dynkin, forms, invariants,
                     weight_of)
-from liealg.dynkin import build_diagram, check_positive_definite
+from liealg.dynkin import check_positive_definite
 from liealg.exact import parse_rational, ratio
 from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.matrices import determinant
@@ -169,7 +169,6 @@ SCALAR_READERS = {
     "MultiPoly.scale": lambda x: variable(1, 0).scale(x),
     "MultiPoly.eval": lambda x: variable(1, 0).eval([x]),
     "CartanMatrix": lambda x: dynkin.CartanMatrix(((x, -1), (-1, 2))),
-    "build_diagram": lambda x: build_diagram(A2, [x, 2]),
     "check_positive_definite": lambda x: check_positive_definite(A2, [x, 2]),
     **{f"check_membership {family.value}": lambda x, family=family:
        scaled_root_vector_membership(family, x) for family in AlgebraFamily},
