@@ -140,16 +140,15 @@ def cmd_classify(args) -> int:
     try:
         if vectors is None:
             A = _parse_cartan(data["cartan"], args.path)
-            lengths = dynkin.lengths_from_cartan(A)
+            # Inconsistent root lengths are reported before the matrix is printed.
+            dynkin.lengths_from_cartan(A)
         else:
-            simple = axioms.simple_roots(vectors)
-            A = dynkin.CartanMatrix(dynkin.cartan_entries(simple, dot))
-            lengths = [dot(a, a) for a in simple]
+            A = dynkin.CartanMatrix(dynkin.cartan_entries(axioms.simple_roots(vectors), dot))
         payload["cartan_matrix"] = [list(row) for row in A.entries]
         lines.append("cartan matrix:")
         lines.extend("  " + row for row in format_matrix(A.entries))
         diagram = dynkin.build_diagram(A)
-        if not dynkin.check_positive_definite(A, lengths):
+        if not dynkin.check_positive_definite(A):
             raise ValueError("positive definiteness fails")
     except ValueError as exc:
         lines.append(f"classification: {dynkin.NOT_SIMPLE}: {exc}")

@@ -11,9 +11,10 @@ always agree on a component's shape; a component with no layout is
 NotSimple and is drawn as its edge list.
 
 Positive definiteness of the diagram's quadratic form (whose Gram matrix has
-irrational off-diagonal entries -sqrt(n_ij)) is decided exactly: that matrix
-is congruent by a positive diagonal scaling to the rational symmetrization
-B_ij = A_ij <a_j, a_j>, whose leading minors are checked in exact arithmetic.
+irrational off-diagonal entries -sqrt(n_ij)) is decided exactly from A alone:
+that matrix is congruent by a positive diagonal scaling to B_ij = A_ij l_j,
+where l are the lengths A implies, A_ij / A_ji = l_i / l_j (Humphreys 11.4).
+B's leading minors are checked in exact arithmetic.
 
 A Serre relation is data, a bracket word equal to a multiple of one
 generator or to 0, checked on the stored sl2 triples of the fundamental roots.
@@ -25,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from . import edges, roots
-from .exact import Inner, Scalar, Weight, canonical, ratio
+from .exact import Inner, Scalar, Weight, ratio
 from .matrices import is_positive_definite
 from .records import Check, CheckReport, InternalConsistencyError, Record
 
@@ -172,21 +173,13 @@ def lengths_from_cartan(A: CartanMatrix) -> list[Scalar]:
                     stack.append(j)
                 elif lengths[j] != implied:
                     raise ValueError("Cartan matrix implies inconsistent root lengths")
-    return [x for x in lengths if x is not None]
+    return lengths
 
 
-def check_positive_definite(A: CartanMatrix, lengths: Sequence[Scalar]) -> bool:
-    """Exact positive-definiteness of the quadratic form of A and the root lengths."""
-    n = A.rank
-    if len(lengths) != n:
-        raise ValueError("Cartan matrix and lengths must agree in size")
-    lens = [canonical(x) for x in lengths]
-    sym = [[A[i, j] * lens[j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if sym[i][j] != sym[j][i]:
-                raise ValueError("lengths are inconsistent with the Cartan matrix")
-    return is_positive_definite(sym)
+def check_positive_definite(A: CartanMatrix) -> bool:
+    """Exact positive-definiteness of B_ij = A_ij l_j, l from ``lengths_from_cartan``."""
+    lengths = lengths_from_cartan(A)
+    return is_positive_definite([[a * l for a, l in zip(row, lengths)] for row in A.entries])
 
 
 NOT_SIMPLE = "NotSimple"
@@ -314,7 +307,8 @@ class SerreRelation(Record):
     (g_1, ..., g_k) is the right-nested bracket [g_1,[g_2,[...,g_k]]].  The
     relation states word = coefficient * target; it states word = 0 when
     ``target`` is None, and word = target when ``coefficient`` is None.  Both
-    default to None.  The word is nonempty, and every index an int >= 0.
+    default to None.  The word is nonempty, every index an int >= 0, and the
+    coefficient None or an int, given only with a target.
     """
 
     __slots__ = ("word", "target", "coefficient")
@@ -326,6 +320,10 @@ class SerreRelation(Record):
         word = tuple(map(_generator, word))
         if not word:
             raise ValueError("a Serre relation needs a nonempty word")
+        if coefficient is not None and type(coefficient) is not int:
+            raise TypeError(f"Serre coefficient must be an int, got {type(coefficient).__name__}")
+        if coefficient is not None and target is None:
+            raise ValueError("a Serre relation with no target takes no coefficient")
         super().__init__(word, None if target is None else _generator(target), coefficient)
 
     def describe(self) -> str:

@@ -45,11 +45,6 @@ class EdgeMatrix(Record):
                 clean[r, c] = x
         super().__init__(dim, clean)
 
-    @staticmethod
-    def unit(dim: int, i: int, j: int) -> "EdgeMatrix":
-        """Elementary matrix with a single 1 at (row i, column j), 1-indexed."""
-        return EdgeMatrix(dim, {(i - 1, j - 1): 1})
-
     def __getitem__(self, rc: Position) -> Scalar:
         return self.edges.get(rc, 0)
 

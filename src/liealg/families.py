@@ -42,6 +42,8 @@ class AlgebraSpec(Record):
     rank: int
 
     def __init__(self, family: AlgebraFamily, rank: int) -> None:
+        if type(family) is not AlgebraFamily:
+            raise TypeError(f"family must be an AlgebraFamily, got {type(family).__name__}")
         if type(rank) is not int:
             raise TypeError(f"n must be an int, got {type(rank).__name__}")
         minimum = 2 if family in (AlgebraFamily.SL, AlgebraFamily.SO_EVEN) else 1

@@ -4,9 +4,10 @@ The Cartan subalgebras are diagonal, so ad(h) scales each edge i -> j by
 its weight chi_i - chi_j (``AlgebraRealization.edge_weight``).  A non-Cartan
 basis vector is a simultaneous eigenvector of ad(h) exactly when all its
 edges carry one weight, and that weight is its root; the engine asserts
-this (a failure means the basis is wrong).  Each root a gets one sl2 triple
-(x_a, y_a, h_a), built once: h_a is the normalized bracket of opposite root
-vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
+this (a failure means the basis is wrong).  Each simple root is the weight of
+one edge.  Each root a gets one sl2 triple (x_a, y_a, h_a), built once: h_a
+is the normalized bracket of opposite root vectors, y_a the opposite root
+vector scaled so that [x_a, y_a] = h_a.
 Fundamental weights come from the duality equations, all solved by one
 ``matrices.solve_linear`` over one elimination; the expansion over the
 fundamental roots is one ``matrices.SpanSolver``.
@@ -52,25 +53,17 @@ def weight_of(r: catalog.AlgebraRealization, m: EdgeMatrix) -> Weight:
 
 
 def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
-    """The simple roots of each family, in their standard order."""
+    """The simple roots in their standard order: the weights of the chain edges
+    i -> i+1 (0-indexed slots), then of the edge that closes sp's or so's chain,
+    the least of its orbit and so an edge of the simple root vector itself."""
     n = spec.rank
-    out: list[Weight] = []
-
-    def vec(pairs: dict[int, int]) -> Weight:
-        base = [0] * n
-        for idx, val in pairs.items():
-            base[idx - 1] = val
-        return tuple(base)
-
-    for i in range(1, n):
-        out.append(vec({i: 1, i + 1: -1}))
-    if spec.family is AlgebraFamily.SP:
-        out.append(vec({n: 2}))
-    elif spec.family is AlgebraFamily.SO_EVEN:
-        out.append(vec({n - 1: 1, n: 1}))
-    elif spec.family is AlgebraFamily.SO_ODD:
-        out.append(vec({n: 1}))
-    return tuple(out)
+    closing = {
+        AlgebraFamily.SP: [(n - 1, 2 * n - 1)],  # 2e_n
+        AlgebraFamily.SO_EVEN: [(n - 2, 2 * n - 1)],  # e_(n-1) + e_n
+        AlgebraFamily.SO_ODD: [(n - 1, 2 * n)],  # e_n
+    }.get(spec.family, [])
+    chain = [(i, i + 1) for i in range(n - 1)]
+    return tuple(catalog._edge_weight(n, i, j) for i, j in chain + closing)
 
 
 class RootDatum(Record):

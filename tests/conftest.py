@@ -1,9 +1,9 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
 reference reflection used by the forms tests, the dense
 structure-constant table used by the catalog tests, a field-replacing copy of
-a record, a Dynkin diagram's multiplicity table and arrow list, dense and
-transposed views of a matrix, the closed forms that the
-invariant Jacobians are compared with, the hand-written root-vector table
+a record, a Dynkin diagram's multiplicity table and arrow list, the 1-indexed
+elementary matrix, dense and transposed views of a matrix, the closed forms
+that the invariant Jacobians are compared with, the hand-written root-vector table
 and structure forms that ``catalog`` used before it read every sp and so
 member off one signed involution, kept as the reference for that reading,
 and the per-family sign table and opposite-graph antimorphism that gave each
@@ -114,6 +114,11 @@ def from_rows(rows) -> EdgeMatrix:
     edges = {(r, c): v for r, row in enumerate(rows) for c, x in enumerate(row)
              if (v := canonical(x))}
     return EdgeMatrix(len(rows), edges)
+
+
+def unit(dim: int, i: int, j: int) -> EdgeMatrix:
+    """The elementary matrix with a single 1 at (row i, column j), 1-indexed."""
+    return EdgeMatrix(dim, {(i - 1, j - 1): 1})
 
 
 def dense(m: EdgeMatrix) -> tuple[tuple[Scalar, ...], ...]:
@@ -238,7 +243,7 @@ def _positive_root_table(spec: AlgebraSpec) -> list[tuple[Weight, EdgeMatrix]]:
     Each root is read off its vector's edges.
     """
     n = spec.rank
-    E = lambda i, j: EdgeMatrix.unit(spec.realization_dim, i, j)
+    E = lambda i, j: unit(spec.realization_dim, i, j)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if spec.family is AlgebraFamily.SL:
         mats = [E(i, j) for i, j in pairs]

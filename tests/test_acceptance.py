@@ -27,7 +27,6 @@ from liealg.dynkin import (
     build_diagram,
     check_positive_definite,
     classify,
-    lengths_from_cartan,
     serre_presentation,
     verify_serre,
 )
@@ -197,9 +196,8 @@ def test_criterion_7_dynkin_round_trip():
     for family, n in family_ranks(8):
         rd = root_datum(family, n)
         A = L.cartan_matrix(rd)
-        lengths = L.root_lengths(rd)
         d = build_diagram(A)
-        assert check_positive_definite(A, lengths), (family, n)
+        assert check_positive_definite(A), (family, n)
         name = "+".join(classify(d))
         canonical = f"{letter[family]}{rd.spec.lie_rank}"
         assert name == coincidences.get(canonical, canonical), (family, n, name)
@@ -218,7 +216,7 @@ def test_criterion_7_dynkin_round_trip():
     ]
     affine_controls.append(CartanMatrix(tuple(tuple(r) for r in star)))  # D fork + 1
     for A in affine_controls:
-        assert not check_positive_definite(A, lengths_from_cartan(A))
+        assert not check_positive_definite(A)
     print("criterion 7 (Dynkin round trip; B/C arrows opposite; affine controls rejected): PASS")
 
 

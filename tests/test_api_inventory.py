@@ -3,10 +3,11 @@
 Every function and method defined in ``src/liealg`` (nested ones included)
 must be loaded somewhere in ``src/liealg`` outside its own body, as a name
 ``f``, an attribute ``.f`` or a ``from`` import of ``f``, or be pinned in
-``KEPT_UNCALLED`` with the reason it stays.  A helper that only tests or
-demos call belongs in ``tests/`` or in the demo that prints it.  The check does not know the type
-left of a dot, so a method passes when any attribute of its spelling is
-loaded in the package.
+``KEPT_UNCALLED`` with the reason it stays; a pinned name must be wrapped by
+``bench/traced.py`` or documented in the README's Library API.  A helper
+that only tests or demos call belongs in ``tests/`` or in the demo that
+prints it.  The check does not know the type left of a dot, so a method
+passes when any attribute of its spelling is loaded in the package.
 
 Exempt: dunders, which Python calls, and ``cli_argparse._Parser.print_help``,
 which argparse calls.
@@ -16,15 +17,15 @@ import ast
 from collections import defaultdict
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liealg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liealg"
 
 # Functions that nothing in the package loads, each with the reason it stays.
-# Both are exported one-pair routes of the Killing form that ``bench/traced.py``
+# The two Killing routes are exported one-pair routes that ``bench/traced.py``
 # spans by name, so they stay until it reads stages instead of wrapping functions.
 KEPT_UNCALLED = {
     "forms.killing_form_ad": "the ad-trace route; `verify ... killing` reads cartan_killing_gram_ad",
     "forms.killing_form_roots": "the root-sum route; commands read RootDatum.killing_metric",
-    "edges.EdgeMatrix.unit": "documented public API of EdgeMatrix",
     "catalog.AlgebraRealization.edge_weight":
         "documented public API; weight_of reads stored edges through the unchecked _edge_weight",
 }
@@ -87,3 +88,27 @@ def test_every_pinned_and_exempt_name_is_defined_and_uncalled():
     defined = {qualified for _, qualified, *_ in DEFINED}
     assert {*KEPT_UNCALLED, *EXEMPT} <= defined
     assert KEPT_UNCALLED.keys() <= uncalled()
+
+
+def traced_names() -> set[str]:
+    """The "module.function" names in ``bench/traced.py``'s SPANNED and COUNTED."""
+    tree = ast.parse((ROOT / "bench" / "traced.py").read_text(encoding="utf-8"))
+    return {
+        f"{module}.{function}"
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) in ("SPANNED", "COUNTED") for t in node.targets)
+        for module, functions in ast.literal_eval(node.value).items()
+        for function in functions
+    }
+
+
+def test_every_pinned_name_is_traced_or_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    api = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    traced = traced_names()
+    loose = sorted(
+        qualified for qualified in KEPT_UNCALLED
+        if qualified not in traced and f"`{qualified.rsplit('.', 1)[1]}(" not in api
+    )
+    assert not loose, f"pinned, yet neither traced nor in the README's Library API: {loose}"

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import basis_of, dense, family_ranks, identity, realization, structure_constants
+from conftest import (
+    basis_of, dense, family_ranks, identity, realization, structure_constants, unit,
+)
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
@@ -35,6 +37,14 @@ class TestSpec:
         # A float once constructed, and build then failed with an opaque TypeError.
         with pytest.raises(TypeError, match="^n must be an int"):
             AlgebraSpec(AlgebraFamily.SL, n)
+
+    @pytest.mark.parametrize("family", ["sl", None, 0], ids=repr)
+    def test_a_family_that_is_not_an_algebra_family_raises(self, family):
+        # "sl" was accepted with realization_dim 6 and lie_rank 3, and str() and build
+        # then raised KeyError.
+        name = type(family).__name__
+        with pytest.raises(TypeError, match=f"^family must be an AlgebraFamily, got {name}$"):
+            AlgebraSpec(family, 3)
 
     def test_sl_rank_bookkeeping(self):
         spec = AlgebraSpec(AlgebraFamily.SL, 4)
@@ -118,7 +128,7 @@ class TestMembership:
         # antisymmetric, so it is not a member.
         for n in (2, 3, 4):
             spec = AlgebraSpec(AlgebraFamily.SO_EVEN, n)
-            m = EdgeMatrix.unit(spec.realization_dim, 1, n + 1)
+            m = unit(spec.realization_dim, 1, n + 1)
             assert not L.check_membership(m, spec)
 
     def test_dimension_mismatch(self):

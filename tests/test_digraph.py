@@ -1,32 +1,13 @@
-"""Elementary edge matrices, and the opposite root vectors as the reversed edges."""
+"""The opposite root vectors as the reversed edges."""
 
 import pytest
 
-from conftest import basis_of, family_ranks, realization, root_datum, transpose
+from conftest import basis_of, family_ranks, realization, root_datum, transpose, unit
 
 import liealg as L
 from liealg import AlgebraFamily
 from liealg.exact import negate
-from liealg.edges import EdgeMatrix
 from liealg.roots import weight_of
-
-
-class TestEdges:
-    def test_single_entry(self):
-        assert EdgeMatrix.unit(2, 1, 2) == EdgeMatrix(2, {(0, 1): 1})
-
-    def test_dim_one_loop(self):
-        assert EdgeMatrix.unit(1, 1, 1) == EdgeMatrix(1, {(0, 0): 1})
-
-    def test_lower_entry(self):
-        m = EdgeMatrix.unit(3, 3, 1)
-        assert m.edges == {(2, 0): 1}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            EdgeMatrix.unit(2, 0, 1)
-        with pytest.raises(ValueError):
-            EdgeMatrix.unit(2, 1, 3)
 
 
 class TestReversedEdges:
@@ -57,7 +38,7 @@ class TestReversedEdges:
             assert transpose(transpose(m)) == m
 
     def test_sl_reverses_the_edge(self):
-        assert transpose(EdgeMatrix.unit(2, 1, 2)) == EdgeMatrix.unit(2, 2, 1)
+        assert transpose(unit(2, 1, 2)) == unit(2, 2, 1)
 
     def test_sp4_double_root_example(self):
         # The opposite of x(2a_1) is its transpose, of weight -2a_1.

@@ -197,37 +197,33 @@ class TestDynkinDiagramConstructor:
 class TestPositiveDefinite:
     @pytest.mark.parametrize("family,n", family_ranks(8))
     def test_families_pass(self, family, n):
-        _, A, lengths = diagram_for(family, n)
-        assert check_positive_definite(A, lengths)
+        _, A, _ = diagram_for(family, n)
+        assert check_positive_definite(A)
 
     def test_affine_cycle_fails(self):
         A = CartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
-        lengths = lengths_from_cartan(A)
-        assert not check_positive_definite(A, lengths)
+        assert not check_positive_definite(A)
 
     def test_affine_double_ended_chain_fails(self):
         # two double edges pointing inward (long, short, long)
         A = CartanMatrix(((2, -2, 0), (-1, 2, -1), (0, -2, 2)))
         lengths = lengths_from_cartan(A)
         assert lengths[0] == lengths[2] > lengths[1]
-        assert not check_positive_definite(A, lengths)
+        assert not check_positive_definite(A)
 
     def test_affine_extended_fork_fails(self):
         # star with four simple branches around one center
-        A = fork_cartan((1, 1, 1, 1))
-        lengths = lengths_from_cartan(A)
-        assert not check_positive_definite(A, lengths)
+        assert not check_positive_definite(fork_cartan((1, 1, 1, 1)))
 
     def test_single_vertex_passes(self):
-        A = CartanMatrix(((2,),))
-        assert check_positive_definite(A, [Fraction(2)])
+        assert check_positive_definite(CartanMatrix(((2,),)))
 
-    def test_lengths_must_fit_the_matrix(self):
-        A = CartanMatrix(((2, -2), (-1, 2)))
-        with pytest.raises(ValueError, match="must agree in size"):
-            check_positive_definite(A, [Fraction(2)])
-        with pytest.raises(ValueError, match="inconsistent with the Cartan matrix"):
-            check_positive_definite(A, [Fraction(2), Fraction(2)])
+    def test_a_matrix_that_no_lengths_symmetrize_raises(self):
+        # The classify golden "inconsistent_and_multiplicity_four": around the cycle
+        # 1-2-3 the ratios A_ij / A_ji give one root two lengths.
+        A = CartanMatrix(((2, -2, -1), (-2, 2, -2), (-1, -1, 2)))
+        with raises_text(ValueError, "Cartan matrix implies inconsistent root lengths"):
+            check_positive_definite(A)
 
 
 CLASSIFICATION_EXPECTED = {
@@ -431,6 +427,21 @@ class TestSerreRecords:
     def test_a_relation_names_generators_h_x_y_with_int_indices(self, word, target, error):
         with pytest.raises(error):
             SerreRelation(word, target)
+
+    @pytest.mark.parametrize("coefficient", [1.5, True, Fraction(2), "2"], ids=repr)
+    def test_a_coefficient_that_is_not_an_int_raises(self, coefficient):
+        # 1.5 was accepted and described as "X1 = 1.5 X1".
+        with raises_text(
+            TypeError, f"Serre coefficient must be an int, got {type(coefficient).__name__}"
+        ):
+            SerreRelation((("X", 0),), ("X", 0), coefficient)
+
+    def test_a_coefficient_needs_a_target(self):
+        # (X1, Y1) with coefficient 5 and no target was accepted, and described as
+        # "[X1,Y1] = 0" while comparing unequal to the relation without it.
+        with raises_text(ValueError, "a Serre relation with no target takes no coefficient"):
+            SerreRelation((("X", 0), ("Y", 0)), None, 5)
+        assert SerreRelation((("X", 0), ("Y", 0)), ("H", 0), 0).describe() == "[X1,Y1] = 0 H1"
 
     def test_generators_given_as_lists_are_stored_as_tuples(self):
         rel = SerreRelation([["X", 0], ["Y", 1]], ["H", 0], 2)

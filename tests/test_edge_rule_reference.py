@@ -1,4 +1,5 @@
-"""Reference copies of the bracket-route root reader and the kind-dispatch Serre code.
+"""Reference copies of the bracket-route root reader, the simple-root coordinate
+table and the kind-dispatch Serre code.
 
 ``weight_of`` (with its sl lift), ``SerreRelation``, ``serre_presentation``,
 ``verify_serre`` and ``_relation_holds`` are the package's previous
@@ -7,9 +8,11 @@ which no library code needs any more, is the module function ``ratio`` here,
 that the sl lift expands over a ``SpanSolver`` instead of the deleted
 ``LinearSolver``, and that Y_i starts from the transpose of X_i instead of
 the deleted opposite-graph map (the rescaling absorbs the sign).
-The edge-rule ``roots.weight_of`` and the bracket-word Serre code must agree
-with them: the same weights, the same errors, the same relation texts and
-the same verdicts.
+``fundamental_root_list`` is verbatim the table of coordinate vectors that
+the simple roots were before each became the weight of one edge.
+The edge-rule ``roots.weight_of`` and ``roots.fundamental_root_list`` and the
+bracket-word Serre code must agree with them: the same weights, the same
+errors, the same relation texts and the same verdicts.
 """
 
 from __future__ import annotations
@@ -228,8 +231,30 @@ def _relation_holds(
     return value.is_zero()
 
 
+def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
+    """The simple roots of each family, in their standard order."""
+    n = spec.rank
+    out: list[Weight] = []
+
+    def vec(pairs: dict[int, int]) -> Weight:
+        base = [0] * n
+        for idx, val in pairs.items():
+            base[idx - 1] = val
+        return tuple(base)
+
+    for i in range(1, n):
+        out.append(vec({i: 1, i + 1: -1}))
+    if spec.family is AlgebraFamily.SP:
+        out.append(vec({n: 2}))
+    elif spec.family is AlgebraFamily.SO_EVEN:
+        out.append(vec({n - 1: 1, n: 1}))
+    elif spec.family is AlgebraFamily.SO_ODD:
+        out.append(vec({n: 1}))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
-# The edge rule against the bracket route.
+# The edge rule against the bracket route and the coordinate table.
 # ---------------------------------------------------------------------------
 
 
@@ -257,6 +282,12 @@ def test_weight_of_agrees_on_basis_vectors_and_cartan_elements(family, n):
         assert roots.weight_of(r, m) == weight_of(r, m)
     zero = EdgeMatrix(r.spec.realization_dim, {})
     assert outcome(roots.weight_of, r, zero) is outcome(weight_of, r, zero) is ValueError
+
+
+def test_simple_roots_are_the_coordinate_table():
+    for family, n in family_ranks(40):
+        spec = AlgebraSpec(family, n)
+        assert roots.fundamental_root_list(spec) == fundamental_root_list(spec), (family, n)
 
 
 @pytest.mark.parametrize("family,n", lie_ranks(5))

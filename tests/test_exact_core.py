@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense, from_rows, identity
+from conftest import dense, from_rows, identity, unit as E
 
 from liealg.exact import canonical, format_rational, parse_rational
 from liealg.edges import EdgeMatrix, mat_bracket
@@ -84,10 +84,6 @@ class TestScalars:
             assert format_rational(k) == f"<{length} digits>"
             assert format_rational(-k) == f"-<{length} digits>"
         assert format_rational(Fraction(3, 10**limit)) == f"3/<{limit + 1} digits>"
-
-
-def E(dim, i, j):
-    return EdgeMatrix.unit(dim, i, j)
 
 
 class TestMatrixProduct:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import basis_of, family_ranks, realization, structure_form, transpose
+from conftest import basis_of, family_ranks, realization, structure_form, transpose, unit
 
 import liealg as L
 from liealg import AlgebraFamily
@@ -44,8 +44,8 @@ def candidates(rng, basis):
     for _ in range(100):
         member = random_member(rng, basis)
         yield member
-        unit = EdgeMatrix.unit(dim, rng.randint(1, dim), rng.randint(1, dim))
-        yield member + unit.scale(rng.choice(SCALARS))
+        edge = unit(dim, rng.randint(1, dim), rng.randint(1, dim))
+        yield member + edge.scale(rng.choice(SCALARS))
         yield EdgeMatrix(dim, {
             (rng.randrange(dim), rng.randrange(dim)): rng.choice(SCALARS)
             for _ in range(rng.randint(1, 4))

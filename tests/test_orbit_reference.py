@@ -33,6 +33,7 @@ from conftest import (
     root_datum,
     structure_form,
     transpose,
+    unit,
 )
 
 import liealg as L
@@ -45,7 +46,7 @@ from liealg.exact import Weight, canonical, format_weight, negate
 def reference_basis(spec: AlgebraSpec) -> list[tuple[str, Weight | None, EdgeMatrix]]:
     """(label, root, vector) in basis order, the root None for a Cartan element."""
     n, d = spec.rank, spec.realization_dim
-    E = lambda i, j: EdgeMatrix.unit(d, i, j)
+    E = lambda i, j: unit(d, i, j)
     if spec.family is AlgebraFamily.SL:
         cartan = [E(i, i) - E(i + 1, i + 1) for i in range(1, n)]
     else:

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from conftest import root_datum, variable
+from conftest import root_datum, unit, variable
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
@@ -38,7 +38,7 @@ RECORDS = [
     (AlgebraSpec, ("family", "rank"), True, lambda n: AlgebraSpec(AlgebraFamily.SP, n)),
     (L.AlgebraRealization, ("spec", "basis"), True,
      lambda n: L.build(AlgebraSpec(AlgebraFamily.SL, n))),
-    (L.EdgeMatrix, ("dim", "edges"), True, lambda n: L.EdgeMatrix.unit(n, 1, n)),
+    (L.EdgeMatrix, ("dim", "edges"), True, lambda n: unit(n, 1, n)),
     (L.MultiPoly, ("nvars", "terms"), True, lambda n: variable(n, n - 1)),
     (L.RootDatum,
      ("realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",

@@ -237,7 +237,7 @@ class TestWeightOf:
         # The edge rule reads roots correctly only when every Cartan element is diagonal.
         r = realization(AlgebraFamily.SL, 3)
         label, h = r.basis[0]
-        skewed = ((label, h + EdgeMatrix.unit(3, 1, 2)), *r.basis[1:])
+        skewed = ((label, h + EdgeMatrix(3, {(0, 1): 1})), *r.basis[1:])
         with pytest.raises(L.InternalConsistencyError, match="Cartan basis element h1"):
             L.cartan_decompose(replace(r, basis=skewed))
 

@@ -30,7 +30,6 @@ from conftest import dense, family_ranks, from_rows, realization, root_datum, va
 
 from liealg import (AlgebraFamily, AlgebraSpec, check_membership, dynkin, forms, invariants,
                     weight_of)
-from liealg.dynkin import check_positive_definite
 from liealg.exact import parse_rational, ratio
 from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.matrices import determinant
@@ -150,9 +149,6 @@ def test_ratio_is_the_canonical_quotient():
         ratio(1, 0)
 
 
-A2 = dynkin.CartanMatrix(((2, -1), (-1, 2)))
-
-
 def scaled_root_vector_membership(family: AlgebraFamily, x) -> bool:
     """Membership of x E_12 in sl_3, or of x (E_12 - E_43) at Lie rank 2 in the
     other families: a root vector scaled by x, with no entry on the diagonal."""
@@ -169,7 +165,6 @@ SCALAR_READERS = {
     "MultiPoly.scale": lambda x: variable(1, 0).scale(x),
     "MultiPoly.eval": lambda x: variable(1, 0).eval([x]),
     "CartanMatrix": lambda x: dynkin.CartanMatrix(((x, -1), (-1, 2))),
-    "check_positive_definite": lambda x: check_positive_definite(A2, [x, 2]),
     **{f"check_membership {family.value}": lambda x, family=family:
        scaled_root_vector_membership(family, x) for family in AlgebraFamily},
     "EdgeMatrix": lambda x: EdgeMatrix(2, {(0, 1): x}),
