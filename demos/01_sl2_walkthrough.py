@@ -30,7 +30,7 @@ for root in rd.roots:
     print(f"  {L.format_weight(root)}  ->  basis vector {r.basis[rd.root_vectors[root]][0]}")
 
 alpha = rd.fundamental_roots[0]
-coroot = rd.coroot(alpha)
+_, _, coroot = rd.sl2_triple(alpha)
 print(f"\ncoroot of {L.format_weight(alpha)}: diagonal {r.diag_coords(coroot)}")
 print("sl2-triple verified:", L.verify_sl2_triple(rd, alpha))
 

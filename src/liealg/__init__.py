@@ -21,11 +21,11 @@ __version__ = "0.1.0"
 
 # Every library module, with the exports it defines, each written once.
 _MODULES = {
+    "adjoint": (),  # the ad-trace Killing route, which only `verify ... killing` runs
     "axioms": ("verify_root_axioms", "verify_sl2_triple"),
     "catalog": ("AlgebraRealization", "build", "check_membership"),
-    "dynkin": ("CartanMatrix", "DynkinDiagram", "SerrePresentation", "ascii_diagram",
-               "build_diagram", "check_positive_definite", "classify",
-               "serre_presentation", "verify_serre"),
+    "dynkin": ("CartanMatrix", "DynkinDiagram", "ascii_diagram", "build_diagram",
+               "check_positive_definite", "classify", "serre_presentation", "verify_serre"),
     "edges": ("EdgeMatrix", "mat_bracket"),
     "exact": ("format_rational", "format_weight", "parse_rational"),
     "families": ("AlgebraFamily", "AlgebraSpec", "root_count", "weyl_order_formula"),
@@ -37,6 +37,7 @@ _MODULES = {
     "polynomials": ("MultiPoly", "poly_det"),
     "records": ("Check", "CheckReport", "InternalConsistencyError"),
     "roots": ("RootDatum", "cartan_decompose", "weight_of"),
+    "serre": ("SerrePresentation",),
     "weyl": ("WeylOverflowError", "apply", "compose", "generate", "simple_reflections"),
 }
 # The module that defines each export.

@@ -8,9 +8,9 @@ reflections, so one search over a few generators decides reflection and
 integrality, and reports the first failing pair (a, b) as a check of every
 pair would; a set it does not prove integral is checked on a basis of its
 lattice.  ``simple_roots`` picks a base of the set, and
-``verify_sl2_triple`` checks one stored triple of a root datum.  Nothing
-here builds a matrix, so ``classify`` runs these on a file's vectors without
-running ``edges``.
+``verify_sl2_triple`` forms and checks the triple of one root of a root
+datum.  Nothing else here builds a matrix, so ``classify`` runs these on a
+file's vectors without running ``edges``.
 """
 
 from __future__ import annotations
@@ -301,15 +301,14 @@ def _lattice_basis(points: Sequence[tuple[int, ...]]) -> list[list[int]]:
 
 
 def verify_sl2_triple(rd: roots.RootDatum, alpha: Weight) -> bool:
-    """Exact check of the stored triple (x_a, y_a, h_a) for a root a.
+    """Exact check of the triple (x_a, y_a, h_a) of a root a, formed here by
+    ``RootDatum.sl2_triple``.
 
     The triple must satisfy a(h_a) = 2, [x_a, y_a] = h_a, [h_a, x_a] = 2 x_a
     and [h_a, y_a] = -2 y_a.  A float or a bool coordinate raises TypeError.
     """
     alpha = tuple(map(canonical, alpha))
-    x = rd.root_vector(alpha)
-    y = rd.partners[alpha]
-    h = rd.coroot(alpha)
+    x, y, h = rd.sl2_triple(alpha)
     return (
         dot(alpha, rd.realization.diag_coords(h)) == 2
         and edges.mat_bracket(x, y) == h

@@ -8,8 +8,7 @@ the reversed edge, which is the transpose of x(a).
 
 Every Cartan subalgebra is diagonal, so each edge i -> j of a matrix
 carries its own weight, chi_i - chi_j (``AlgebraRealization.edge_weight``).
-ad(x) is an ``EdgeMatrix`` over the basis too: entry (j, k) is the
-coefficient of b_j in [x, b_k].
+The adjoint matrices over the basis are built in ``adjoint``.
 
 sp and so are read off one signed involution (pi, sigma), the structure
 form S with S[p, pi(p)] = sigma_p: slot i pairs with slot n + i, sigma is
@@ -26,7 +25,7 @@ from functools import cache, cached_property
 
 from .exact import Scalar, Weight, format_weight, is_positive, negate
 from .families import AlgebraFamily, AlgebraSpec
-from .edges import EdgeMatrix, mat_bracket
+from .edges import EdgeMatrix
 from .matrices import SpanSolver
 from .records import InternalConsistencyError, Record
 
@@ -54,7 +53,7 @@ class AlgebraRealization(Record):
     def span(self) -> SpanSolver:
         """The basis edges, eliminated once on first use.
 
-        ``build`` reads the rank from it and ``ad_matrix`` expands over it.
+        ``build`` reads the rank from it and ``adjoint.ad_matrix`` expands over it.
         """
         return SpanSolver(mat.edges for _, mat in self.basis)
 
@@ -209,21 +208,3 @@ def _orbit(involution: Involution | None, r: int, c: int) -> dict[tuple[int, int
     if partner != (r, c):
         return {(r, c): 1, partner: sign}
     return {(r, c): 1} if sign == 1 else {}
-
-
-def ad_matrix(r: AlgebraRealization, x: EdgeMatrix) -> EdgeMatrix:
-    """ad(x) = [x, .] over the basis of r.
-
-    Entry (j, k) is the coefficient of b_j in [x, b_k], expanded over
-    ``r.span``.
-    """
-    edges = {}
-    for k, (_, b) in enumerate(r.basis):
-        try:
-            column = r.span.expand(mat_bracket(x, b).edges)
-        except ValueError as exc:
-            raise InternalConsistencyError(
-                "adjoint image falls outside the span of the basis"
-            ) from exc
-        edges.update(((j, k), c) for j, c in column.items())
-    return EdgeMatrix(r.dimension, edges)

@@ -16,8 +16,9 @@ argparse, whose parser of the same table is built in ``cli_argparse``; it
 alone writes the help texts and every usage error.  Each command's code
 lives in its own module, which ``main`` imports only when it runs that
 command: ``cli_info`` (info), ``cli_suites`` (the check suites, with verify,
-serre and invariants) and ``cli_classify`` (classify and its JSON parsing).
-A run that prints text never loads ``json``.
+serre and invariants, and the report of a run of checks) and
+``cli_classify`` (classify and its JSON parsing).  A run that prints text
+never loads ``json``.
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ def render(
         for c in checks
     ]
     return rows, lines
-
-
-def emit_report(args, payload: dict[str, object], lines: list[str],
-                report: records.CheckReport, line: str, key: str = "checks",
-                fields: Fields = CHECK_FIELDS) -> int:
-    """Emit the checks and the overall result after ``lines``; return the exit code."""
-    payload[key], check_lines = render(report.results, line, fields)
-    payload["all_passed"] = report.all_passed
-    result = "PASS" if report.all_passed else "FAIL"
-    emit(args, payload, [*lines, *check_lines, f"result: {result}"])
-    return 0 if report.all_passed else 1
 
 
 def spec_from_args(args) -> families.AlgebraSpec:

@@ -3,7 +3,8 @@
 
 ``cli.main`` imports this module only when it runs one of those commands.
 ``SUITES`` holds the suites in the order that ``verify ... all`` runs them;
-``cli.SELECTORS`` names the same suites, for the parser's help.
+``cli.SELECTORS`` names the same suites, for the parser's help.  Each
+command ends in ``emit_report``, which prints its checks and overall result.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from math import prod
 
-from . import axioms, dynkin, forms, invariants, roots, weyl
+from . import adjoint, axioms, dynkin, forms, invariants, roots, weyl
 from .cli import (
+    CHECK_FIELDS,
     SELECTORS,
+    Fields,
     InputError,
-    emit_report,
+    emit,
     format_matrix,
     header,
+    render,
     root_datum,
     spec_from_args,
 )
@@ -33,6 +37,17 @@ FAMILY_SIGMA_COEFFICIENT = {
 }
 
 RELATION_FIELDS = (("relation", "name"), ("status", "status"))
+
+
+def emit_report(args, payload: dict[str, object], lines: list[str],
+                report: CheckReport, line: str, key: str = "checks",
+                fields: Fields = CHECK_FIELDS) -> int:
+    """Emit the checks and the overall result after ``lines``; return the exit code."""
+    payload[key], check_lines = render(report.results, line, fields)
+    payload["all_passed"] = report.all_passed
+    result = "PASS" if report.all_passed else "FAIL"
+    emit(args, payload, [*lines, *check_lines, f"result: {result}"])
+    return 0 if report.all_passed else 1
 
 
 def _checks_axioms(rd: roots.RootDatum) -> Sequence[Check]:
@@ -57,7 +72,7 @@ def _checks_killing(rd: roots.RootDatum) -> Sequence[Check]:
     spec = rd.spec
     metric = rd.killing_metric
     expected = FAMILY_SIGMA_COEFFICIENT[spec.family](spec.rank)
-    agree = forms.cartan_killing_gram_ad(rd.realization) == metric.gram
+    agree = adjoint.cartan_killing_gram_ad(rd.realization) == metric.gram
     return [
         Check.of("killing", "sum coefficient", metric.sigma == expected,
                  f"got {format_rational(metric.sigma)}, expected {expected}"),

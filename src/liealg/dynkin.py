@@ -16,8 +16,10 @@ that matrix is congruent by a positive diagonal scaling to B_ij = A_ij l_j,
 where l are the lengths A implies, A_ij / A_ji = l_i / l_j (Humphreys 11.4).
 B's leading minors are checked in exact arithmetic.
 
-A Serre relation is data, a bracket word equal to a multiple of one
-generator or to 0, checked on the stored sl2 triples of the fundamental roots.
+``serre_presentation`` reads the Serre relations off a Cartan matrix and
+``verify_serre`` checks them on the sl2 triples of the fundamental roots.
+The relation and presentation records are in ``serre``, which only the
+commands that build a presentation run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import combinations
 
-from . import edges, roots
+from . import roots, serre
 from .exact import Inner, Scalar, Weight, ratio
 from .matrices import is_positive_definite
 from .records import Check, CheckReport, InternalConsistencyError, Record
@@ -300,88 +302,7 @@ def _edge_text(d: DynkinDiagram, left: int, right: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SerreRelation(Record):
-    """One defining relation: a bracket word equal to a multiple of a generator, or 0.
-
-    A generator is a letter "H", "X" or "Y" and a 0-based index.  ``word``
-    (g_1, ..., g_k) is the right-nested bracket [g_1,[g_2,[...,g_k]]].  The
-    relation states word = coefficient * target; it states word = 0 when
-    ``target`` is None, and word = target when ``coefficient`` is None.  Both
-    default to None.  The word is nonempty, every index an int >= 0, and the
-    coefficient None or an int, given only with a target.
-    """
-
-    __slots__ = ("word", "target", "coefficient")
-    word: tuple[tuple[str, int], ...]
-    target: tuple[str, int] | None
-    coefficient: int | None
-
-    def __init__(self, word, target=None, coefficient=None) -> None:
-        word = tuple(map(_generator, word))
-        if not word:
-            raise ValueError("a Serre relation needs a nonempty word")
-        if coefficient is not None and type(coefficient) is not int:
-            raise TypeError(f"Serre coefficient must be an int, got {type(coefficient).__name__}")
-        if coefficient is not None and target is None:
-            raise ValueError("a Serre relation with no target takes no coefficient")
-        super().__init__(word, None if target is None else _generator(target), coefficient)
-
-    def describe(self) -> str:
-        name = lambda g: f"{g[0]}{g[1] + 1}"
-        body = name(self.word[-1])
-        for g in reversed(self.word[:-1]):
-            body = f"[{name(g)},{body}]"
-        if self.target is None:
-            return f"{body} = 0"
-        if self.coefficient is None:
-            return f"{body} = {name(self.target)}"
-        return f"{body} = {self.coefficient} {name(self.target)}"
-
-    def holds(self, generators: dict[str, Sequence[edges.EdgeMatrix]]) -> bool:
-        """Evaluate the relation exactly on matrices for each letter."""
-        value_of = lambda g: generators[g[0]][g[1]]
-        value = value_of(self.word[-1])
-        for g in reversed(self.word[:-1]):
-            value = edges.mat_bracket(value_of(g), value)
-        if self.target is None:
-            return value.is_zero()
-        target = value_of(self.target)
-        return value == (target if self.coefficient is None else target.scale(self.coefficient))
-
-
-def _generator(g: Sequence) -> tuple[str, int]:
-    letter, index = g
-    if type(index) is not int:
-        raise TypeError(f"Serre generator index must be an int, got {type(index).__name__}")
-    if letter not in ("H", "X", "Y") or index < 0:
-        raise ValueError(f"Serre generator {g!r} is not a letter H, X or Y and an index >= 0")
-    return letter, index
-
-
-class SerrePresentation(Record):
-    """Generators H_i, X_i, Y_i, i below the rank of ``cartan``, and a tuple of relations."""
-
-    __slots__ = ("cartan", "relations")
-    cartan: CartanMatrix
-    relations: tuple[SerreRelation, ...]
-
-    def __init__(self, cartan: CartanMatrix, relations: tuple[SerreRelation, ...]) -> None:
-        if type(cartan) is not CartanMatrix:
-            raise TypeError(f"SerrePresentation needs a CartanMatrix, got {type(cartan).__name__}")
-        if type(relations) is not tuple or any(type(r) is not SerreRelation for r in relations):
-            raise TypeError("Serre relations must be a tuple of SerreRelation")
-        for rel in relations:
-            named = rel.word if rel.target is None else (*rel.word, rel.target)
-            if any(i >= cartan.rank for _, i in named):
-                raise ValueError(f"{rel.describe()} names a generator beyond rank {cartan.rank}")
-        super().__init__(cartan, relations)
-
-    @property
-    def rank(self) -> int:
-        return self.cartan.rank
-
-
-def serre_presentation(A: CartanMatrix) -> SerrePresentation:
+def serre_presentation(A: CartanMatrix) -> serre.SerrePresentation:
     """The defining relations read off a Cartan matrix.
 
     The nilpotency depth for an off-diagonal entry A_ij is 1 - A_ij nested
@@ -389,28 +310,29 @@ def serre_presentation(A: CartanMatrix) -> SerrePresentation:
     """
     n = A.rank
     pairs = [(i, j) for i in range(n) for j in range(n)]
+    relation = serre.SerreRelation
     relations = [
-        *(SerreRelation((("H", i), ("H", j))) for i, j in pairs if i < j),
-        *(SerreRelation((("X", i), ("Y", i)), ("H", i)) for i in range(n)),
-        *(SerreRelation((("X", i), ("Y", j))) for i, j in pairs if i != j),
-        *(SerreRelation((("H", i), ("X", j)), ("X", j), A[i, j]) for i, j in pairs),
-        *(SerreRelation((("H", i), ("Y", j)), ("Y", j), -A[i, j]) for i, j in pairs),
+        *(relation((("H", i), ("H", j))) for i, j in pairs if i < j),
+        *(relation((("X", i), ("Y", i)), ("H", i)) for i in range(n)),
+        *(relation((("X", i), ("Y", j))) for i, j in pairs if i != j),
+        *(relation((("H", i), ("X", j)), ("X", j), A[i, j]) for i, j in pairs),
+        *(relation((("H", i), ("Y", j)), ("Y", j), -A[i, j]) for i, j in pairs),
         *(
-            SerreRelation(((letter, i),) * (1 - A[i, j]) + ((letter, j),))
+            relation(((letter, i),) * (1 - A[i, j]) + ((letter, j),))
             for letter in "XY"
             for i, j in pairs
             if i != j
         ),
     ]
-    return SerrePresentation(cartan=A, relations=tuple(relations))
+    return serre.SerrePresentation(cartan=A, relations=tuple(relations))
 
 
-def verify_serre(rd: roots.RootDatum, p: SerrePresentation) -> CheckReport:
+def verify_serre(rd: roots.RootDatum, p: serre.SerrePresentation) -> CheckReport:
     """Substitute the canonical triples into a presentation and check it.
 
     H_i is the i-th fundamental coroot, X_i the fundamental root vector, and
-    Y_i its stored partner, the opposite root vector scaled so that
-    [X_i, Y_i] = H_i.
+    Y_i the i-th fundamental partner, the opposite root vector scaled so that
+    [X_i, Y_i] = H_i: the triple of the i-th fundamental root.
     """
     if p.rank != rd.spec.lie_rank:
         raise ValueError(
@@ -419,7 +341,7 @@ def verify_serre(rd: roots.RootDatum, p: SerrePresentation) -> CheckReport:
     generators = {
         "H": rd.fundamental_coroots,
         "X": [rd.root_vector(a) for a in rd.fundamental_roots],
-        "Y": [rd.partners[a] for a in rd.fundamental_roots],
+        "Y": rd.fundamental_partners,
     }
     return CheckReport(
         Check.of("serre", rel.describe(), rel.holds(generators), "exact matrix identity")

@@ -1,9 +1,10 @@
 """Killing forms, the induced inner product on weights, and Cartan matrices.
 
 The Killing form is computed by two independent routes: tr(ad x @ ad y), with
-each ad an ``EdgeMatrix`` over the basis (``catalog.ad_matrix``), and the sum
-over roots of a(x)a(y).  On the Cartan subalgebra the two agree
-identically, which the test suite pins down.
+each ad an ``EdgeMatrix`` over the basis (``adjoint``, which ``killing_form_ad``
+calls), and the sum over roots of a(x)a(y).  On the Cartan subalgebra the two
+agree identically, which ``verify ... killing`` checks and the test suite pins
+down.
 
 The root-sum Gram on the Cartan basis is summed and certified here to be
 sigma times the coordinate sum form sum_i x_i y_i (``killing_coefficients``),
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import catalog, dynkin, edges, families, roots
+from . import adjoint, catalog, dynkin, edges, families, roots
 from .exact import Inner, Scalar, Weight, canonical, ratio
 from .matrices import dot
 from .records import InternalConsistencyError, Record
@@ -40,17 +41,7 @@ def killing_form_ad(
     for m in (x, y):
         if not catalog.check_membership(m, r.spec):
             raise ValueError(f"matrix is not a member of {r.spec}")
-    return (catalog.ad_matrix(r, x) @ catalog.ad_matrix(r, y)).trace()
-
-
-def cartan_killing_gram_ad(r: catalog.AlgebraRealization) -> tuple[tuple[Scalar, ...], ...]:
-    """``killing_form_ad`` on every pair of Cartan basis elements.
-
-    One ad(h) per basis element, over the realization's one basis
-    elimination, serves all the pairs; nothing is read from the roots.
-    """
-    ads = [catalog.ad_matrix(r, h) for h in r.cartan_basis]
-    return tuple(tuple((ax @ ay).trace() for ay in ads) for ax in ads)
+    return (adjoint.ad_matrix(r, x) @ adjoint.ad_matrix(r, y)).trace()
 
 
 # No caller in src/; kept because bench/traced.py spans it by name.

@@ -5,9 +5,11 @@ its weight chi_i - chi_j (``AlgebraRealization.edge_weight``).  A non-Cartan
 basis vector is a simultaneous eigenvector of ad(h) exactly when all its
 edges carry one weight, and that weight is its root; the engine asserts
 this (a failure means the basis is wrong).  Each simple root is the weight of
-one edge.  Each root a gets one sl2 triple (x_a, y_a, h_a), built once: h_a
-is the normalized bracket of opposite root vectors, y_a the opposite root
-vector scaled so that [x_a, y_a] = h_a.
+one edge.  The sl2 triple (x_a, y_a, h_a) of a root a is formed where it is
+read, by ``form_triple``: h_a is the normalized bracket of opposite root
+vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
+``cartan_decompose`` forms the triples of the fundamental roots only;
+``RootDatum.sl2_triple`` forms any other on each call, and holds none.
 Fundamental weights come from the duality equations, all solved by one
 ``matrices.solve_linear`` over one elimination; the expansion over the
 fundamental roots is one ``matrices.SpanSolver``.
@@ -67,24 +69,24 @@ def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
 
 
 class RootDatum(Record):
-    """Roots, sl2 triples, fundamental roots/coroots/weights of one realization.
+    """Roots and fundamental roots/coroots/weights of one realization.
 
-    The triple of a root a is (``root_vector(a)``, ``partners[a]``,
-    ``coroots[a]``): [x_a, y_a] = h_a and a(h_a) = 2.
+    The triple of the i-th fundamental root a_i is (``root_vector(a_i)``,
+    ``fundamental_partners[i]``, ``fundamental_coroots[i]``), and that of any
+    root a is ``sl2_triple(a)``: [x_a, y_a] = h_a and a(h_a) = 2.
     """
 
     __slots__ = (
         "realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",
-        "coroots", "partners", "fundamental_coroots", "fundamental_weights", "__dict__",
+        "fundamental_coroots", "fundamental_partners", "fundamental_weights", "__dict__",
     )
     realization: catalog.AlgebraRealization
     roots: tuple[Weight, ...]
     root_vectors: dict[Weight, int]
     positive_roots: tuple[Weight, ...]
     fundamental_roots: tuple[Weight, ...]
-    coroots: dict[Weight, EdgeMatrix]
-    partners: dict[Weight, EdgeMatrix]
     fundamental_coroots: tuple[EdgeMatrix, ...]
+    fundamental_partners: tuple[EdgeMatrix, ...]
     fundamental_weights: tuple[Weight, ...]
 
     @property
@@ -96,10 +98,11 @@ class RootDatum(Record):
             raise ValueError(f"{format_weight(root)} is not a root of {self.spec}")
         return self.realization.basis[self.root_vectors[root]][1]
 
-    def coroot(self, root: Weight) -> EdgeMatrix:
-        if root not in self.coroots:
+    def sl2_triple(self, root: Weight) -> tuple[EdgeMatrix, EdgeMatrix, EdgeMatrix]:
+        """(x_a, y_a, h_a) of the root a, formed on each call by ``form_triple``."""
+        if root not in self.root_vectors:
             raise ValueError(f"{format_weight(root)} is not a root of {self.spec}")
-        return self.coroots[root]
+        return form_triple(self.realization, self.root_vectors, root)
 
     @cached_property
     def killing_metric(self) -> forms.KillingMetric:
@@ -142,23 +145,8 @@ def cartan_decompose(r: catalog.AlgebraRealization) -> RootDatum:
             )
     expand_in_fundamental(positive, fundamental)
 
-    coroots: dict[Weight, EdgeMatrix] = {}
-    partners: dict[Weight, EdgeMatrix] = {}
-    for root in roots:
-        x_pos = r.basis[root_vectors[root]][1]
-        x_neg = r.basis[root_vectors[negate(root)]][1]
-        bracket = mat_bracket(x_pos, x_neg)
-        # A zero bracket fails here too: a(0) = 0.
-        value = dot(root, r.diag_coords(bracket))
-        if not value:
-            raise InternalConsistencyError(
-                f"a([x_a, x_-a]) = 0 for a = {format_weight(root)}"
-            )
-        factor = ratio(2, value)
-        coroots[root] = bracket.scale(factor)
-        partners[root] = x_neg.scale(factor)
-
-    fundamental_coroots = tuple(coroots[a] for a in fundamental)
+    triples = [form_triple(r, root_vectors, a) for a in fundamental]
+    fundamental_coroots = tuple(h for _, _, h in triples)
     weights = _solve_fundamental_weights(r, fundamental_coroots)
 
     return RootDatum(
@@ -167,11 +155,29 @@ def cartan_decompose(r: catalog.AlgebraRealization) -> RootDatum:
         root_vectors=root_vectors,
         positive_roots=positive,
         fundamental_roots=fundamental,
-        coroots=coroots,
-        partners=partners,
         fundamental_coroots=fundamental_coroots,
+        fundamental_partners=tuple(y for _, y, _ in triples),
         fundamental_weights=weights,
     )
+
+
+def form_triple(
+    r: catalog.AlgebraRealization, root_vectors: dict[Weight, int], root: Weight
+) -> tuple[EdgeMatrix, EdgeMatrix, EdgeMatrix]:
+    """The sl2 triple (x_a, y_a, h_a) of the root a, read off its root vectors.
+
+    With t = [x_a, x_-a], h_a = 2t / a(t) and y_a = 2x_-a / a(t), so that
+    [x_a, y_a] = h_a and a(h_a) = 2.  Raises InternalConsistencyError if
+    a(t) = 0, a zero bracket included.
+    """
+    x_pos = r.basis[root_vectors[root]][1]
+    x_neg = r.basis[root_vectors[negate(root)]][1]
+    bracket = mat_bracket(x_pos, x_neg)
+    value = dot(root, r.diag_coords(bracket))
+    if not value:
+        raise InternalConsistencyError(f"a([x_a, x_-a]) = 0 for a = {format_weight(root)}")
+    factor = ratio(2, value)
+    return x_pos, x_neg.scale(factor), bracket.scale(factor)
 
 
 def expand_in_fundamental(

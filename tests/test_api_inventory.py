@@ -24,7 +24,8 @@ PACKAGE = ROOT / "src" / "liealg"
 # The two Killing routes are exported one-pair routes that ``bench/traced.py``
 # spans by name, so they stay until it reads stages instead of wrapping functions.
 KEPT_UNCALLED = {
-    "forms.killing_form_ad": "the ad-trace route; `verify ... killing` reads cartan_killing_gram_ad",
+    "forms.killing_form_ad":
+        "the ad-trace route on one pair; `verify ... killing` reads adjoint.cartan_killing_gram_ad",
     "forms.killing_form_roots": "the root-sum route; commands read RootDatum.killing_metric",
     "catalog.AlgebraRealization.edge_weight":
         "documented public API; weight_of reads stored edges through the unchecked _edge_weight",

@@ -10,7 +10,8 @@ from conftest import (
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.catalog import _signed_involution, ad_matrix
+from liealg.adjoint import ad_matrix
+from liealg.catalog import _signed_involution
 from liealg.edges import EdgeMatrix, mat_bracket
 from liealg.matrices import SpanSolver
 

@@ -1,6 +1,6 @@
 """Chevalley's structure-constant identity, an oracle on the built root vectors.
 
-Take X_a = ``root_vector(a)`` for a positive root a and X_-a = ``partners[a]``,
+Take X_a = ``root_vector(a)`` for a positive root a and X_-a = y_a of ``sl2_triple(a)``,
 so that [X_a, X_-a] = h_a for every root a, negative ones included.  For roots
 a, b with a + b a root write [X_a, X_b] = N_ab X_(a+b).  Then
 
@@ -25,7 +25,7 @@ from liealg.exact import negate, ratio
 def vectors(rd):
     """X_a for every root a: the root vector when a is positive, else the partner of -a."""
     positive = set(rd.positive_roots)
-    return {a: rd.root_vector(a) if a in positive else rd.partners[negate(a)]
+    return {a: rd.root_vector(a) if a in positive else rd.sl2_triple(negate(a))[1]
             for a in rd.roots}
 
 
@@ -56,7 +56,7 @@ def test_n_ab_times_n_minus_a_minus_b_is_minus_p_plus_one_squared(family, n):
     roots = set(rd.roots)
     x = vectors(rd)
     for a in rd.positive_roots:
-        assert mat_bracket(x[a], x[negate(a)]) == rd.coroots[a]
+        assert mat_bracket(x[a], x[negate(a)]) == rd.sl2_triple(a)[2]
     n_ab = {(a, b): constant(mat_bracket(x[a], x[b]), x[add(a, b)])
             for a in rd.roots for b in rd.roots if add(a, b) in roots}
     for (a, b), value in n_ab.items():

@@ -12,7 +12,9 @@ import pytest
 
 from conftest import family_ranks, replace, root_datum, run_cli, src_env
 
-from liealg import AlgebraFamily, AlgebraSpec, cli, cli_suites, forms, invariants, roots, weyl
+from liealg import (
+    AlgebraFamily, AlgebraSpec, adjoint, cli, cli_suites, forms, invariants, roots, weyl,
+)
 from liealg.matrices import SpanSolver
 from liealg.polynomials import MultiPoly
 
@@ -184,14 +186,15 @@ class TestInfoContent:
         assert run_cli(["info", "sl", n, "--enumerate-weyl", "--max-order", cap]) == reference
 
 
-def _scale_a_partner(monkeypatch):
-    decompose = roots.cartan_decompose
+def _double_a_partner_in_the_rule(monkeypatch):
+    """The triple rule forms y_a at twice its value, for the root 2a1 alone."""
+    form = roots.form_triple
 
-    def broken(r):
-        rd = decompose(r)
-        return replace(rd, partners={**rd.partners, (2, 0): rd.partners[(2, 0)].scale(2)})
+    def broken(r, root_vectors, root):
+        x, y, h = form(r, root_vectors, root)
+        return (x, y.scale(2), h) if root == (2, 0) else (x, y, h)
 
-    monkeypatch.setattr(roots, "cartan_decompose", broken)
+    monkeypatch.setattr(roots, "form_triple", broken)
 
 
 def _wrong_sigma_entry(monkeypatch):
@@ -223,7 +226,7 @@ def _suite_with(change):
 
 # (suite, breaker, the FAIL line of `verify sp 2 <suite>` under the breaker)
 BROKEN_VERDICTS = [
-    pytest.param("sl2", _scale_a_partner,
+    pytest.param("sl2", _double_a_partner_in_the_rule,
                  "sl2: triple 2a1: FAIL (x, y, h relations and a(h)=2)", id="sl2-triple"),
     pytest.param("killing", _wrong_sigma_entry,
                  "killing: sum coefficient: FAIL (got 12, expected 8)", id="killing-sum"),
@@ -273,14 +276,14 @@ class TestVerifyCommand:
         assert f"weyl: even sign changes only: {status.upper()}" in out
 
     def test_killing_routes_that_disagree_fail(self, monkeypatch):
-        ad_gram = forms.cartan_killing_gram_ad
+        ad_gram = adjoint.cartan_killing_gram_ad
 
         def perturbed(r):
             gram = [list(row) for row in ad_gram(r)]
             gram[0][-1] += 1
             return tuple(map(tuple, gram))
 
-        monkeypatch.setattr(forms, "cartan_killing_gram_ad", perturbed)
+        monkeypatch.setattr(adjoint, "cartan_killing_gram_ad", perturbed)
         code, out = run_cli(["verify", "sp", "2", "killing"])
         assert code == 1
         assert "killing: ad-trace route equals root-sum route: FAIL" in out

@@ -10,8 +10,6 @@ from conftest import arrows, family_ranks, multiplicities, root_datum
 import liealg as L
 from liealg import AlgebraFamily, CartanMatrix
 from liealg.dynkin import (
-    SerrePresentation,
-    SerreRelation,
     ascii_diagram,
     build_diagram,
     check_positive_definite,
@@ -20,6 +18,7 @@ from liealg.dynkin import (
     serre_presentation,
     verify_serre,
 )
+from liealg.serre import SerrePresentation, SerreRelation
 
 
 def diagram_for(family, n):

@@ -9,7 +9,7 @@ import pytest
 from conftest import basis_of, family_ranks, identity, realization, reflect, root_datum
 
 import liealg as L
-from liealg import AlgebraFamily, AlgebraSpec, forms
+from liealg import AlgebraFamily, AlgebraSpec, adjoint, forms
 from liealg.dynkin import CartanMatrix, cartan_entries
 from liealg.edges import mat_bracket
 from liealg.matrices import SpanSolver, dot
@@ -71,7 +71,7 @@ class TestKillingForm:
             SpanSolver, "__init__", lambda self, family: builds.append(1) or init(self, family)
         )
         r = L.build(AlgebraSpec(family, n))
-        gram = forms.cartan_killing_gram_ad(r)
+        gram = adjoint.cartan_killing_gram_ad(r)
         # The one elimination of the basis is the rank check in build.
         assert len(builds) == 1
         cartan = r.cartan_basis

@@ -98,7 +98,7 @@ def test_root_datum_matches_the_hand_written_basis(family, n):
     reference = L.cartan_decompose(AlgebraRealization(spec, basis))
     rd = root_datum(family, n)
     assert rd.roots == reference.roots
-    assert rd.coroots == reference.coroots
+    assert [rd.sl2_triple(a)[2] for a in rd.roots] == [reference.sl2_triple(a)[2] for a in rd.roots]
     assert rd.fundamental_weights == reference.fundamental_weights
 
 

@@ -17,7 +17,7 @@ from conftest import root_datum, unit, variable
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
-from liealg.dynkin import SerreRelation
+from liealg.serre import SerreRelation
 from liealg.invariants import InvariantSuite
 from liealg.forms import KillingMetric
 
@@ -42,7 +42,7 @@ RECORDS = [
     (L.MultiPoly, ("nvars", "terms"), True, lambda n: variable(n, n - 1)),
     (L.RootDatum,
      ("realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",
-      "coroots", "partners", "fundamental_coroots", "fundamental_weights"),
+      "fundamental_coroots", "fundamental_partners", "fundamental_weights"),
      False, lambda n: root_datum(AlgebraFamily.SO_ODD, n)),
     (KillingMetric, ("gram", "sigma", "trace"), True,
      lambda n: root_datum(AlgebraFamily.SP, n).killing_metric),

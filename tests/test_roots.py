@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import family_ranks, realization, replace, root_datum
+from conftest import family_ranks, realization, replace, root_datum, run_cli
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec
@@ -13,7 +13,8 @@ from liealg.exact import is_positive, negate
 from liealg.edges import EdgeMatrix
 from liealg.matrices import dot
 from liealg.families import root_count
-from liealg.roots import expand_in_fundamental
+from liealg import roots
+from liealg.roots import expand_in_fundamental, form_triple
 
 
 def unit(n, i, value=1):
@@ -87,7 +88,7 @@ class TestRootSystems:
             a = unit(3, i)
             assert a in set(rd.roots)
             # the coroot of a_i is 2 h_i
-            coords = r.diag_coords(rd.coroot(a))
+            coords = r.diag_coords(rd.sl2_triple(a)[2])
             assert coords == unit(3, i, 2)
 
     @pytest.mark.parametrize("family,n", family_ranks(4))
@@ -107,7 +108,7 @@ class TestRootSystems:
         rd = root_datum(family, n)
         r = rd.realization
         for root in rd.roots:
-            assert dot(root, r.diag_coords(rd.coroot(root))) == 2
+            assert dot(root, r.diag_coords(rd.sl2_triple(root)[2])) == 2
 
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_weight_duality(self, family, n):
@@ -212,7 +213,7 @@ class TestSl2Triples:
         rd = root_datum(AlgebraFamily.SL, 2)
         alpha = (Fraction(1), Fraction(-1))
         assert verify_sl2_triple(rd, alpha)
-        h = rd.coroot(alpha)
+        _, _, h = rd.sl2_triple(alpha)
         assert h.edges == {(0, 0): 1, (1, 1): -1}
 
     @pytest.mark.parametrize("family,n", family_ranks(4))
@@ -225,6 +226,43 @@ class TestSl2Triples:
         rd = root_datum(AlgebraFamily.SP, 2)
         with pytest.raises(ValueError):
             verify_sl2_triple(rd, (Fraction(3), Fraction(0)))
+        with pytest.raises(ValueError, match="^3a1 is not a root of sp_4$"):
+            rd.sl2_triple((3, 0))
+
+    @pytest.mark.parametrize("family,n", family_ranks(4))
+    def test_the_fundamental_fields_are_the_fundamental_triples(self, family, n):
+        rd = root_datum(family, n)
+        assert [rd.sl2_triple(a) for a in rd.fundamental_roots] == [
+            (rd.root_vector(a), y, h) for a, y, h in
+            zip(rd.fundamental_roots, rd.fundamental_partners, rd.fundamental_coroots)
+        ]
+
+    def test_a_zero_pairing_raises_where_the_triple_is_formed(self):
+        # Give -a the root vector of a itself: [x_a, x_a] = 0, so a([x_a, x_-a]) = 0.
+        rd = root_datum(AlgebraFamily.SL, 3)
+        a = rd.fundamental_roots[0]
+        vectors = {**rd.root_vectors, negate(a): rd.root_vectors[a]}
+        error = r"^a\(\[x_a, x_-a\]\) = 0 for a = a1-a2$"
+        with pytest.raises(L.InternalConsistencyError, match=error):
+            form_triple(rd.realization, vectors, a)
+
+    @pytest.mark.parametrize("family,n", [
+        (AlgebraFamily.SL, 3), (AlgebraFamily.SL, 6), (AlgebraFamily.SP, 2), (AlgebraFamily.SP, 5),
+        (AlgebraFamily.SO_EVEN, 4), (AlgebraFamily.SO_EVEN, 6), (AlgebraFamily.SO_ODD, 3),
+        (AlgebraFamily.SO_ODD, 5),
+    ])
+    def test_info_forms_the_simple_triples_and_verify_sl2_every_other(self, family, n, monkeypatch):
+        """A work pin: ``info`` forms one triple per simple root, and ``verify ... sl2``
+        forms those and then one per root, each where its check reads it."""
+        calls = []
+        form = roots.form_triple
+        monkeypatch.setattr(roots, "form_triple", lambda *args: calls.append(1) or form(*args))
+        spec = AlgebraSpec(family, n)
+        assert run_cli(["info", family.cli_name, str(n)])[0] == 0
+        assert len(calls) == spec.lie_rank
+        calls.clear()
+        assert run_cli(["verify", family.cli_name, str(n), "sl2"])[0] == 0
+        assert len(calls) == spec.lie_rank + root_count(spec)
 
     @pytest.mark.parametrize("alpha", [(1.0, -1.0), (True, -1)])
     def test_float_and_bool_coordinates_are_rejected(self, alpha):

@@ -53,7 +53,7 @@ def test_integral_values_are_ints(family, n):
     rd = root_datum(family, n)
     entries = [x for _, m in r.basis for x in m.edges.values()]
     roots = [c for a in (*rd.roots, *rd.fundamental_roots) for c in a]
-    coroots = [c for h in rd.coroots.values() for c in r.diag_coords(h)]
+    coroots = [c for a in rd.roots for c in r.diag_coords(rd.sl2_triple(a)[2])]
     cartan = [a for row in forms.cartan_matrix(rd).entries for a in row]
     # Every pivot of the basis elimination is +-1, so its stored rows stay ints.
     eliminated = [x for row, combination in r.span._echelon.rows.values()

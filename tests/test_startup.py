@@ -193,7 +193,9 @@ def modules(names: str) -> set[str]:
     return {f"liealg.{name}" for name in names.split()}
 
 
-# Exactly what each command executes, as ROADMAP's "What a command runs" lists it.
+# Exactly what each command executes, as ROADMAP's "What a command runs" lists it.  Only
+# verify runs ``adjoint`` (the ad-trace Killing route), and only verify and serre run
+# ``serre`` (the Serre records): info and classify run neither.
 CLASSIFY_CARTAN = modules("cli cli_classify dynkin exact matrices records")
 EXECUTED = [
     pytest.param(("info", "sl", "3"), modules(
@@ -203,8 +205,11 @@ EXECUTED = [
                  id="classify-vectors"),
     pytest.param(("classify", "@cartan"), CLASSIFY_CARTAN, id="classify-cartan"),
     pytest.param(("verify", "sp", "2", "all"), modules(
-        "axioms catalog cli cli_suites dynkin edges exact families forms invariants matrices"
-        " polynomials records roots weyl"), id="verify"),
+        "adjoint axioms catalog cli cli_suites dynkin edges exact families forms invariants"
+        " matrices polynomials records roots serre weyl"), id="verify"),
+    pytest.param(("serre", "sp", "2"), modules(
+        "catalog cli cli_suites dynkin edges exact families forms matrices records roots serre"),
+        id="serre"),
     pytest.param(("invariants", "sl", "3"), modules(
         "catalog cli cli_suites edges exact families invariants matrices polynomials records"
         " roots weyl"), id="invariants"),

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_api_inventory import KEPT_UNCALLED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +93,27 @@ def test_traced_info_matches_plain_and_spans_the_killing_certificate(tmp_path):
     assert layers["forms.killing_coefficients_s"] > 0
     assert layers["matrices.solve_linear_calls"] == 1
     assert layers["matrices.span_solver_builds"] == 3
+
+
+# Commands that run the moved code: the sl2 triples formed on demand, the Serre records in
+# ``serre`` and the ad route in ``adjoint``, with the layers each must show above 0.
+MOVED = [
+    (("verify", "sp", "2", "sl2"), ("roots.verify_sl2_triple_s", "roots.cartan_decompose_s")),
+    (("serre", "sp", "2"), ("dynkin.serre_presentation_s", "dynkin.verify_serre_s")),
+    (("verify", "sp", "2", "killing"), ("forms.killing_coefficients_s",)),
+]
+
+
+@pytest.mark.parametrize("argv,layers", MOVED, ids=["sl2", "serre", "killing"])
+def test_traced_runs_of_the_moved_code_match_plain(argv, layers, tmp_path):
+    out = tmp_path / "layers.json"
+    plain = run("-m", "liealg", *argv)
+    traced = run(str(TRACED), str(out), *argv)
+    assert (traced.returncode, traced.stdout, traced.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+    assert plain.returncode == 0 and plain.stdout.endswith("result: PASS\n")
+    values = json.loads(out.read_text())
+    assert {name: values[name] > 0 for name in layers} == dict.fromkeys(layers, True)
 
 
 def loads_outside_definitions() -> set[str]:
