@@ -14,7 +14,7 @@ r = L.build(spec)
 rd = L.cartan_decompose(r)
 
 print(f"== {spec.name}: dimension {r.dimension}, Cartan subalgebra of size "
-      f"{len(r.cartan_indices)}")
+      f"{len(r.cartan_basis)}")
 for label, mat in r.basis:
     rows = tuple(tuple(mat[i, j] for j in range(mat.dim)) for i in range(mat.dim))
     print(f"  {label}: rows {rows}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from .exact import Scalar, Weight, format_weight, is_positive, negate
-from .families import AlgebraFamily, AlgebraSpec
+from .families import AlgebraFamily, AlgebraSpec, _require_spec
 from .edges import EdgeMatrix
 from .matrices import SpanSolver
 from .records import InternalConsistencyError, Record
@@ -42,12 +42,8 @@ class AlgebraRealization(Record):
         return len(self.basis)
 
     @property
-    def cartan_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.spec.lie_rank))  # the Cartan elements come first
-
-    @property
     def cartan_basis(self) -> tuple[EdgeMatrix, ...]:
-        return tuple(self.basis[i][1] for i in self.cartan_indices)
+        return tuple(m for _, m in self.basis[: self.spec.lie_rank])  # the Cartan comes first
 
     @cached_property
     def span(self) -> SpanSolver:
@@ -108,6 +104,7 @@ def build(spec: AlgebraSpec) -> AlgebraRealization:
     is the edge alone.  x(-a) is the orbit of the reversed edge c -> r, the
     transpose of x(a): the partner pi(r) -> pi(c) carries the same sign.
     """
+    _require_spec(spec)
     n = spec.rank
     d = spec.realization_dim
     involution = _signed_involution(spec)
@@ -162,6 +159,7 @@ def check_membership(x: EdgeMatrix, spec: AlgebraSpec) -> bool:
     sign, and no edge that is its own partner at sign -1.  A relabelling of
     the edges, with no matrix product.
     """
+    _require_spec(spec)
     if x.dim != spec.realization_dim:
         raise ValueError(
             f"dimension mismatch: matrix has dim {x.dim}, "

@@ -41,7 +41,6 @@ def cmd_info(args) -> int:
         except weyl.WeylOverflowError:
             enumeration_note = f"order {order_formula} exceeds --max-order {args.max_order}"
 
-    r = rd.realization
     payload: dict[str, object] = {
         **header("info", spec),
         "algebra": spec.name,
@@ -51,9 +50,7 @@ def cmd_info(args) -> int:
         "num_roots": len(rd.roots),
         "positive_roots": [_vector_strings(w) for w in rd.positive_roots],
         "fundamental_roots": [_vector_strings(w) for w in rd.fundamental_roots],
-        "fundamental_coroots": [
-            _vector_strings(r.diag_coords(h)) for h in rd.fundamental_coroots
-        ],
+        "fundamental_coroots": [_vector_strings(h) for h in rd.fundamental_coroots],
         "fundamental_weights": [_vector_strings(w) for w in rd.fundamental_weights],
         "cartan_matrix": [list(row) for row in A.entries],
         "root_lengths": _vector_strings(lengths),
@@ -77,8 +74,7 @@ def cmd_info(args) -> int:
         f"roots: {len(rd.roots)}",
         "positive roots: " + ", ".join(format_weight(w) for w in rd.positive_roots),
         "fundamental roots: " + ", ".join(format_weight(w) for w in rd.fundamental_roots),
-        "fundamental coroots: "
-        + "; ".join(_format_vector(r.diag_coords(h)) for h in rd.fundamental_coroots),
+        "fundamental coroots: " + "; ".join(map(_format_vector, rd.fundamental_coroots)),
         "fundamental weights: "
         + "; ".join(_format_vector(w) for w in rd.fundamental_weights),
         "cartan matrix:",

@@ -330,19 +330,16 @@ def serre_presentation(A: CartanMatrix) -> serre.SerrePresentation:
 def verify_serre(rd: roots.RootDatum, p: serre.SerrePresentation) -> CheckReport:
     """Substitute the canonical triples into a presentation and check it.
 
-    H_i is the i-th fundamental coroot, X_i the fundamental root vector, and
-    Y_i the i-th fundamental partner, the opposite root vector scaled so that
-    [X_i, Y_i] = H_i: the triple of the i-th fundamental root.
+    (X_i, Y_i, H_i) is the sl2 triple of the i-th fundamental root, formed by
+    ``RootDatum.sl2_triple``: X_i its root vector, H_i its coroot and Y_i the
+    opposite root vector scaled so that [X_i, Y_i] = H_i.
     """
     if p.rank != rd.spec.lie_rank:
         raise ValueError(
             f"presentation rank {p.rank} does not match Lie rank {rd.spec.lie_rank}"
         )
-    generators = {
-        "H": rd.fundamental_coroots,
-        "X": [rd.root_vector(a) for a in rd.fundamental_roots],
-        "Y": rd.fundamental_partners,
-    }
+    triples = [rd.sl2_triple(a) for a in rd.fundamental_roots]
+    generators = dict(zip("XYH", zip(*triples)))
     return CheckReport(
         Check.of("serre", rel.describe(), rel.holds(generators), "exact matrix identity")
         for rel in p.relations

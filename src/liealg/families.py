@@ -83,8 +83,15 @@ class AlgebraSpec(Record):
         return self.name
 
 
+def _require_spec(spec: object) -> None:
+    """Raise TypeError naming the type of anything that is not an ``AlgebraSpec``."""
+    if type(spec) is not AlgebraSpec:
+        raise TypeError(f"spec must be an AlgebraSpec, got {type(spec).__name__}")
+
+
 def root_count(spec: AlgebraSpec) -> int:
     """Closed-form size of the root system."""
+    _require_spec(spec)
     n = spec.rank
     if spec.family is AlgebraFamily.SL:
         return n * (n - 1)
@@ -95,6 +102,7 @@ def root_count(spec: AlgebraSpec) -> int:
 
 def weyl_order_formula(spec: AlgebraSpec) -> int:
     """Closed-form Weyl group order for a classical family."""
+    _require_spec(spec)
     n = spec.rank
     if spec.family is AlgebraFamily.SL:
         return factorial(n)

@@ -132,10 +132,10 @@ def coroot_pairing_matrix(rd: roots.RootDatum) -> dynkin.CartanMatrix:
     This is the transpose of ``cartan_matrix`` and is the matrix under which
     the Serre relations hold verbatim in the realization.
     """
-    coords = [rd.realization.diag_coords(h) for h in rd.fundamental_coroots]
     return dynkin.CartanMatrix(
         dynkin.integer_rows(
-            "coroot pairing", ((dot(a, c) for a in rd.fundamental_roots) for c in coords)
+            "coroot pairing",
+            ((dot(a, h) for a in rd.fundamental_roots) for h in rd.fundamental_coroots),
         )
     )
 

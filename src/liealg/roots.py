@@ -8,8 +8,9 @@ this (a failure means the basis is wrong).  Each simple root is the weight of
 one edge.  The sl2 triple (x_a, y_a, h_a) of a root a is formed where it is
 read, by ``form_triple``: h_a is the normalized bracket of opposite root
 vectors, y_a the opposite root vector scaled so that [x_a, y_a] = h_a.
-``cartan_decompose`` forms the triples of the fundamental roots only;
-``RootDatum.sl2_triple`` forms any other on each call, and holds none.
+``cartan_decompose`` forms the triples of the fundamental roots only and
+keeps each coroot h_a as its coordinates, read once by ``diag_coords``;
+``RootDatum.sl2_triple`` forms any triple on each call, and holds none.
 Fundamental weights come from the duality equations, all solved by one
 ``matrices.solve_linear`` over one elimination; the expansion over the
 fundamental roots is one ``matrices.SpanSolver``.
@@ -71,32 +72,26 @@ def fundamental_root_list(spec: AlgebraSpec) -> tuple[Weight, ...]:
 class RootDatum(Record):
     """Roots and fundamental roots/coroots/weights of one realization.
 
-    The triple of the i-th fundamental root a_i is (``root_vector(a_i)``,
-    ``fundamental_partners[i]``, ``fundamental_coroots[i]``), and that of any
-    root a is ``sl2_triple(a)``: [x_a, y_a] = h_a and a(h_a) = 2.
+    The triple of any root a is ``sl2_triple(a)``: [x_a, y_a] = h_a and
+    a(h_a) = 2.  ``fundamental_coroots[i]`` holds the coordinates of h_(a_i),
+    the coroot of the i-th fundamental root.
     """
 
     __slots__ = (
         "realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",
-        "fundamental_coroots", "fundamental_partners", "fundamental_weights", "__dict__",
+        "fundamental_coroots", "fundamental_weights", "__dict__",
     )
     realization: catalog.AlgebraRealization
     roots: tuple[Weight, ...]
     root_vectors: dict[Weight, int]
     positive_roots: tuple[Weight, ...]
     fundamental_roots: tuple[Weight, ...]
-    fundamental_coroots: tuple[EdgeMatrix, ...]
-    fundamental_partners: tuple[EdgeMatrix, ...]
+    fundamental_coroots: tuple[Weight, ...]
     fundamental_weights: tuple[Weight, ...]
 
     @property
     def spec(self) -> AlgebraSpec:
         return self.realization.spec
-
-    def root_vector(self, root: Weight) -> EdgeMatrix:
-        if root not in self.root_vectors:
-            raise ValueError(f"{format_weight(root)} is not a root of {self.spec}")
-        return self.realization.basis[self.root_vectors[root]][1]
 
     def sl2_triple(self, root: Weight) -> tuple[EdgeMatrix, EdgeMatrix, EdgeMatrix]:
         """(x_a, y_a, h_a) of the root a, formed on each call by ``form_triple``."""
@@ -145,9 +140,7 @@ def cartan_decompose(r: catalog.AlgebraRealization) -> RootDatum:
             )
     expand_in_fundamental(positive, fundamental)
 
-    triples = [form_triple(r, root_vectors, a) for a in fundamental]
-    fundamental_coroots = tuple(h for _, _, h in triples)
-    weights = _solve_fundamental_weights(r, fundamental_coroots)
+    coroots = tuple(r.diag_coords(form_triple(r, root_vectors, a)[2]) for a in fundamental)
 
     return RootDatum(
         realization=r,
@@ -155,9 +148,8 @@ def cartan_decompose(r: catalog.AlgebraRealization) -> RootDatum:
         root_vectors=root_vectors,
         positive_roots=positive,
         fundamental_roots=fundamental,
-        fundamental_coroots=fundamental_coroots,
-        fundamental_partners=tuple(y for _, y, _ in triples),
-        fundamental_weights=weights,
+        fundamental_coroots=coroots,
+        fundamental_weights=_solve_fundamental_weights(spec, coroots),
     )
 
 
@@ -208,20 +200,17 @@ def expand_in_fundamental(
     return expansions
 
 
-def _solve_fundamental_weights(
-    r: catalog.AlgebraRealization, fundamental_coroots: Sequence[EdgeMatrix]
-) -> tuple[Weight, ...]:
+def _solve_fundamental_weights(spec: AlgebraSpec, coroots: Sequence[Weight]) -> tuple[Weight, ...]:
     """Solve w_i(h_j) = delta_ij for the dual basis of the coroots.
 
     The square system's rows are the coroot coordinates, and for sl the
     all-ones row (w_i sums to zero); w_i solves it against e_i, and all the
     e_i are solved over one elimination.  A singular system raises.
     """
-    n = r.spec.rank
-    rows = [r.diag_coords(h) for h in fundamental_coroots]
-    if r.spec.family is AlgebraFamily.SL:
-        rows.append((1,) * n)
-    units = ([int(i == j) for j in range(len(rows))] for i in range(len(fundamental_coroots)))
+    rows = list(coroots)
+    if spec.family is AlgebraFamily.SL:
+        rows.append((1,) * spec.rank)
+    units = ([int(i == j) for j in range(len(rows))] for i in range(len(coroots)))
     return tuple(map(tuple, solve_linear(rows, *units)))
 
 

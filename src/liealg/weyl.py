@@ -48,14 +48,12 @@ def simple_reflections(rd: roots.RootDatum) -> list[Window]:
     space and must come out as a signed permutation matrix; anything else
     signals an inconsistent root datum.
     """
-    r = rd.realization
-    n = r.spec.rank
+    n = rd.spec.rank
     out = []
     for alpha, coroot in zip(rd.fundamental_roots, rd.fundamental_coroots):
-        h_coords = r.diag_coords(coroot)
         window = []
         for k in range(n):
-            column = [canonical((i == k) - alpha[k] * h_coords[i]) for i in range(n)]
+            column = [canonical((i == k) - alpha[k] * coroot[i]) for i in range(n)]
             support = [i for i, v in enumerate(column) if v]
             if len(support) != 1 or column[support[0]] not in (1, -1):
                 raise InternalConsistencyError(

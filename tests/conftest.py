@@ -1,7 +1,8 @@
 """Shared fixtures: cached realizations, root data, Weyl enumerations, the
 reference reflection used by the forms tests, the dense
-structure-constant table used by the catalog tests, a field-replacing copy of
-a record, a Dynkin diagram's multiplicity table and arrow list, the 1-indexed
+structure-constant table used by the catalog tests, the basis vector of a
+root, a field-replacing copy of a record, a Dynkin diagram's multiplicity
+table and arrow list, the 1-indexed
 elementary matrix, dense and transposed views of a matrix, the closed forms
 that the invariant Jacobians are compared with, the hand-written root-vector table
 and structure forms that ``catalog`` used before it read every sp and so
@@ -170,6 +171,11 @@ def constant_ratio(p: MultiPoly, q: MultiPoly) -> Scalar | None:
 def basis_of(r: L.AlgebraRealization) -> tuple[EdgeMatrix, ...]:
     """The basis elements of a realization, without their labels."""
     return tuple(m for _, m in r.basis)
+
+
+def root_vector(rd: L.RootDatum, root: Weight) -> EdgeMatrix:
+    """The basis vector x_a of the root a, read off the basis with no triple formed."""
+    return rd.realization.basis[rd.root_vectors[root]][1]
 
 
 def structure_constants(

@@ -47,6 +47,17 @@ class TestSpec:
         with pytest.raises(TypeError, match=f"^family must be an AlgebraFamily, got {name}$"):
             AlgebraSpec(family, 3)
 
+    @pytest.mark.parametrize("call", [
+        L.build, L.root_count, L.weyl_order_formula,
+        lambda spec: L.check_membership(EdgeMatrix(2, {}), spec),
+    ], ids=["build", "root_count", "weyl_order_formula", "check_membership"])
+    @pytest.mark.parametrize("spec", [3, "sl", None, (AlgebraFamily.SL, 3)], ids=repr)
+    def test_a_spec_that_is_not_an_algebra_spec_raises(self, call, spec):
+        # Each raised AttributeError on the first field it read.
+        name = type(spec).__name__
+        with pytest.raises(TypeError, match=f"^spec must be an AlgebraSpec, got {name}$"):
+            call(spec)
+
     def test_sl_rank_bookkeeping(self):
         spec = AlgebraSpec(AlgebraFamily.SL, 4)
         assert spec.realization_dim == 4
@@ -65,12 +76,12 @@ class TestBuild:
     def test_sl2_shape(self):
         r = realization(AlgebraFamily.SL, 2)
         assert r.dimension == 3
-        assert len(r.cartan_indices) == 1
+        assert len(r.cartan_basis) == 1
 
     def test_sp4_shape(self):
         r = realization(AlgebraFamily.SP, 2)
         assert r.dimension == 10
-        assert len(r.cartan_indices) == 2
+        assert len(r.cartan_basis) == 2
 
     def test_so7_shape(self):
         r = realization(AlgebraFamily.SO_ODD, 3)
@@ -92,10 +103,7 @@ class TestBuild:
         for h1 in cartan:
             for h2 in cartan:
                 assert mat_bracket(h1, h2).is_zero()
-        cartan_set = set(r.cartan_indices)
-        for index, (_, m) in enumerate(r.basis):
-            if index in cartan_set:
-                continue
+        for _, m in r.basis[len(cartan):]:
             assert any(not mat_bracket(h, m).is_zero() for h in cartan)
 
 

@@ -1,6 +1,6 @@
 """Chevalley's structure-constant identity, an oracle on the built root vectors.
 
-Take X_a = ``root_vector(a)`` for a positive root a and X_-a = y_a of ``sl2_triple(a)``,
+Take X_a = the basis vector of a for a positive root a and X_-a = y_a of ``sl2_triple(a)``,
 so that [X_a, X_-a] = h_a for every root a, negative ones included.  For roots
 a, b with a + b a root write [X_a, X_b] = N_ab X_(a+b).  Then
 
@@ -15,7 +15,7 @@ normalization.  Every pair is checked in every family at Lie rank <= 6.
 
 import pytest
 
-from conftest import family_ranks, root_datum
+from conftest import family_ranks, root_datum, root_vector
 
 from liealg import AlgebraFamily, AlgebraSpec
 from liealg.edges import mat_bracket
@@ -25,7 +25,7 @@ from liealg.exact import negate, ratio
 def vectors(rd):
     """X_a for every root a: the root vector when a is positive, else the partner of -a."""
     positive = set(rd.positive_roots)
-    return {a: rd.root_vector(a) if a in positive else rd.sl2_triple(negate(a))[1]
+    return {a: root_vector(rd, a) if a in positive else rd.sl2_triple(negate(a))[1]
             for a in rd.roots}
 
 

@@ -186,15 +186,25 @@ class TestInfoContent:
         assert run_cli(["info", "sl", n, "--enumerate-weyl", "--max-order", cap]) == reference
 
 
-def _double_a_partner_in_the_rule(monkeypatch):
-    """The triple rule forms y_a at twice its value, for the root 2a1 alone."""
-    form = roots.form_triple
+def _double_the_partner_of(a):
+    """A breaker under which the triple rule forms y_a at twice its value, for a alone."""
 
-    def broken(r, root_vectors, root):
-        x, y, h = form(r, root_vectors, root)
-        return (x, y.scale(2), h) if root == (2, 0) else (x, y, h)
+    def breaker(monkeypatch):
+        form = roots.form_triple
 
-    monkeypatch.setattr(roots, "form_triple", broken)
+        def broken(r, root_vectors, root):
+            x, y, h = form(r, root_vectors, root)
+            return (x, y.scale(2), h) if root == a else (x, y, h)
+
+        monkeypatch.setattr(roots, "form_triple", broken)
+
+    return breaker
+
+
+def _weigh_the_second_axis_twice(monkeypatch):
+    """The inner product x1 y1 + 2 x2 y2, under which a1+a2 has length 3."""
+    inner = lambda u, v: u[0] * v[0] + 2 * u[1] * v[1]
+    monkeypatch.setattr(forms, "weight_inner", lambda rd: inner)
 
 
 def _wrong_sigma_entry(monkeypatch):
@@ -226,8 +236,12 @@ def _suite_with(change):
 
 # (suite, breaker, the FAIL line of `verify sp 2 <suite>` under the breaker)
 BROKEN_VERDICTS = [
-    pytest.param("sl2", _double_a_partner_in_the_rule,
+    pytest.param("axioms", _weigh_the_second_axis_twice,
+                 "axioms: integrality: FAIL (2<a1+a2,2a1>/<a,a> = 4/3)", id="axioms-integrality"),
+    pytest.param("sl2", _double_the_partner_of((2, 0)),
                  "sl2: triple 2a1: FAIL (x, y, h relations and a(h)=2)", id="sl2-triple"),
+    pytest.param("serre", _double_the_partner_of((0, 2)),
+                 "serre: [X2,Y2] = H2: FAIL (exact matrix identity)", id="serre-simple-triple"),
     pytest.param("killing", _wrong_sigma_entry,
                  "killing: sum coefficient: FAIL (got 12, expected 8)", id="killing-sum"),
     pytest.param("weyl", _send_a_root_off,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import basis_of, family_ranks, realization, root_datum, transpose, unit
+from conftest import basis_of, family_ranks, realization, root_datum, root_vector, transpose, unit
 
 import liealg as L
 from liealg import AlgebraFamily
@@ -17,7 +17,7 @@ class TestReversedEdges:
     def test_transpose_maps_each_root_vector_to_the_opposite_one(self, family, n):
         rd = root_datum(family, n)
         for root in rd.roots:
-            assert transpose(rd.root_vector(root)) == rd.root_vector(negate(root)), root
+            assert transpose(root_vector(rd, root)) == root_vector(rd, negate(root)), root
 
     @pytest.mark.parametrize("family,n", family_ranks(6))
     def test_transpose_keeps_every_basis_vector_a_member(self, family, n):
@@ -44,6 +44,6 @@ class TestReversedEdges:
         # The opposite of x(2a_1) is its transpose, of weight -2a_1.
         rd = root_datum(AlgebraFamily.SP, 2)
         r = rd.realization
-        image = transpose(rd.root_vector((2, 0)))
+        image = transpose(root_vector(rd, (2, 0)))
         assert weight_of(r, image) == (-2, 0)
-        assert image == rd.root_vector((-2, 0))
+        assert image == root_vector(rd, (-2, 0))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import arrows, family_ranks, multiplicities, root_datum
+from conftest import arrows, family_ranks, multiplicities, root_datum, root_vector
 
 import liealg as L
 from liealg import AlgebraFamily, CartanMatrix
@@ -368,8 +368,8 @@ class TestSerrePresentation:
         rd = root_datum(AlgebraFamily.SP, 2)
         from liealg.edges import mat_bracket
 
-        x1 = rd.root_vector(rd.fundamental_roots[0])
-        x2 = rd.root_vector(rd.fundamental_roots[1])
+        x1 = root_vector(rd, rd.fundamental_roots[0])
+        x2 = root_vector(rd, rd.fundamental_roots[1])
         twice = mat_bracket(x1, mat_bracket(x1, x2))
         assert not twice.is_zero()
         assert mat_bracket(x1, twice).is_zero()

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import pytest
 
-from conftest import basis_of, family_ranks, realization, root_datum, transpose
+from conftest import basis_of, family_ranks, realization, root_datum, root_vector, transpose
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, dynkin, roots
@@ -179,8 +179,8 @@ def verify_serre(
         raise ValueError(
             f"presentation rank {p.rank} does not match Lie rank {r.spec.lie_rank}"
         )
-    H = list(rd.fundamental_coroots)
-    X = [rd.root_vector(a) for a in rd.fundamental_roots]
+    H = [rd.sl2_triple(a)[2] for a in rd.fundamental_roots]
+    X = [root_vector(rd, a) for a in rd.fundamental_roots]
     Y = []
     for h, x in zip(H, X):
         image = transpose(x)

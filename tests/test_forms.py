@@ -6,7 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import basis_of, family_ranks, identity, realization, reflect, root_datum
+from conftest import (
+    basis_of, family_ranks, identity, realization, reflect, root_datum, root_vector,
+)
 
 import liealg as L
 from liealg import AlgebraFamily, AlgebraSpec, adjoint, forms
@@ -51,7 +53,7 @@ class TestKillingForm:
 
     def test_roots_route_rejects_non_cartan(self):
         rd = root_datum(AlgebraFamily.SP, 2)
-        x = rd.root_vector(rd.positive_roots[0])
+        x = root_vector(rd, rd.positive_roots[0])
         with pytest.raises(ValueError):
             L.killing_form_roots(rd, x, x)
 
@@ -198,7 +200,6 @@ class TestCartanMatrices:
 
     def test_non_integral_coroot_pairing_aborts(self):
         rd = SimpleNamespace(
-            realization=SimpleNamespace(diag_coords=lambda h: h),
             fundamental_coroots=((1, 0), (0, 1)),
             fundamental_roots=((2, -1), (Fraction(1, 2), 2)),
         )

@@ -42,7 +42,7 @@ RECORDS = [
     (L.MultiPoly, ("nvars", "terms"), True, lambda n: variable(n, n - 1)),
     (L.RootDatum,
      ("realization", "roots", "root_vectors", "positive_roots", "fundamental_roots",
-      "fundamental_coroots", "fundamental_partners", "fundamental_weights"),
+      "fundamental_coroots", "fundamental_weights"),
      False, lambda n: root_datum(AlgebraFamily.SO_ODD, n)),
     (KillingMetric, ("gram", "sigma", "trace"), True,
      lambda n: root_datum(AlgebraFamily.SP, n).killing_metric),

@@ -90,6 +90,7 @@ class TestRootSystems:
             # the coroot of a_i is 2 h_i
             coords = r.diag_coords(rd.sl2_triple(a)[2])
             assert coords == unit(3, i, 2)
+        assert rd.fundamental_coroots[-1] == unit(3, 2, 2)
 
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_positive_roots_expand_in_fundamental(self, family, n):
@@ -113,10 +114,9 @@ class TestRootSystems:
     @pytest.mark.parametrize("family,n", family_ranks(4))
     def test_weight_duality(self, family, n):
         rd = root_datum(family, n)
-        r = rd.realization
         for i, w in enumerate(rd.fundamental_weights):
             for j, h in enumerate(rd.fundamental_coroots):
-                assert dot(w, r.diag_coords(h)) == (1 if i == j else 0)
+                assert dot(w, h) == (1 if i == j else 0)
 
     def test_so_even_half_integral_weight(self):
         rd = root_datum(AlgebraFamily.SO_EVEN, 4)
@@ -208,6 +208,14 @@ class TestAxioms:
             verify_root_axioms([(half, 0), (-half, 0)], dot)
 
 
+# Two ranks per family for the work pins, which run ``info`` and count calls.
+WORK_PIN_SIZES = [
+    (AlgebraFamily.SL, 3), (AlgebraFamily.SL, 6), (AlgebraFamily.SP, 2), (AlgebraFamily.SP, 5),
+    (AlgebraFamily.SO_EVEN, 4), (AlgebraFamily.SO_EVEN, 6), (AlgebraFamily.SO_ODD, 3),
+    (AlgebraFamily.SO_ODD, 5),
+]
+
+
 class TestSl2Triples:
     def test_sl2_with_pictured_coroot(self):
         rd = root_datum(AlgebraFamily.SL, 2)
@@ -229,13 +237,14 @@ class TestSl2Triples:
         with pytest.raises(ValueError, match="^3a1 is not a root of sp_4$"):
             rd.sl2_triple((3, 0))
 
-    @pytest.mark.parametrize("family,n", family_ranks(4))
-    def test_the_fundamental_fields_are_the_fundamental_triples(self, family, n):
+    @pytest.mark.parametrize("family,n", family_ranks(6))
+    def test_the_fundamental_coroots_are_the_coordinates_of_the_simple_triples(self, family, n):
         rd = root_datum(family, n)
-        assert [rd.sl2_triple(a) for a in rd.fundamental_roots] == [
-            (rd.root_vector(a), y, h) for a, y, h in
-            zip(rd.fundamental_roots, rd.fundamental_partners, rd.fundamental_coroots)
-        ]
+        r = rd.realization
+        assert rd.fundamental_coroots == tuple(
+            r.diag_coords(rd.sl2_triple(a)[2]) for a in rd.fundamental_roots
+        )
+        assert all(type(c) is int for h in rd.fundamental_coroots for c in h)
 
     def test_a_zero_pairing_raises_where_the_triple_is_formed(self):
         # Give -a the root vector of a itself: [x_a, x_a] = 0, so a([x_a, x_-a]) = 0.
@@ -246,11 +255,7 @@ class TestSl2Triples:
         with pytest.raises(L.InternalConsistencyError, match=error):
             form_triple(rd.realization, vectors, a)
 
-    @pytest.mark.parametrize("family,n", [
-        (AlgebraFamily.SL, 3), (AlgebraFamily.SL, 6), (AlgebraFamily.SP, 2), (AlgebraFamily.SP, 5),
-        (AlgebraFamily.SO_EVEN, 4), (AlgebraFamily.SO_EVEN, 6), (AlgebraFamily.SO_ODD, 3),
-        (AlgebraFamily.SO_ODD, 5),
-    ])
+    @pytest.mark.parametrize("family,n", WORK_PIN_SIZES)
     def test_info_forms_the_simple_triples_and_verify_sl2_every_other(self, family, n, monkeypatch):
         """A work pin: ``info`` forms one triple per simple root, and ``verify ... sl2``
         forms those and then one per root, each where its check reads it."""
@@ -263,6 +268,21 @@ class TestSl2Triples:
         calls.clear()
         assert run_cli(["verify", family.cli_name, str(n), "sl2"])[0] == 0
         assert len(calls) == spec.lie_rank + root_count(spec)
+
+    @pytest.mark.parametrize("family,n", WORK_PIN_SIZES)
+    @pytest.mark.parametrize("extra", [[], ["--enumerate-weyl"]])
+    def test_info_reads_each_cartan_element_once(self, family, n, extra, monkeypatch):
+        """A work pin: ``info`` reads the coordinates of 4 Cartan elements per simple
+        root: its Cartan basis element, in ``cartan_decompose``'s shape check and
+        again in the Killing sum, its bracket [x_a, x_-a] in ``form_triple``, and
+        its coroot, once, in ``cartan_decompose``.  Every other reader, the Weyl
+        reflections included, takes the stored coordinates."""
+        calls = []
+        read = L.AlgebraRealization.diag_coords
+        monkeypatch.setattr(L.AlgebraRealization, "diag_coords",
+                            lambda self, h: calls.append(1) or read(self, h))
+        assert run_cli(["info", family.cli_name, str(n), *extra])[0] == 0
+        assert len(calls) == 4 * AlgebraSpec(family, n).lie_rank
 
     @pytest.mark.parametrize("alpha", [(1.0, -1.0), (True, -1)])
     def test_float_and_bool_coordinates_are_rejected(self, alpha):
